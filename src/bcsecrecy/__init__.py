@@ -22,7 +22,6 @@ from .avgpower import (
     p2p_limit_check,
     reduce_nullspace,
     region_sweep,
-    transmit_factor,
     waterfill,
     waterfill_capacity,
     waterfill_high_snr,
@@ -56,23 +55,19 @@ from .precoding import (
     rate_evaluate,
 )
 from .sdpc import (
-    BlockDiagReport,
     Channel,
     CornerPoint,
     RankBoundReport,
     SdpcSolution,
-    block_diag_test,
     build_pencil,
     orthogonality_defect,
     rank_bound_check,
     solve_matrix_constraint,
-    validate_constraint,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDiagReport",
     "Channel",
     "CheckReport",
     "CornerPoint",
@@ -90,7 +85,6 @@ __all__ = [
     "SdpcSolution",
     "SearchConfig",
     "allocate",
-    "block_diag_test",
     "build_pencil",
     "corner_rates",
     "diagonalize",
@@ -120,8 +114,6 @@ __all__ = [
     "sample_constraint",
     "search_region",
     "solve_matrix_constraint",
-    "transmit_factor",
-    "validate_constraint",
     "waterfill",
     "waterfill_capacity",
     "waterfill_high_snr",

@@ -23,7 +23,7 @@ from .errors import (
     ZeroChannelError,
 )
 from .hull import RegionEstimate, estimate_region
-from .linalg import LN2, RANK_TOL, herm, herm_eig, psd_inv_sqrt
+from .linalg import LN2, herm, herm_eig, psd_inv_sqrt, psd_range
 from .sdpc import Channel, CornerPoint
 
 # Subchannels whose eigenvalue gap is below this carry no secrecy value.
@@ -43,13 +43,10 @@ def reduce_nullspace(ch: Channel) -> tuple[Channel, np.ndarray]:
     them loses nothing and makes the whitening matrix well defined.  Returns
     the reduced channel and the orthonormal basis used.
     """
-    m = herm(ch.gram_h() + ch.gram_g())
-    w, v = herm_eig(m)
-    scale = np.abs(w).max() if w.size else 0.0
-    live = w > RANK_TOL * scale
-    if not np.any(live):
+    _, v, rank = psd_range(herm(ch.gram_h() + ch.gram_g()), "channel Gram sum")
+    if rank == 0:
         raise ZeroChannelError("both channel matrices are numerically zero")
-    u_p = v[:, live]
+    u_p = v[:, :rank]
     return Channel(ch.H @ u_p, ch.G @ u_p), u_p
 
 
@@ -130,12 +127,6 @@ def make_matrix_constraint(dc: DiagonalizedChannel, p: np.ndarray) -> np.ndarray
     return herm(dc.u_p @ s @ dc.u_p.conj().T)
 
 
-def transmit_factor(dc: DiagonalizedChannel, p: np.ndarray) -> np.ndarray:
-    """Factor T with T T^H equal to the covariance of ``make_matrix_constraint``."""
-    p = np.asarray(p, dtype=float)
-    return dc.u_p @ dc.w @ dc.phi @ np.diag(np.sqrt(p)).astype(complex)
-
-
 def _powers(mu: float, d: np.ndarray, ssum: np.ndarray, sprod: np.ndarray,
             a: np.ndarray) -> np.ndarray:
     """Per-subchannel optimum at water level ``mu``.
@@ -153,6 +144,35 @@ def _powers(mu: float, d: np.ndarray, ssum: np.ndarray, sprod: np.ndarray,
         disc = d[active] ** 2 + 4.0 * d[active] * sprod[active] / (mu * a[active])
         p[active] = 2.0 * x[active] / (ssum[active] + np.sqrt(disc))
     return p
+
+
+def _level(total, budget: float, lo: float, hi: float,
+           rel_tol: float = 1e-10, max_iter: int = 200) -> float:
+    """Water level ``mu`` at which the decreasing ``total(mu)`` meets ``budget``.
+
+    ``total(hi) <= budget`` must hold.  ``lo`` steps down by factors of 100
+    until ``total(lo) >= budget``, then the bracket is bisected at its
+    geometric midpoint until the total is within ``rel_tol`` of the budget
+    or the bracket stops shrinking.
+    """
+    while total(lo) < budget:
+        lo *= 1e-2
+        if lo < 1e-280:
+            raise NoConvergenceError("budget too large to bracket the water level")
+    mu = lo
+    for _ in range(max_iter):
+        mu = float(np.sqrt(lo * hi))
+        t = total(mu)
+        if abs(t - budget) <= rel_tol * budget:
+            break
+        if t > budget:
+            lo = mu
+        else:
+            hi = mu
+        if hi - lo <= 1e-16 * hi:
+            mu = lo if abs(total(lo) - budget) <= abs(total(hi) - budget) else hi
+            break
+    return mu
 
 
 def waterfill(
@@ -201,26 +221,7 @@ def waterfill(
     def total(mu: float) -> float:
         return float(a @ _powers(mu, d, ssum, sprod, a))
 
-    hi = mu_ceil
-    lo = 1e-18 * mu_ceil
-    while total(lo) < budget:
-        lo *= 1e-2
-        if lo < 1e-280:
-            raise NoConvergenceError("budget too large to bracket the water level")
-
-    mu = lo
-    for _ in range(max_iter):
-        mu = float(np.sqrt(lo * hi))
-        t = total(mu)
-        if abs(t - budget) <= rel_tol * budget:
-            break
-        if t > budget:
-            lo = mu
-        else:
-            hi = mu
-        if hi - lo <= 1e-16 * hi:
-            mu = lo if abs(total(lo) - budget) <= abs(total(hi) - budget) else hi
-            break
+    mu = _level(total, budget, 1e-18 * mu_ceil, mu_ceil, rel_tol, max_iter)
     return _powers(mu, d, ssum, sprod, a), mu
 
 
@@ -261,31 +262,19 @@ def waterfill_high_snr(
         mu = float((a @ k / budget) ** 2)
         return k / np.sqrt(mu), mu
 
+    def linear(mu: float) -> np.ndarray:
+        return np.clip(1.0 / (mu * a[zero_w]) - 1.0 / sigma_strong[zero_w], 0.0, None)
+
     def total(mu: float) -> float:
         t = float(a[sqrt_entries] @ k[sqrt_entries]) / np.sqrt(mu)
-        p_lin = np.clip(1.0 / (mu * a[zero_w]) - 1.0 / sigma_strong[zero_w], 0.0, None)
-        return t + float(a[zero_w] @ p_lin)
+        return t + float(a[zero_w] @ linear(mu))
 
     hi = 1.0
     while total(hi) > budget:
         hi *= 1e2
-    lo = hi
-    while total(lo) < budget:
-        lo *= 1e-2
-        if lo < 1e-280:
-            raise NoConvergenceError("budget too large to bracket the water level")
-    mu = lo
-    for _ in range(200):
-        mu = float(np.sqrt(lo * hi))
-        t = total(mu)
-        if abs(t - budget) <= 1e-10 * budget:
-            break
-        if t > budget:
-            lo = mu
-        else:
-            hi = mu
+    mu = _level(total, budget, hi, hi)
     p = k / np.sqrt(mu)
-    p[zero_w] = np.clip(1.0 / (mu * a[zero_w]) - 1.0 / sigma_strong[zero_w], 0.0, None)
+    p[zero_w] = linear(mu)
     return p, mu
 
 
@@ -308,12 +297,25 @@ class PowerAllocation:
         return np.concatenate([self.p1, self.p2])
 
 
-def allocate(dc: DiagonalizedChannel, alpha: float, pt: float) -> PowerAllocation:
-    """Split the budget and water-fill each user's block independently."""
+def check_split(alpha: float, pt: float) -> None:
+    """Reject a power split outside [0, 1] or a total power that is negative or not finite."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if pt < 0:
-        raise ValueError("total power must be non-negative")
+    if not 0.0 <= pt < np.inf:
+        raise ValueError(f"total power must be finite and non-negative, got {pt}")
+
+
+def split_grid(alpha_grid: int | np.ndarray) -> np.ndarray:
+    """Power splits of a sweep: ``alpha_grid`` evenly spaced points of [0, 1],
+    or the given splits when ``alpha_grid`` is an array."""
+    if np.isscalar(alpha_grid):
+        return np.linspace(0.0, 1.0, int(alpha_grid))
+    return np.asarray(alpha_grid, dtype=float)
+
+
+def allocate(dc: DiagonalizedChannel, alpha: float, pt: float) -> PowerAllocation:
+    """Split the budget and water-fill each user's block independently."""
+    check_split(alpha, pt)
     rho = dc.rho
 
     def block(strong, weak, cost, budget):
@@ -346,15 +348,16 @@ def corner_rates(dc: DiagonalizedChannel, alloc: PowerAllocation) -> CornerPoint
     )
 
 
+def sweep_corners(
+    dc: DiagonalizedChannel, pt: float, alpha_grid: int | np.ndarray
+) -> list[CornerPoint]:
+    """One corner per power split of the grid (see ``split_grid``)."""
+    return [corner_rates(dc, allocate(dc, float(al), pt)) for al in split_grid(alpha_grid)]
+
+
 def region_sweep(ch: Channel, pt: float, alpha_grid: int | np.ndarray = 101) -> RegionEstimate:
     """Sweep the power split over [0, 1] and hull the resulting corners."""
-    if np.isscalar(alpha_grid):
-        alphas = np.linspace(0.0, 1.0, int(alpha_grid))
-    else:
-        alphas = np.asarray(alpha_grid, dtype=float)
-    dc = diagonalize(ch)
-    points = [corner_rates(dc, allocate(dc, float(al), pt)) for al in alphas]
-    return estimate_region(points)
+    return estimate_region(sweep_corners(diagonalize(ch), pt, alpha_grid))
 
 
 def waterfill_capacity(h: np.ndarray, pt: float) -> float:
@@ -364,8 +367,8 @@ def waterfill_capacity(h: np.ndarray, pt: float) -> float:
     solved exactly with the active-set recursion.
     """
     h = np.atleast_2d(np.asarray(h, dtype=complex))
-    lam, _ = herm_eig(herm(h.conj().T @ h))
-    lam = lam[lam > RANK_TOL * max(lam.max(initial=0.0), 0.0)]
+    lam, _, rank = psd_range(herm(h.conj().T @ h), "channel Gram")
+    lam = lam[:rank]
     if lam.size == 0 or pt <= 0:
         return 0.0
     for k in range(lam.size, 0, -1):

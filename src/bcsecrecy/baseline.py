@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .avgpower import allocate, corner_rates, diagonalize
+from .avgpower import diagonalize, sweep_corners
 from .hull import RegionEstimate, estimate_region
 from .linalg import herm
 from .sdpc import Channel, CornerPoint, solve_matrix_constraint
@@ -57,8 +57,6 @@ def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
         sol = solve_matrix_constraint(ch, s)
         points.append(replace(sol.corner, provenance="baseline-sample"))
     if cfg.include_sw_family:
-        dc = diagonalize(ch)
-        for alpha in np.linspace(0.0, 1.0, cfg.alpha_grid):
-            corner = corner_rates(dc, allocate(dc, float(alpha), cfg.pt))
-            points.append(replace(corner, provenance="sw-family"))
+        corners = sweep_corners(diagonalize(ch), cfg.pt, cfg.alpha_grid)
+        points.extend(replace(c, provenance="sw-family") for c in corners)
     return estimate_region(points)

@@ -3,8 +3,9 @@
 Every check draws fresh instances from one seeded generator, pushes them
 through the public API, and records the worst residual it sees.  A residual
 above its tolerance marks the invariant as violated; the CLI maps that to a
-nonzero exit code.  ``inject_fault="gevd"`` corrupts the recovered pencil
-basis on purpose so the violation path itself stays tested.
+nonzero exit code.  A NaN residual is a violation too: it sticks as the
+worst value and fails every tolerance.  ``inject_fault="gevd"`` corrupts the
+recovered pencil basis on purpose so the violation path itself stays tested.
 """
 
 from dataclasses import dataclass
@@ -131,7 +132,7 @@ def _gevd_residuals(ch, s, res, fault):
     unit = _rel(c.conj().T @ b @ c - np.eye(len(lam)), float(np.linalg.norm(b)))
     brute = np.sort(np.linalg.eigvals(np.linalg.solve(b, a)).real)[::-1]
     eig = float(np.max(np.abs(brute - lam) / (1.0 + np.abs(brute))))
-    return max(diag, unit), eig
+    return np.maximum(diag, unit), eig
 
 
 def _waterfill_residuals(dc, alloc, pt):
@@ -144,18 +145,18 @@ def _waterfill_residuals(dc, alloc, pt):
     )
     for p, mu, strong, weak, cost, share in blocks:
         live = (strong - weak) > SIGMA_TIE_TOL
-        if not np.any(live) or share <= 0 or not np.isfinite(mu):
+        if not np.any(live) or share <= 0 or np.isinf(mu):
             continue
-        budget = max(budget, abs(float(p @ cost) - share) / share)
+        budget = np.maximum(budget, abs(float(p @ cost) - share) / share)
         on = live & (p > 0)
         if np.any(on):
             slope = strong[on] / (1.0 + strong[on] * p[on]) - weak[on] / (
                 1.0 + weak[on] * p[on]
             )
-            kkt = max(kkt, float(np.max(np.abs(slope - mu * cost[on]) / (mu * cost[on]))))
+            kkt = np.maximum(kkt, np.max(np.abs(slope - mu * cost[on]) / (mu * cost[on])))
         off = live & (p == 0)
         if np.any(off):
-            kkt = max(kkt, float(np.max((strong - weak)[off] - mu * cost[off])), 0.0)
+            kkt = np.maximum(kkt, np.max((strong - weak)[off] - mu * cost[off]))
     return kkt, budget
 
 
@@ -163,6 +164,8 @@ def run_battery(
     trials: int, dim: int, seed: int, inject_fault: str | None = None
 ) -> CheckReport:
     """Run every invariant on ``trials`` random instances of width ``dim``."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if inject_fault is not None and inject_fault not in FAULTS:
         raise ValueError(f"unknown fault {inject_fault!r}, expected one of {FAULTS}")
     if dim < 1:
@@ -171,10 +174,12 @@ def run_battery(
     worst = dict.fromkeys(TOLERANCES, 0.0)
 
     def note(name: str, value: float) -> None:
-        worst[name] = max(worst[name], float(value))
+        value = float(value)
+        if value > worst[name] or np.isnan(value):
+            worst[name] = value
 
     pt = float(dim)
-    for _ in range(max(0, trials)):
+    for _ in range(trials):
         ch = random_channel(rng, dim)
         s = random_constraint(rng, dim, pt)
         sol = solve_matrix_constraint(ch, s)
@@ -202,7 +207,7 @@ def run_battery(
 
         for _ in range(5):
             k = random_dominated(rng, s_sqrt)
-            note("corner_optimality", max(0.0, _objective(ch, k) - direct1))
+            note("corner_optimality", np.maximum(0.0, _objective(ch, k) - direct1))
 
         swapped = solve_matrix_constraint(ch.swapped(), s)
         note("swap_symmetry", abs(sol.corner.R1 - swapped.corner.R2))
@@ -222,8 +227,8 @@ def run_battery(
         gg = herm(dc.w @ Channel(ch.H @ dc.u_p, ch.G @ dc.u_p).gram_g() @ dc.w)
         eye = np.eye(dc.n)
         lam = np.linalg.eigvals(np.linalg.solve(gg + eye, gh + eye)).real
-        note("pencil_range", max(0.0, float(lam.max()) - 2.0))
-        note("pencil_range", max(0.0, 0.5 - float(lam.min())))
+        note("pencil_range", np.maximum(0.0, lam.max() - 2.0))
+        note("pencil_range", np.maximum(0.0, 0.5 - lam.min()))
 
         alloc = allocate(dc, float(rng.uniform(0.05, 0.95)), pt)
         kkt, budget = _waterfill_residuals(dc, alloc, pt)

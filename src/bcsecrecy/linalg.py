@@ -2,9 +2,10 @@
 
 Everything downstream (corner points, precoders, power allocation) reduces to
 a handful of primitives on small complex matrices: Hermitian eigendecomposition,
-PSD square roots, a definite generalized eigendecomposition, orthogonal
-projectors, and log-determinants.  They are collected here with explicit
-tolerance contracts so the rest of the package never touches raw LAPACK calls.
+the range and rank of a PSD matrix, PSD square roots, a definite generalized
+eigendecomposition, orthogonal projectors, and log-determinants.  They are
+collected here with explicit tolerance contracts so the rest of the package
+never touches raw LAPACK calls.
 
 Conventions
 -----------
@@ -84,26 +85,40 @@ def herm_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root, flooring eigenvalues at zero.
+def psd_range(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigendecomposition and numerical rank of a Hermitian PSD matrix.
 
-    Eigenvalues more negative than ``-PSD_TOL`` times the spectral norm are
-    rejected; smaller negatives are treated as rounding noise.
+    Returns ``(w, v, rank)``: eigenvalues descending and their eigenvectors,
+    as from ``herm_eig``, and the count of eigenvalues above ``RANK_TOL``
+    times the spectral norm, so ``v[:, :rank]`` is an orthonormal basis of
+    range(A).  An eigenvalue below ``-PSD_TOL`` times the spectral norm
+    raises NotPositiveSemidefiniteError naming ``name``; smaller negatives
+    are rounding noise.
     """
     w, v = herm_eig(a)
     scale = np.abs(w).max() if w.size else 0.0
     if w.size and w.min() < -PSD_TOL * scale:
         raise NotPositiveSemidefiniteError(
-            f"matrix has eigenvalue {w.min():.3e} below -{PSD_TOL:.0e} * {scale:.3e}"
+            f"{name} has eigenvalue {w.min():.3e} below -{PSD_TOL:.0e} * {scale:.3e}"
         )
+    return w, v, int(np.count_nonzero(w > RANK_TOL * scale))
+
+
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """Hermitian PSD square root, flooring eigenvalues at zero.
+
+    Negative eigenvalues within the ``psd_range`` tolerance are rounding
+    noise.  Every eigenvalue enters, not only those above the rank tolerance.
+    """
+    w, v, _ = psd_range(a)
     w = np.clip(w, 0.0, None)
     return herm((v * np.sqrt(w)) @ v.conj().T)
 
 
-def psd_inv_sqrt(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
     """Pseudo inverse square root of a Hermitian PSD matrix.
 
-    Eigenvalues at or below ``rank_tol * lambda_max`` are excluded, so the
+    Eigenvalues at or below ``RANK_TOL * lambda_max`` are excluded, so the
     result maps onto range(A):  W A W equals the orthogonal projector onto
     that range.
 
@@ -112,17 +127,11 @@ def psd_inv_sqrt(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     ZeroMatrixError
         If every eigenvalue falls below the rank tolerance.
     """
-    w, v = herm_eig(a)
-    scale = np.abs(w).max() if w.size else 0.0
-    if w.size and w.min() < -PSD_TOL * scale:
-        raise NotPositiveSemidefiniteError(
-            f"matrix has eigenvalue {w.min():.3e} below -{PSD_TOL:.0e} * {scale:.3e}"
-        )
-    live = w > rank_tol * scale
-    if not np.any(live):
+    w, v, rank = psd_range(a)
+    if rank == 0:
         raise ZeroMatrixError("all eigenvalues fall below the rank tolerance")
-    vl = v[:, live]
-    return herm((vl / np.sqrt(w[live])) @ vl.conj().T)
+    vl = v[:, :rank]
+    return herm((vl / np.sqrt(w[:rank])) @ vl.conj().T)
 
 
 @dataclass
@@ -215,14 +224,13 @@ def projector(c: np.ndarray) -> np.ndarray:
     n, k = c.shape
     if k == 0:
         return np.zeros((n, n), dtype=complex)
-    s = np.linalg.svd(c, compute_uv=False)
+    u, s, _ = np.linalg.svd(c, full_matrices=False)
     # cond(C^H C) = (s_max / s_min)^2
     if s[-1] <= 0.0 or (s[0] / s[-1]) ** 2 >= COND_LIMIT:
         raise RankDeficientError(
             f"columns are numerically dependent (Gram condition >= {COND_LIMIT:.0e})"
         )
-    q, _ = np.linalg.qr(c)
-    return herm(q @ q.conj().T)
+    return herm(u @ u.conj().T)
 
 
 def logdet(a: np.ndarray) -> float:

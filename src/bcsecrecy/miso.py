@@ -21,8 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .avgpower import check_split, split_grid
 from .errors import DimensionMismatchError, ZeroChannelError
-from .linalg import LN2, RANK_TOL, gevd_definite, herm, herm_eig, psd_inv_sqrt
+from .linalg import LN2, gevd_definite, herm, psd_inv_sqrt, psd_range
 
 
 @dataclass
@@ -91,21 +92,16 @@ def _principal(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 def _reduce(mc: MisoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal basis of span{h, g} and the reduced vectors."""
     m = herm(np.outer(mc.h, mc.h.conj()) + np.outer(mc.g, mc.g.conj()))
-    w, v = herm_eig(m)
-    scale = np.abs(w).max() if w.size else 0.0
-    live = w > RANK_TOL * scale
-    if not np.any(live):
+    _, v, rank = psd_range(m, "channel Gram sum")
+    if rank == 0:
         raise ZeroChannelError("both channel vectors are numerically zero")
-    u_p = v[:, live]
+    u_p = v[:, :rank]
     return u_p, u_p.conj().T @ mc.h, u_p.conj().T @ mc.g
 
 
 def miso_capacity_point(mc: MisoChannel, pt: float, alpha: float) -> MisoRegionPoint:
     """Capacity pair and attaining covariance for one power split."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if pt < 0:
-        raise ValueError("total power must be non-negative")
+    check_split(alpha, pt)
     u_p, h, g = _reduce(mc)
     r = h.size
     eye = np.eye(r)
@@ -151,8 +147,7 @@ def miso_linear_point(mc: MisoChannel, point: MisoRegionPoint) -> MisoRegionPoin
     u_p, h, g = _reduce(mc)
     r = h.size
     s_q = u_p.conj().T @ point.s_q @ u_p
-    w = np.linalg.eigvalsh(herm(s_q))
-    rank = int(np.count_nonzero(w > RANK_TOL * max(w.max(initial=0.0), 0.0)))
+    _, _, rank = psd_range(s_q, "covariance")
     if r < 2 or rank < 2:
         return replace(point, r1=point.c1, r2=point.c2, loss_bits=0.0)
 
@@ -193,11 +188,8 @@ def miso_linear_point(mc: MisoChannel, point: MisoRegionPoint) -> MisoRegionPoin
 def miso_region(
     mc: MisoChannel, pt: float, alpha_grid: int | np.ndarray = 101
 ) -> list[MisoRegionPoint]:
-    """Capacity and beamforming pairs over a sweep of power splits."""
-    if np.isscalar(alpha_grid):
-        alphas = np.linspace(0.0, 1.0, int(alpha_grid))
-    else:
-        alphas = np.asarray(alpha_grid, dtype=float)
+    """Capacity and beamforming pairs over a sweep of power splits (see ``split_grid``)."""
     return [
-        miso_linear_point(mc, miso_capacity_point(mc, pt, float(al))) for al in alphas
+        miso_linear_point(mc, miso_capacity_point(mc, pt, float(al)))
+        for al in split_grid(alpha_grid)
     ]

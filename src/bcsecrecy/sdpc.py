@@ -19,16 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotPositiveSemidefiniteError
+from .errors import DimensionMismatchError
 from .linalg import (
     LN2,
-    PSD_TOL,
     RANK_TOL,
     GevdResult,
     gevd_definite,
     herm,
     herm_eig,
     projector,
+    psd_range,
+    psd_sqrt,
 )
 
 
@@ -115,22 +116,14 @@ class SdpcSolution:
         return self.u_r @ a @ self.u_r.conj().T
 
 
-def validate_constraint(s: np.ndarray, n_t: int | None = None) -> np.ndarray:
-    """Check that ``s`` is a Hermitian PSD matrix (of size ``n_t`` if given)."""
+def _sized_constraint(s: np.ndarray, n_t: int) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DimensionMismatchError(f"constraint must be square, got {s.shape}")
-    if n_t is not None and s.shape[0] != n_t:
+    if s.shape != (n_t, n_t):
         raise DimensionMismatchError(
-            f"constraint is {s.shape[0]}x{s.shape[0]} but the channel has {n_t} antennas"
+            f"constraint must be {n_t}x{n_t} to match the channel's transmit antennas, "
+            f"got shape {s.shape}"
         )
-    w, _ = herm_eig(s)
-    scale = np.abs(w).max() if w.size else 0.0
-    if w.size and w.min() < -PSD_TOL * scale:
-        raise NotPositiveSemidefiniteError(
-            f"constraint has eigenvalue {w.min():.3e}, not PSD"
-        )
-    return herm(s)
+    return s
 
 
 def build_pencil(ch: Channel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,10 +132,7 @@ def build_pencil(ch: Channel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (S^{1/2} H^H H S^{1/2} + I, S^{1/2} G^H G S^{1/2} + I); each is
     Hermitian with every eigenvalue >= 1, so the pencil is always definite.
     """
-    from .linalg import psd_sqrt
-
-    s = validate_constraint(s, ch.n_t)
-    r = psd_sqrt(s)
+    r = psd_sqrt(_sized_constraint(s, ch.n_t))
     eye = np.eye(ch.n_t)
     a = herm(r @ ch.gram_h() @ r) + eye
     b = herm(r @ ch.gram_g() @ r) + eye
@@ -152,18 +142,18 @@ def build_pencil(ch: Channel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
     """Corner point and optimal covariance under the matrix constraint ``s``.
 
-    The constraint is reduced to its range when rank-deficient, the pencil is
-    solved there, and the covariance split is lifted back.  Both rates come
-    out non-negative; ``b = 0`` or ``b = n`` collapse to (0, R2) and (R1, 0)
+    ``s`` must be a Hermitian PSD matrix of the channel's transmit size.  It
+    is reduced to its range when rank-deficient, the pencil is solved there,
+    and the covariance split is lifted back.  Both rates come out
+    non-negative; ``b = 0`` or ``b = n`` collapse to (0, R2) and (R1, 0)
     corners with covariance 0 and S respectively.
     """
-    s = validate_constraint(s, ch.n_t)
-    w, v = herm_eig(s)
-    scale = np.abs(w).max() if w.size else 0.0
-    live = w > RANK_TOL * scale
-    reduced = bool(not np.all(live))
+    s = _sized_constraint(s, ch.n_t)
+    w, v, rank = psd_range(s, "constraint")
+    s = herm(s)
+    reduced = rank < ch.n_t
 
-    if not np.any(live):
+    if rank == 0:
         # Zero constraint: nothing can be sent.
         gevd = GevdResult(np.zeros((0, 0), dtype=complex), np.zeros(0), 0)
         corner = CornerPoint(0.0, 0.0, provenance="sdpc")
@@ -173,10 +163,10 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
         )
 
     if reduced:
-        u_r = v[:, live]
+        u_r = v[:, :rank]
         h_r = ch.H @ u_r
         g_r = ch.G @ u_r
-        s_sqrt = np.diag(np.sqrt(w[live])).astype(complex)
+        s_sqrt = np.diag(np.sqrt(w[:rank])).astype(complex)
     else:
         u_r = None
         h_r, g_r = ch.H, ch.G
@@ -259,75 +249,3 @@ def rank_bound_check(ch: Channel, sol: SdpcSolution) -> RankBoundReport:
         b=sol.gevd.b, m=m, holds=sol.gevd.b <= m,
         below_one=below, m_negative=m_neg, lower_holds=below <= m_neg,
     )
-
-
-@dataclass
-class BlockDiagReport:
-    """Outcome of the simultaneous block-diagonalization test."""
-
-    is_block_diag: bool
-    split: int
-    ordering_ok: bool
-
-
-def _off_block_mass(m: np.ndarray, split: int) -> float:
-    off = m[:split, split:]
-    return float(np.sqrt(2.0) * np.linalg.norm(off))
-
-
-def _ordering_holds(kh: np.ndarray, kg: np.ndarray, split: int, tol: float) -> bool:
-    scale = 1.0 + max(
-        np.abs(kh).max() if kh.size else 0.0,
-        np.abs(kg).max() if kg.size else 0.0,
-    )
-    d1 = herm(kh[:split, :split] - kg[:split, :split])
-    d2 = herm(kg[split:, split:] - kh[split:, split:])
-    ok1 = d1.size == 0 or np.linalg.eigvalsh(d1).min() >= -tol * scale
-    ok2 = d2.size == 0 or np.linalg.eigvalsh(d2).min() >= -tol * scale
-    return bool(ok1 and ok2)
-
-
-def block_diag_test(ch: Channel, t: np.ndarray, tol: float = 1e-8) -> BlockDiagReport:
-    """Test whether ``t`` simultaneously block-diagonalizes both channel Grams.
-
-    A transmit factor T (with S = T T^H) supports exact linear precoding when
-    T^H H^H H T and T^H G^H G T share a common 2x2 block structure whose first
-    block favors user 1 and second favors user 2.  The search tries every
-    split, preferring the smallest one where both the off-block mass (relative
-    Frobenius) and the ordering conditions hold; splits 0 and n count as block
-    diagonal only together with their ordering, since they are vacuously
-    block structured.
-    """
-    t = np.asarray(t, dtype=complex)
-    if t.ndim != 2 or t.shape[0] != ch.n_t:
-        raise DimensionMismatchError(
-            f"transmit factor must have {ch.n_t} rows, got shape {t.shape}"
-        )
-    kh = herm(t.conj().T @ ch.gram_h() @ t)
-    kg = herm(t.conj().T @ ch.gram_g() @ t)
-    n = t.shape[1]
-    nh = max(np.linalg.norm(kh), 1e-300)
-    ng = max(np.linalg.norm(kg), 1e-300)
-
-    def block_ok(split: int) -> bool:
-        return (
-            _off_block_mass(kh, split) <= tol * nh
-            and _off_block_mass(kg, split) <= tol * ng
-        )
-
-    for split in range(n + 1):
-        if block_ok(split) and _ordering_holds(kh, kg, split, tol):
-            return BlockDiagReport(True, split, True)
-
-    interior = [s for s in range(1, n) if block_ok(s)]
-    if interior:
-        return BlockDiagReport(True, interior[0], False)
-
-    if n >= 2:
-        best = min(
-            range(1, n),
-            key=lambda s: _off_block_mass(kh, s) / nh + _off_block_mass(kg, s) / ng,
-        )
-    else:
-        best = 0
-    return BlockDiagReport(False, best, _ordering_holds(kh, kg, best, tol))

@@ -13,7 +13,6 @@ from bcsecrecy import (
     reduce_nullspace,
     region_sweep,
     solve_matrix_constraint,
-    transmit_factor,
     waterfill,
     waterfill_capacity,
     waterfill_high_snr,
@@ -112,13 +111,7 @@ class TestMakeMatrixConstraint:
             s_w = make_matrix_constraint(dc, rng.uniform(0.0, 3.0, dc.n))
             sol = solve_matrix_constraint(fig_channel, s_w)
             assert orthogonality_defect(sol) <= 1e-8
-
-    def test_factor_consistency(self, fig_channel):
-        rng = np.random.default_rng(7)
-        dc = diagonalize(fig_channel)
-        p = rng.uniform(0.0, 2.0, dc.n)
-        t = transmit_factor(dc, p)
-        assert np.linalg.norm(t @ t.conj().T - make_matrix_constraint(dc, p)) <= 1e-10
+            assert sol.gevd.b == dc.rho
 
     def test_rejects_bad_shapes(self, fig_channel):
         dc = diagonalize(fig_channel)
@@ -256,8 +249,13 @@ class TestAllocateAndRates:
 
     def test_alpha_validated(self, fig_channel):
         dc = diagonalize(fig_channel)
+        for alpha, pt in ((1.5, 1.0), (np.nan, 1.0), (0.5, -1.0), (0.5, np.nan), (0.5, np.inf)):
+            with pytest.raises(ValueError):
+                allocate(dc, alpha, pt)
         with pytest.raises(ValueError):
-            allocate(dc, 1.5, 1.0)
+            region_sweep(fig_channel, np.nan, 11)
+        with pytest.raises(ValueError):
+            region_sweep(fig_channel, np.inf, 11)
 
 
 class TestRegionSweep:

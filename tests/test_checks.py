@@ -1,9 +1,14 @@
 """Randomized invariant battery: pass/fail wiring and fault injection."""
 
+import math
+
+import numpy as np
 import pytest
 
+import bcsecrecy.checks as checks_mod
 from bcsecrecy import run_battery
 from bcsecrecy.checks import FAULTS, TOLERANCES, InvariantResult
+from bcsecrecy.cli import main
 
 
 class TestRunBattery:
@@ -27,10 +32,20 @@ class TestRunBattery:
         r2 = run_battery(trials=3, dim=3, seed=11)
         assert [a.max_residual for a in r1.results] == [b.max_residual for b in r2.results]
 
-    def test_zero_trials_pass(self):
-        report = run_battery(trials=0, dim=2, seed=0)
-        assert report.ok
-        assert all(r.max_residual == 0.0 for r in report.results)
+    def test_zero_trials_rejected(self):
+        for trials in (0, -5):
+            with pytest.raises(ValueError):
+                run_battery(trials=trials, dim=2, seed=0)
+
+    def test_nan_residual_fails(self, monkeypatch):
+        monkeypatch.setattr(checks_mod, "_objective", lambda ch, k: np.nan)
+        report = run_battery(trials=3, dim=3, seed=0)
+        assert not report.ok
+        by_name = {r.name: r for r in report.results}
+        assert math.isnan(by_name["corner_identity"].max_residual)
+        assert not by_name["corner_identity"].ok
+        assert not by_name["corner_optimality"].ok
+        assert main(["check", "--trials", "3", "--dim", "3", "--seed", "0"]) == 1
 
     def test_scalar_dim(self):
         assert run_battery(trials=3, dim=1, seed=2).ok

@@ -163,7 +163,10 @@ class TestCheck:
         assert "FAIL" in out
 
     def test_zero_trials(self):
-        assert main(["check", "--trials", "0", "--dim", "2", "--seed", "0"]) == 0
+        assert main(["check", "--trials", "0", "--dim", "2", "--seed", "0"]) == 2
+
+    def test_negative_trials(self):
+        assert main(["check", "--trials", "-5", "--dim", "2", "--seed", "0"]) == 2
 
 
 class TestInputErrors:
@@ -216,7 +219,8 @@ class TestInputErrors:
         assert main(["region", "--channels", ch]) == 2
 
     def test_negative_power_flag(self, fig_file):
-        assert main(["region", "--channels", fig_file, "--power", "-2"]) == 2
+        for power in ("-2", "nan", "inf"):
+            assert main(["region", "--channels", fig_file, "--power", power]) == 2
 
     def test_nonpositive_pt_in_file(self, tmp_path):
         ch = write_channel(tmp_path / "p0.json", FIG_H, FIG_G, pt=0.0)

@@ -65,6 +65,15 @@ class TestCapacityPoint:
         assert point.c1 == pytest.approx(0.0, abs=1e-9)
         assert point.c2 == pytest.approx(0.0, abs=1e-9)
 
+    def test_split_domain_rejected(self):
+        rng = np.random.default_rng(9)
+        mc = rand_miso(rng)
+        for alpha, pt in ((1.5, 10.0), (np.nan, 10.0), (0.5, -1.0), (0.5, np.nan), (0.5, np.inf)):
+            with pytest.raises(ValueError):
+                miso_capacity_point(mc, pt, alpha)
+        point = miso_capacity_point(mc, 0.0, 0.5)
+        assert (point.c1, point.c2) == (0.0, 0.0)
+
     def test_zero_channels_rejected(self):
         zero = np.zeros(2, dtype=complex)
         with pytest.raises(ZeroChannelError):

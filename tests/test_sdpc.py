@@ -5,14 +5,12 @@ import pytest
 
 from bcsecrecy import (
     Channel,
-    block_diag_test,
     build_pencil,
     diagonalize,
     make_matrix_constraint,
     orthogonality_defect,
     rank_bound_check,
     solve_matrix_constraint,
-    transmit_factor,
 )
 from bcsecrecy.errors import DimensionMismatchError, NotPositiveSemidefiniteError
 from bcsecrecy.linalg import LN2, herm, rate_logdet
@@ -119,6 +117,22 @@ class TestSolveMatrixConstraint:
         with pytest.raises(DimensionMismatchError):
             solve_matrix_constraint(fig_channel, np.eye(3, dtype=complex))
 
+    def test_constraint_decomposed_once(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        ch = rand_channel(rng, 3)
+        s = rand_psd(rng, 3)
+        eigh = np.linalg.eigh
+        on_s = []
+
+        def counting_eigh(a, *args, **kwargs):
+            if np.shape(a) == s.shape and np.allclose(a, s, rtol=0.0, atol=1e-12):
+                on_s.append(a)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        solve_matrix_constraint(ch, s)
+        assert len(on_s) == 1
+
 
 class TestOrthogonalityDefect:
     def test_waterfilling_family_is_orthogonal(self, fig_channel):
@@ -169,28 +183,3 @@ class TestRankBound:
             sol = solve_matrix_constraint(ch, rand_psd(rng, 4, trace=4.0))
             report = rank_bound_check(ch, sol)
             assert report.holds and report.lower_holds
-
-
-class TestBlockDiagTest:
-    def test_waterfilling_factor_block_diagonalizes(self, fig_channel):
-        rng = np.random.default_rng(13)
-        dc = diagonalize(fig_channel)
-        t = transmit_factor(dc, rng.uniform(0.5, 2.0, dc.n))
-        report = block_diag_test(fig_channel, t)
-        assert report.is_block_diag
-        assert report.split == dc.rho
-        assert report.ordering_ok
-
-    def test_identity_factor_generic_dense_fails(self, fig_channel):
-        report = block_diag_test(fig_channel, np.eye(2, dtype=complex))
-        assert not report.is_block_diag
-
-    def test_diagonal_channels_identity_factor(self):
-        h = np.diag([2.0, 0.5]).astype(complex)
-        g = np.diag([1.0, 1.5]).astype(complex)
-        report = block_diag_test(Channel(h, g), np.eye(2, dtype=complex))
-        assert report.is_block_diag
-
-    def test_rejects_wrong_row_count(self, fig_channel):
-        with pytest.raises(DimensionMismatchError):
-            block_diag_test(fig_channel, np.zeros((3, 2), dtype=complex))
