@@ -13,108 +13,55 @@ if "SECRECY_NUM_THREADS" in _os.environ:
         _os.environ.setdefault(_var, _os.environ["SECRECY_NUM_THREADS"])
 
 from .avgpower import (
-    DiagonalizedChannel,
-    PowerAllocation,
     allocate,
     corner_rates,
     diagonalize,
     make_matrix_constraint,
     p2p_limit_check,
-    reduce_nullspace,
     region_sweep,
     waterfill,
-    waterfill_capacity,
     waterfill_high_snr,
 )
-from .baseline import SearchConfig, sample_constraint, search_region
-from .checks import CheckReport, InvariantResult, run_battery
-from .hull import Hull, RegionEstimate, estimate_region, pareto_hull
-from .linalg import (
-    GevdResult,
-    gevd_definite,
-    herm,
-    herm_eig,
-    logdet,
-    projector,
-    psd_inv_sqrt,
-    psd_sqrt,
-    rate_logdet,
-)
-from .miso import (
-    MisoChannel,
-    MisoRegionPoint,
-    miso_capacity_point,
-    miso_linear_point,
-    miso_region,
-)
+from .baseline import SearchConfig, search_region
+from .checks import run_battery
+from .linalg import gevd_definite
+from .miso import MisoChannel, miso_capacity_point, miso_linear_point, miso_region
 from .precoding import (
     LinearPrecoderPair,
-    LossReport,
     loss_bounded_precoders,
     optimal_precoders,
     rate_evaluate,
 )
-from .sdpc import (
-    Channel,
-    CornerPoint,
-    RankBoundReport,
-    SdpcSolution,
-    build_pencil,
-    orthogonality_defect,
-    rank_bound_check,
-    solve_matrix_constraint,
-)
+from .sdpc import Channel, CornerPoint, orthogonality_defect, solve_matrix_constraint
 
 __version__ = "0.1.0"
 
+# What the README, the CLI, the benchmark and the acceptance suite use from
+# the package top level, plus the types needed to call those functions.  The
+# kernels and result types stay importable from their own modules.
 __all__ = [
     "Channel",
-    "CheckReport",
-    "CornerPoint",
-    "DiagonalizedChannel",
-    "GevdResult",
-    "Hull",
-    "InvariantResult",
-    "LinearPrecoderPair",
-    "LossReport",
     "MisoChannel",
-    "MisoRegionPoint",
-    "PowerAllocation",
-    "RankBoundReport",
-    "RegionEstimate",
-    "SdpcSolution",
     "SearchConfig",
-    "allocate",
-    "build_pencil",
-    "corner_rates",
-    "diagonalize",
-    "estimate_region",
-    "gevd_definite",
-    "herm",
-    "herm_eig",
-    "logdet",
+    "LinearPrecoderPair",
+    "CornerPoint",
+    "solve_matrix_constraint",
+    "orthogonality_defect",
+    "optimal_precoders",
     "loss_bounded_precoders",
+    "rate_evaluate",
+    "gevd_definite",
+    "diagonalize",
+    "allocate",
+    "corner_rates",
     "make_matrix_constraint",
+    "waterfill",
+    "waterfill_high_snr",
+    "p2p_limit_check",
+    "region_sweep",
+    "search_region",
     "miso_capacity_point",
     "miso_linear_point",
     "miso_region",
-    "optimal_precoders",
-    "orthogonality_defect",
-    "p2p_limit_check",
-    "pareto_hull",
-    "projector",
-    "psd_inv_sqrt",
-    "psd_sqrt",
-    "rank_bound_check",
-    "rate_evaluate",
-    "rate_logdet",
-    "reduce_nullspace",
-    "region_sweep",
     "run_battery",
-    "sample_constraint",
-    "search_region",
-    "solve_matrix_constraint",
-    "waterfill",
-    "waterfill_capacity",
-    "waterfill_high_snr",
 ]

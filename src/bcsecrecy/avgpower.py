@@ -23,7 +23,7 @@ from .errors import (
     ZeroChannelError,
 )
 from .hull import RegionEstimate, estimate_region
-from .linalg import LN2, herm, herm_eig, psd_inv_sqrt, psd_range
+from .linalg import LN2, clamp_rate, herm, herm_eig, psd_range
 from .sdpc import Channel, CornerPoint
 
 # Subchannels whose eigenvalue gap is below this carry no secrecy value.
@@ -34,20 +34,26 @@ SIGMA_TIE_TOL = 1e-9
 # generic spectra, so degenerate limits are resolved without ever disturbing
 # well-separated subchannels.
 CLUSTER_TOL = 1e-6
+# Water-level search: stop when the spent power is within LEVEL_REL_TOL of the
+# budget, or after LEVEL_MAX_ITER bisection steps.
+LEVEL_REL_TOL = 1e-10
+LEVEL_MAX_ITER = 200
 
 
-def reduce_nullspace(ch: Channel) -> tuple[Channel, np.ndarray]:
+def reduce_nullspace(ch: Channel) -> tuple[Channel, np.ndarray, np.ndarray]:
     """Restrict the channel to the range of H^H H + G^H G.
 
     Directions in the common null space can never carry rate, so dropping
     them loses nothing and makes the whitening matrix well defined.  Returns
-    the reduced channel and the orthonormal basis used.
+    the reduced channel, the orthonormal eigenbasis used, and the matching
+    eigenvalues of the Gram sum (descending, all above the rank tolerance),
+    so the reduced Gram sum is diag of those eigenvalues.
     """
-    _, v, rank = psd_range(herm(ch.gram_h() + ch.gram_g()), "channel Gram sum")
+    lam, v, rank = psd_range(herm(ch.gram_h() + ch.gram_g()), "channel Gram sum")
     if rank == 0:
         raise ZeroChannelError("both channel matrices are numerically zero")
     u_p = v[:, :rank]
-    return Channel(ch.H @ u_p, ch.G @ u_p), u_p
+    return Channel(ch.H @ u_p, ch.G @ u_p), u_p, lam[:rank]
 
 
 @dataclass
@@ -95,10 +101,13 @@ def _refine_ties(sigma1: np.ndarray, phi: np.ndarray, w: np.ndarray) -> np.ndarr
 
 
 def diagonalize(ch: Channel) -> DiagonalizedChannel:
-    """Whiten and jointly diagonalize a channel pair."""
-    ch_r, u_p = reduce_nullspace(ch)
-    m = herm(ch_r.gram_h() + ch_r.gram_g())
-    w = psd_inv_sqrt(m)
+    """Whiten and jointly diagonalize a channel pair.
+
+    The reduced Gram sum is diagonal in the basis ``reduce_nullspace``
+    returns, so its inverse square root is diag(lambda^{-1/2}) there.
+    """
+    ch_r, u_p, lam = reduce_nullspace(ch)
+    w = np.diag(1.0 / np.sqrt(lam))
     a1 = herm(w @ ch_r.gram_h() @ w)
     sigma1, phi = herm_eig(a1)
     phi = _refine_ties(sigma1, phi, w)
@@ -146,24 +155,23 @@ def _powers(mu: float, d: np.ndarray, ssum: np.ndarray, sprod: np.ndarray,
     return p
 
 
-def _level(total, budget: float, lo: float, hi: float,
-           rel_tol: float = 1e-10, max_iter: int = 200) -> float:
+def _level(total, budget: float, lo: float, hi: float) -> float:
     """Water level ``mu`` at which the decreasing ``total(mu)`` meets ``budget``.
 
     ``total(hi) <= budget`` must hold.  ``lo`` steps down by factors of 100
     until ``total(lo) >= budget``, then the bracket is bisected at its
-    geometric midpoint until the total is within ``rel_tol`` of the budget
-    or the bracket stops shrinking.
+    geometric midpoint until the total is within ``LEVEL_REL_TOL`` of the
+    budget or the bracket stops shrinking.
     """
     while total(lo) < budget:
         lo *= 1e-2
         if lo < 1e-280:
             raise NoConvergenceError("budget too large to bracket the water level")
     mu = lo
-    for _ in range(max_iter):
+    for _ in range(LEVEL_MAX_ITER):
         mu = float(np.sqrt(lo * hi))
         t = total(mu)
-        if abs(t - budget) <= rel_tol * budget:
+        if abs(t - budget) <= LEVEL_REL_TOL * budget:
             break
         if t > budget:
             lo = mu
@@ -180,8 +188,6 @@ def waterfill(
     sigma_weak: np.ndarray,
     a: np.ndarray,
     budget: float,
-    rel_tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> tuple[np.ndarray, float]:
     """Water-filling over difference-of-log subchannels.
 
@@ -221,7 +227,7 @@ def waterfill(
     def total(mu: float) -> float:
         return float(a @ _powers(mu, d, ssum, sprod, a))
 
-    mu = _level(total, budget, 1e-18 * mu_ceil, mu_ceil, rel_tol, max_iter)
+    mu = _level(total, budget, 1e-18 * mu_ceil, mu_ceil)
     return _powers(mu, d, ssum, sprod, a), mu
 
 
@@ -343,7 +349,7 @@ def corner_rates(dc: DiagonalizedChannel, alloc: PowerAllocation) -> CornerPoint
         np.sum(np.log1p(dc.sigma2[rho:] * alloc.p2) - np.log1p(dc.sigma1[rho:] * alloc.p2))
     )
     return CornerPoint(
-        max(0.0, r1) / LN2, max(0.0, r2) / LN2,
+        clamp_rate(r1) / LN2, clamp_rate(r2) / LN2,
         alpha=alloc.alpha, provenance="avgpower",
     )
 

@@ -2,9 +2,9 @@
 
 Independent of the structured algorithms, corners are collected for many
 random trace-Pt covariance caps (Wishart directions, occasionally rank
-deficient to probe the boundary) and, optionally, for the structured
-water-filling family itself.  The Pareto hull of everything found is a lower
-estimate of the true region that the fast algorithms must essentially match.
+deficient to probe the boundary) and for the structured water-filling family
+itself.  The Pareto hull of everything found is a lower estimate of the true
+region that the fast algorithms must essentially match.
 
 Sampling is deterministic per seed and per sample index: sample i draws from
 its own spawned substream, so results do not depend on evaluation order and a
@@ -20,6 +20,9 @@ from .hull import RegionEstimate, estimate_region
 from .linalg import herm
 from .sdpc import Channel, CornerPoint, solve_matrix_constraint
 
+# Power splits of the structured water-filling family added to every search.
+SW_SPLITS = 101
+
 
 @dataclass
 class SearchConfig:
@@ -28,8 +31,6 @@ class SearchConfig:
     samples: int
     seed: int
     pt: float
-    include_sw_family: bool = True
-    alpha_grid: int = 101
 
 
 def sample_constraint(n: int, pt: float, rng: np.random.Generator) -> np.ndarray:
@@ -48,7 +49,7 @@ def sample_constraint(n: int, pt: float, rng: np.random.Generator) -> np.ndarray
 
 
 def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
-    """Collect corners for sampled constraints (plus the structured family)."""
+    """Collect corners for sampled constraints and for the structured family."""
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.samples)
     points: list[CornerPoint] = []
     for child in children:
@@ -56,7 +57,6 @@ def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
         s = sample_constraint(ch.n_t, cfg.pt, rng)
         sol = solve_matrix_constraint(ch, s)
         points.append(replace(sol.corner, provenance="baseline-sample"))
-    if cfg.include_sw_family:
-        corners = sweep_corners(diagonalize(ch), cfg.pt, cfg.alpha_grid)
-        points.extend(replace(c, provenance="sw-family") for c in corners)
+    corners = sweep_corners(diagonalize(ch), cfg.pt, SW_SPLITS)
+    points.extend(replace(c, provenance="sw-family") for c in corners)
     return estimate_region(points)

@@ -107,24 +107,23 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path`` with LF line endings, or to stdout."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+
+
 def _write_rows(path: str | None, header: tuple, rows: list) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: str | None, obj) -> None:
-    text = json.dumps(obj) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+    _write(path, json.dumps(obj) + "\n")
 
 
 def cmd_region(args) -> int:

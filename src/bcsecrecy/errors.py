@@ -29,10 +29,6 @@ class RankDeficientError(SecrecyError):
     """A matrix required to have full column rank is numerically singular."""
 
 
-class ZeroMatrixError(SecrecyError):
-    """All eigenvalues fall below the rank tolerance."""
-
-
 class NoConvergenceError(SecrecyError):
     """The underlying eigenvalue iteration failed to converge."""
 

@@ -50,11 +50,13 @@ class RegionEstimate:
 
 
 def pareto_hull(points) -> Hull:
-    """Upper-right hull of corner points or of an (n, 2) array of rate pairs."""
+    """Upper-right hull of corner points or of an (n, 2) array of finite rate pairs."""
     if len(points) and isinstance(points[0], CornerPoint):
         xy = np.array([[p.R1, p.R2] for p in points], dtype=float)
     else:
         xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not np.isfinite(xy).all():
+        raise ValueError("rate points must be finite")
     xy = np.clip(xy, 0.0, None)
     if xy.size == 0:
         verts = np.zeros((1, 2))

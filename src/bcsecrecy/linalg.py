@@ -14,6 +14,7 @@ Conventions
 * Tolerances are relative to the matrix scale unless stated otherwise.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ from .errors import (
     NotPositiveDefiniteError,
     NotPositiveSemidefiniteError,
     RankDeficientError,
-    ZeroMatrixError,
 )
 
 # Relative tolerances shared across the package.
@@ -42,16 +42,15 @@ def herm(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _check_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
-def _check_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = _check_square(a, name)
     scale = 1.0 + (np.abs(a).max() if a.size else 0.0)
+    # A NaN or inf entry makes the scale non-finite.  Huge finite entries can
+    # overflow it too, so only a full scan decides.
+    if not math.isfinite(scale) and not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
     dev = np.abs(a - a.conj().T).max() if a.size else 0.0
     if dev > HERM_TOL * scale:
         raise NonHermitianError(
@@ -61,13 +60,24 @@ def _check_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return herm(a)
 
 
-def herm_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` (eigenvalues ascending); a LAPACK failure becomes
+    NoConvergenceError naming ``name``."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigh failed on {name}: {exc}") from exc
+
+
+def herm_eig(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Parameters
     ----------
     a : ndarray
-        Square matrix, Hermitian within ``HERM_TOL`` relative tolerance.
+        Square finite matrix, Hermitian within ``HERM_TOL`` relative tolerance.
+    name : str
+        How error messages refer to ``a``.
 
     Returns
     -------
@@ -76,11 +86,7 @@ def herm_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v : ndarray
         Unitary matrix whose columns are the matching eigenvectors.
     """
-    a = _check_hermitian(a)
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigh failed to converge: {exc}") from exc
+    w, v = _eigh(_check_hermitian(a, name), name)
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
 
@@ -95,7 +101,7 @@ def psd_range(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarr
     raises NotPositiveSemidefiniteError naming ``name``; smaller negatives
     are rounding noise.
     """
-    w, v = herm_eig(a)
+    w, v = herm_eig(a, name)
     scale = np.abs(w).max() if w.size else 0.0
     if w.size and w.min() < -PSD_TOL * scale:
         raise NotPositiveSemidefiniteError(
@@ -113,25 +119,6 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     w, v, _ = psd_range(a)
     w = np.clip(w, 0.0, None)
     return herm((v * np.sqrt(w)) @ v.conj().T)
-
-
-def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
-    """Pseudo inverse square root of a Hermitian PSD matrix.
-
-    Eigenvalues at or below ``RANK_TOL * lambda_max`` are excluded, so the
-    result maps onto range(A):  W A W equals the orthogonal projector onto
-    that range.
-
-    Raises
-    ------
-    ZeroMatrixError
-        If every eigenvalue falls below the rank tolerance.
-    """
-    w, v, rank = psd_range(a)
-    if rank == 0:
-        raise ZeroMatrixError("all eigenvalues fall below the rank tolerance")
-    vl = v[:, :rank]
-    return herm((vl / np.sqrt(w[:rank])) @ vl.conj().T)
 
 
 @dataclass
@@ -157,7 +144,7 @@ class GevdResult:
         return self.eigvecs[:, self.b:]
 
 
-def gevd_definite(a: np.ndarray, b: np.ndarray, rank_tol: float = RANK_TOL) -> GevdResult:
+def gevd_definite(a: np.ndarray, b: np.ndarray) -> GevdResult:
     """Generalized eigendecomposition of a Hermitian positive definite pencil.
 
     Solves A c = lambda B c for Hermitian positive definite A and B by
@@ -167,9 +154,8 @@ def gevd_definite(a: np.ndarray, b: np.ndarray, rank_tol: float = RANK_TOL) -> G
     Parameters
     ----------
     a, b : ndarray
-        Hermitian positive definite matrices of equal size.
-    rank_tol : float
-        Relative threshold below which an eigenvalue counts as zero.
+        Hermitian positive definite matrices of equal size.  An eigenvalue at
+        or below ``RANK_TOL`` times the largest counts as zero.
 
     Returns
     -------
@@ -183,23 +169,17 @@ def gevd_definite(a: np.ndarray, b: np.ndarray, rank_tol: float = RANK_TOL) -> G
         raise DimensionMismatchError(
             f"pencil components differ in shape: {a.shape} vs {b.shape}"
         )
-    try:
-        wb, vb = np.linalg.eigh(b)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigh failed on pencil component B: {exc}") from exc
+    wb, vb = _eigh(b, "pencil component B")
     if wb.size == 0:
         return GevdResult(np.zeros((0, 0), dtype=complex), np.zeros(0), 0)
-    if wb.min() <= rank_tol * max(wb.max(), 0.0):
+    if wb.min() <= RANK_TOL * max(wb.max(), 0.0):
         raise NotPositiveDefiniteError(
             f"pencil component B has eigenvalue {wb.min():.3e}, not positive definite"
         )
     w_inv_half = (vb / np.sqrt(wb)) @ vb.conj().T
     m = herm(w_inv_half @ a @ w_inv_half)
-    try:
-        wm, vm = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigh failed on reduced pencil: {exc}") from exc
-    if wm.min() <= rank_tol * max(wm.max(), 0.0):
+    wm, vm = _eigh(m, "reduced pencil")
+    if wm.min() <= RANK_TOL * max(wm.max(), 0.0):
         raise NotPositiveDefiniteError(
             f"pencil component A has eigenvalue {wm.min():.3e} along the pencil, "
             "not positive definite"
@@ -254,3 +234,12 @@ def rate_logdet(h: np.ndarray, k: np.ndarray) -> float:
     h = np.asarray(h, dtype=complex)
     m = h.shape[0]
     return logdet(np.eye(m) + herm(h @ k @ h.conj().T))
+
+
+def clamp_rate(x: float) -> float:
+    """A rate floored at zero; NaN stays NaN instead of passing for a zero rate.
+
+    ``np.maximum`` returns its second argument on a tie, so -0.0 comes out
+    as 0.0.
+    """
+    return float(np.maximum(x, 0.0))

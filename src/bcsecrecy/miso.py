@@ -21,14 +21,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .avgpower import check_split, split_grid
-from .errors import DimensionMismatchError, ZeroChannelError
-from .linalg import LN2, gevd_definite, herm, psd_inv_sqrt, psd_range
+from .avgpower import check_split, reduce_nullspace, split_grid
+from .errors import DimensionMismatchError
+from .linalg import LN2, clamp_rate, gevd_definite, herm, psd_range
+from .sdpc import Channel
 
 
 @dataclass
 class MisoChannel:
-    """Channel vectors of two single-antenna receivers: y_i = v_i^H x + noise."""
+    """Finite channel vectors of two single-antenna receivers: y_i = v_i^H x + noise."""
 
     h: np.ndarray
     g: np.ndarray
@@ -40,15 +41,11 @@ class MisoChannel:
             raise DimensionMismatchError(
                 f"channel vectors differ in length: {self.h.size} vs {self.g.size}"
             )
+        if not (np.isfinite(self.h).all() and np.isfinite(self.g).all()):
+            raise ValueError("channel vectors have non-finite entries")
 
-    @property
-    def n_t(self) -> int:
-        return self.h.size
-
-    def as_channel(self):
+    def as_channel(self) -> Channel:
         """Equivalent two-user matrix channel (1 x n_t rows h^H and g^H)."""
-        from .sdpc import Channel
-
         return Channel(self.h.conj()[None, :], self.g.conj()[None, :])
 
 
@@ -89,22 +86,13 @@ def _principal(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return _fix_phase(vec / np.linalg.norm(vec)), float(res.eigvals[0])
 
 
-def _reduce(mc: MisoChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal basis of span{h, g} and the reduced vectors."""
-    m = herm(np.outer(mc.h, mc.h.conj()) + np.outer(mc.g, mc.g.conj()))
-    _, v, rank = psd_range(m, "channel Gram sum")
-    if rank == 0:
-        raise ZeroChannelError("both channel vectors are numerically zero")
-    u_p = v[:, :rank]
-    return u_p, u_p.conj().T @ mc.h, u_p.conj().T @ mc.g
-
-
 def miso_capacity_point(mc: MisoChannel, pt: float, alpha: float) -> MisoRegionPoint:
     """Capacity pair and attaining covariance for one power split."""
     check_split(alpha, pt)
-    u_p, h, g = _reduce(mc)
-    r = h.size
-    eye = np.eye(r)
+    ch_r, u_p, _ = reduce_nullspace(mc.as_channel())
+    h = ch_r.H[0].conj()
+    g = ch_r.G[0].conj()
+    eye = np.eye(h.size)
     hh = np.outer(h, h.conj())
     gg = np.outer(g, g.conj())
 
@@ -112,13 +100,13 @@ def miso_capacity_point(mc: MisoChannel, pt: float, alpha: float) -> MisoRegionP
     gain_h = float(np.abs(h.conj() @ e1) ** 2)
     gain_g = float(np.abs(g.conj() @ e1) ** 2)
     gamma1 = (1.0 + alpha * pt * gain_h) / (1.0 + alpha * pt * gain_g)
-    c1 = max(0.0, float(np.log(gamma1)))
+    c1 = clamp_rate(np.log(gamma1))
 
     # The first user's beam appears as noise at both receivers.
     shrink_g = (1.0 - alpha) * pt / (1.0 + alpha * pt * gain_g)
     shrink_h = (1.0 - alpha) * pt / (1.0 + alpha * pt * gain_h)
     e2, gamma2 = _principal(eye + shrink_g * gg, eye + shrink_h * hh)
-    c2 = max(0.0, float(np.log(gamma2)))
+    c2 = clamp_rate(np.log(gamma2))
 
     s_q = herm(
         alpha * pt * np.outer(e1, e1.conj())
@@ -142,24 +130,26 @@ def miso_linear_point(mc: MisoChannel, point: MisoRegionPoint) -> MisoRegionPoin
     ln(1 + |N|^2) for a scalar coupling N, clamped at zero.
 
     When S_Q collapses to rank one (alpha at 0 or 1, or collinear channels)
-    there is only one beam and nothing couples: loss is zero.
+    there is only one beam and nothing couples: loss is zero.  Otherwise its
+    range is span{h, g}, so its leading eigenvectors are the working basis
+    and S_Q^{-1/2} is diagonal there.
     """
-    u_p, h, g = _reduce(mc)
-    r = h.size
-    s_q = u_p.conj().T @ point.s_q @ u_p
-    _, _, rank = psd_range(s_q, "covariance")
-    if r < 2 or rank < 2:
+    lam, v, rank = psd_range(point.s_q, "covariance")
+    if rank < 2:
         return replace(point, r1=point.c1, r2=point.c2, loss_bits=0.0)
 
-    eye = np.eye(r)
+    u = v[:, :rank]
+    h = u.conj().T @ mc.h
+    g = u.conj().T @ mc.g
+    eye = np.eye(rank)
     hh = np.outer(h, h.conj())
     gg = np.outer(g, g.conj())
     pt = point.pt
-    e1 = u_p.conj().T @ point.e1
+    e1 = u.conj().T @ point.e1
     f1, _ = _principal(eye + pt * gg, eye + pt * hh)
 
-    s_inv_half = psd_inv_sqrt(s_q)
-    s_inv = herm(s_inv_half @ s_inv_half)
+    s_inv_half = np.diag(1.0 / np.sqrt(lam[:rank]))
+    s_inv = np.diag(1.0 / lam[:rank])
 
     def beam(direction: np.ndarray) -> np.ndarray:
         scale = np.real(direction.conj() @ (s_inv + gg) @ direction)
@@ -179,8 +169,8 @@ def miso_linear_point(mc: MisoChannel, point: MisoRegionPoint) -> MisoRegionPoin
     loss_bits = loss_nats / LN2
     return replace(
         point,
-        r1=max(0.0, point.c1 - loss_bits),
-        r2=max(0.0, point.c2 - loss_bits),
+        r1=clamp_rate(point.c1 - loss_bits),
+        r2=clamp_rate(point.c2 - loss_bits),
         loss_bits=loss_bits,
     )
 

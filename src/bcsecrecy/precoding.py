@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOrthogonalError
-from .linalg import LN2, herm, logdet, projector, rate_logdet
+from .linalg import LN2, clamp_rate, herm, logdet, projector, rate_logdet
 from .sdpc import Channel, CornerPoint, SdpcSolution, orthogonality_defect
 
 # Largest block coupling accepted for the exact factorization.
@@ -43,7 +43,7 @@ def rate_evaluate(ch: Channel, pair: LinearPrecoderPair) -> CornerPoint:
     total = pair.total
     r1 = rate_logdet(ch.H, total) - rate_logdet(ch.H, k2) - rate_logdet(ch.G, k1)
     r2 = rate_logdet(ch.G, total) - rate_logdet(ch.G, k1) - rate_logdet(ch.H, k2)
-    return CornerPoint(max(0.0, r1) / LN2, max(0.0, r2) / LN2, provenance="linear")
+    return CornerPoint(clamp_rate(r1) / LN2, clamp_rate(r2) / LN2, provenance="linear")
 
 
 def optimal_precoders(sol: SdpcSolution) -> LinearPrecoderPair:
@@ -113,8 +113,8 @@ def loss_bounded_precoders(sol: SdpcSolution) -> LossReport:
 
     r1_nats, r2_nats = (sol.corner.R1 * LN2, sol.corner.R2 * LN2)
     guaranteed = CornerPoint(
-        max(0.0, r1_nats - loss_nats) / LN2,
-        max(0.0, r2_nats - loss_nats) / LN2,
+        clamp_rate(r1_nats - loss_nats) / LN2,
+        clamp_rate(r2_nats - loss_nats) / LN2,
         provenance="linear-guaranteed",
     )
 

@@ -24,6 +24,7 @@ from .linalg import (
     LN2,
     RANK_TOL,
     GevdResult,
+    clamp_rate,
     gevd_definite,
     herm,
     herm_eig,
@@ -35,7 +36,7 @@ from .linalg import (
 
 @dataclass
 class Channel:
-    """Pair of complex channel matrices with a common transmit dimension."""
+    """Pair of finite complex channel matrices with a common transmit dimension."""
 
     H: np.ndarray
     G: np.ndarray
@@ -50,18 +51,12 @@ class Channel:
                 f"channel matrices disagree on transmit antennas: "
                 f"{self.H.shape[1]} vs {self.G.shape[1]}"
             )
+        if not (np.isfinite(self.H).all() and np.isfinite(self.G).all()):
+            raise ValueError("channel matrices have non-finite entries")
 
     @property
     def n_t(self) -> int:
         return self.H.shape[1]
-
-    @property
-    def m1(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def m2(self) -> int:
-        return self.G.shape[0]
 
     def gram_h(self) -> np.ndarray:
         """H^H H."""
@@ -153,15 +148,8 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
     s = herm(s)
     reduced = rank < ch.n_t
 
-    if rank == 0:
-        # Zero constraint: nothing can be sent.
-        gevd = GevdResult(np.zeros((0, 0), dtype=complex), np.zeros(0), 0)
-        corner = CornerPoint(0.0, 0.0, provenance="sdpc")
-        return SdpcSolution(
-            ch, s, gevd, np.zeros((ch.n_t, ch.n_t), dtype=complex), corner,
-            s_reduced=True, u_r=v[:, :0], s_sqrt=np.zeros((0, 0), dtype=complex),
-        )
-
+    # A zero constraint (rank 0) runs through the reduced path on an empty
+    # working space: an empty pencil, rates (0, 0) and covariance 0.
     if reduced:
         u_r = v[:, :rank]
         h_r = ch.H @ u_r
@@ -180,8 +168,8 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
 
     lam = gevd.eigvals
     split = gevd.b
-    r1_nats = max(0.0, float(np.sum(np.log(lam[:split]))))
-    r2_nats = max(0.0, float(-np.sum(np.log(lam[split:]))))
+    r1_nats = clamp_rate(np.sum(np.log(lam[:split])))
+    r2_nats = clamp_rate(-np.sum(np.log(lam[split:])))
 
     if split == 0:
         kt_work = np.zeros((n, n), dtype=complex)

@@ -10,13 +10,12 @@ from bcsecrecy import (
     diagonalize,
     make_matrix_constraint,
     p2p_limit_check,
-    reduce_nullspace,
     region_sweep,
     solve_matrix_constraint,
     waterfill,
-    waterfill_capacity,
     waterfill_high_snr,
 )
+from bcsecrecy.avgpower import PowerAllocation, reduce_nullspace, waterfill_capacity
 from bcsecrecy.errors import (
     DimensionMismatchError,
     NoStrongChannelsError,
@@ -30,17 +29,21 @@ class TestReduceNullspace:
     def test_full_rank_keeps_dimension(self):
         rng = np.random.default_rng(0)
         ch = rand_channel(rng, 3, m1=3, m2=3)
-        ch_r, u_p = reduce_nullspace(ch)
+        ch_r, u_p, lam = reduce_nullspace(ch)
         assert u_p.shape == (3, 3)
         assert ch_r.H.shape == (3, 3)
+        # The reduced Gram sum is diagonal, with the returned eigenvalues.
+        m_r = ch_r.gram_h() + ch_r.gram_g()
+        assert np.linalg.norm(m_r - np.diag(lam)) <= 1e-12 * lam[0]
 
     def test_common_subspace_detected(self):
         rng = np.random.default_rng(1)
         basis = np.linalg.qr(cgauss(rng, (3, 2)))[0]
         ch = Channel(cgauss(rng, (2, 2)) @ basis.conj().T, cgauss(rng, (2, 2)) @ basis.conj().T)
-        ch_r, u_p = reduce_nullspace(ch)
+        ch_r, u_p, lam = reduce_nullspace(ch)
         assert u_p.shape == (3, 2)
         assert ch_r.H.shape == (2, 2)
+        assert lam.shape == (2,)
 
     def test_zero_channels_rejected(self):
         ch = Channel(np.zeros((2, 3), dtype=complex), np.zeros((2, 3), dtype=complex))
@@ -77,11 +80,27 @@ class TestDiagonalize:
     def test_whitened_grams_commute(self):
         rng = np.random.default_rng(4)
         ch = rand_channel(rng, 4)
-        ch_r, _ = reduce_nullspace(ch)
+        ch_r, _, _ = reduce_nullspace(ch)
         dc = diagonalize(ch)
         a1 = herm(dc.w @ ch_r.gram_h() @ dc.w)
         a2 = herm(dc.w @ ch_r.gram_g() @ dc.w)
         assert np.linalg.norm(a1 @ a2 - a2 @ a1) <= 1e-8
+
+    def test_gram_sum_decomposed_once(self, monkeypatch):
+        # One eigh for the Gram sum, one for the whitened Gram of H, and one
+        # for the sigma1 = 0 cluster that the null space of the 2-row H leaves.
+        rng = np.random.default_rng(4)
+        ch = rand_channel(rng, 4, m1=2, m2=4)
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        diagonalize(ch)
+        assert calls == [(4, 4), (4, 4), (2, 2)]
 
     def test_partition_blocks_ordered(self):
         rng = np.random.default_rng(5)
@@ -247,6 +266,13 @@ class TestAllocateAndRates:
         assert spent1 == pytest.approx(0.3 * FIG_PT, rel=1e-9)
         assert spent2 == pytest.approx(0.7 * FIG_PT, rel=1e-9)
 
+    def test_nan_powers_give_nan_rates(self, fig_channel):
+        dc = diagonalize(fig_channel)
+        assert 0 < dc.rho < dc.n
+        nan = np.full(dc.n, np.nan)
+        point = corner_rates(dc, PowerAllocation(0.5, nan[: dc.rho], nan[dc.rho:], 1.0, 1.0))
+        assert np.isnan(point.R1) and np.isnan(point.R2)
+
     def test_alpha_validated(self, fig_channel):
         dc = diagonalize(fig_channel)
         for alpha, pt in ((1.5, 1.0), (np.nan, 1.0), (0.5, -1.0), (0.5, np.nan), (0.5, np.inf)):
@@ -277,6 +303,12 @@ class TestRegionSweep:
         est = region_sweep(fig_channel, 1e-12, alpha_grid=5)
         for p in est.points:
             assert p.R1 <= 1e-9 and p.R2 <= 1e-9
+
+    def test_nan_channel_rejected(self, fig_channel):
+        h = fig_channel.H.copy()
+        h[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            region_sweep(Channel(h, fig_channel.G), FIG_PT)
 
     def test_area_positive(self, fig_channel):
         est = region_sweep(fig_channel, FIG_PT, alpha_grid=21)

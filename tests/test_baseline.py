@@ -8,11 +8,11 @@ from bcsecrecy import (
     MisoChannel,
     SearchConfig,
     miso_region,
-    pareto_hull,
     region_sweep,
-    sample_constraint,
     search_region,
 )
+from bcsecrecy.baseline import sample_constraint
+from bcsecrecy.hull import pareto_hull
 from conftest import rand_channel
 
 
@@ -55,12 +55,16 @@ class TestSearchRegion:
         assert est1.area == est2.area
 
     def test_longer_run_extends_shorter(self, fig_channel):
-        short = SearchConfig(samples=10, seed=5, pt=12.0, include_sw_family=False)
-        long = SearchConfig(samples=30, seed=5, pt=12.0, include_sw_family=False)
-        est_s = search_region(fig_channel, short)
-        est_l = search_region(fig_channel, long)
-        t = np.array([(p.R1, p.R2) for p in est_s.points])
-        u = np.array([(p.R1, p.R2) for p in est_l.points])
+        est_s = search_region(fig_channel, SearchConfig(samples=10, seed=5, pt=12.0))
+        est_l = search_region(fig_channel, SearchConfig(samples=30, seed=5, pt=12.0))
+
+        def sampled(est):
+            return np.array(
+                [(p.R1, p.R2) for p in est.points if p.provenance == "baseline-sample"]
+            )
+
+        t, u = sampled(est_s), sampled(est_l)
+        assert len(t) == 10 and len(u) == 30
         np.testing.assert_array_equal(t, u[: len(t)])
         assert est_l.area >= est_s.area - 1e-12
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from bcsecrecy import CornerPoint, estimate_region, pareto_hull
+from bcsecrecy import CornerPoint
+from bcsecrecy.hull import estimate_region, pareto_hull
 
 
 class TestParetoHull:
@@ -43,6 +44,11 @@ class TestParetoHull:
         areas = [pareto_hull(pts[:k]).area for k in (10, 20, 40)]
         assert areas[0] <= areas[1] + 1e-12
         assert areas[1] <= areas[2] + 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_points_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            pareto_hull([[bad, 1.0], [1.0, 1.0]])
 
     def test_empty_input(self):
         hull = pareto_hull(np.zeros((0, 2)))

@@ -10,15 +10,14 @@ from bcsecrecy.errors import (
     NotPositiveDefiniteError,
     NotPositiveSemidefiniteError,
     RankDeficientError,
-    ZeroMatrixError,
 )
 from bcsecrecy.linalg import (
+    clamp_rate,
     gevd_definite,
     herm,
     herm_eig,
     logdet,
     projector,
-    psd_inv_sqrt,
     psd_sqrt,
     rate_logdet,
 )
@@ -53,6 +52,12 @@ class TestHermEig:
         with pytest.raises(DimensionMismatchError):
             herm_eig(np.zeros((2, 3), dtype=complex))
 
+    def test_rejects_nonfinite_by_name(self):
+        a = np.eye(2, dtype=complex)
+        a[1, 1] = np.inf
+        with pytest.raises(ValueError, match="pencil component A"):
+            gevd_definite(a, np.eye(2, dtype=complex))
+
 
 class TestPsdSqrt:
     def test_identity(self):
@@ -71,28 +76,6 @@ class TestPsdSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveSemidefiniteError):
             psd_sqrt(np.diag([1.0, -1.0]).astype(complex))
-
-
-class TestPsdInvSqrt:
-    def test_diagonal(self):
-        w = psd_inv_sqrt(np.diag([4.0, 1.0]).astype(complex))
-        assert np.allclose(w, np.diag([0.5, 1.0]))
-
-    def test_singular_diagonal(self):
-        a = np.diag([4.0, 0.0]).astype(complex)
-        w = psd_inv_sqrt(a)
-        assert np.allclose(w, np.diag([0.5, 0.0]))
-        assert np.allclose(w @ a @ w, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_full_rank_whitens(self):
-        rng = np.random.default_rng(2)
-        a = rand_psd(rng, 4)
-        w = psd_inv_sqrt(a)
-        assert np.linalg.norm(w @ a @ w - np.eye(4)) <= 1e-8
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ZeroMatrixError):
-            psd_inv_sqrt(np.zeros((3, 3), dtype=complex))
 
 
 class TestGevd:
@@ -193,6 +176,12 @@ class TestLogdet:
         rng = np.random.default_rng(7)
         h = cgauss(rng, (2, 3))
         assert rate_logdet(h, np.zeros((3, 3), dtype=complex)) == pytest.approx(0.0)
+
+    def test_clamp_rate_keeps_nan(self):
+        assert clamp_rate(2.5) == 2.5
+        assert clamp_rate(-1.0) == 0.0
+        assert np.copysign(1.0, clamp_rate(-0.0)) == 1.0
+        assert np.isnan(clamp_rate(np.nan))
 
     def test_rate_logdet_matches_slogdet(self):
         rng = np.random.default_rng(8)

@@ -79,6 +79,10 @@ class TestCapacityPoint:
         with pytest.raises(ZeroChannelError):
             miso_capacity_point(MisoChannel(zero, zero.copy()), 10.0, 0.5)
 
+    def test_nonfinite_vectors_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            MisoChannel(np.array([1.0, np.nan]), np.array([0.0, 1.0]))
+
     def test_wide_arrays_reduce(self):
         rng = np.random.default_rng(3)
         mc = rand_miso(rng, n=5)
@@ -88,6 +92,23 @@ class TestCapacityPoint:
 
 
 class TestLinearPoint:
+    def test_covariance_decomposed_once(self, monkeypatch):
+        # One eigh of S_Q, two for the swapped-role 2x2 pencil; the channel is
+        # not reduced again.
+        rng = np.random.default_rng(5)
+        mc = rand_miso(rng, n=4)
+        point = miso_capacity_point(mc, 10.0, 0.5)
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        miso_linear_point(mc, point)
+        assert calls == [(4, 4), (2, 2), (2, 2)]
+
     def test_endpoints_equal_capacity(self):
         rng = np.random.default_rng(4)
         mc = rand_miso(rng)

@@ -5,16 +5,15 @@ import pytest
 
 from bcsecrecy import (
     Channel,
-    build_pencil,
     diagonalize,
     make_matrix_constraint,
     orthogonality_defect,
-    rank_bound_check,
     solve_matrix_constraint,
 )
 from bcsecrecy.errors import DimensionMismatchError, NotPositiveSemidefiniteError
 from bcsecrecy.linalg import LN2, herm, rate_logdet
-from conftest import FIG_PT, cgauss, rand_channel, rand_psd
+from bcsecrecy.sdpc import build_pencil, rank_bound_check
+from conftest import FIG_G, FIG_H, FIG_PT, cgauss, rand_channel, rand_psd
 
 
 class TestBuildPencil:
@@ -132,6 +131,17 @@ class TestSolveMatrixConstraint:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         solve_matrix_constraint(ch, s)
         assert len(on_s) == 1
+
+    def test_nan_constraint_rejected(self, fig_channel):
+        with pytest.raises(ValueError, match="constraint"):
+            solve_matrix_constraint(fig_channel, np.full((2, 2), np.nan, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_channel_rejected(self, bad):
+        h = FIG_H.copy()
+        h[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Channel(h, FIG_G.copy())
 
 
 class TestOrthogonalityDefect:
