@@ -35,8 +35,8 @@ SIGMA_TIE_TOL = 1e-9
 # well-separated subchannels.
 CLUSTER_TOL = 1e-6
 # Water-level search: stop when the spent power is within LEVEL_REL_TOL of the
-# budget, or after LEVEL_MAX_ITER bisection steps.
-LEVEL_REL_TOL = 1e-10
+# budget; failing to stop within LEVEL_MAX_ITER steps raises NoConvergenceError.
+LEVEL_REL_TOL = 1e-13
 LEVEL_MAX_ITER = 200
 
 
@@ -136,152 +136,145 @@ def make_matrix_constraint(dc: DiagonalizedChannel, p: np.ndarray) -> np.ndarray
     return herm(dc.u_p @ s @ dc.u_p.conj().T)
 
 
-def _powers(mu: float, d: np.ndarray, ssum: np.ndarray, sprod: np.ndarray,
-            a: np.ndarray) -> np.ndarray:
-    """Per-subchannel optimum at water level ``mu``.
+def _check_fill(sigma_strong, sigma_weak, a, budget):
+    """Shape, domain and finiteness check of both water-fillers; also returns the valued mask."""
+    s, w, a = (np.asarray(v, dtype=float) for v in (sigma_strong, sigma_weak, a))
+    if s.ndim != 1 or not s.shape == w.shape == a.shape:
+        raise DimensionMismatchError("sigma and cost vectors must be 1-D and share a shape")
+    if not (np.isfinite(s).all() and np.isfinite(w).all() and np.isfinite(a).all()):
+        raise ValueError("sigmas and costs must be finite")
+    if np.any(w < 0) or np.any(a <= 0):
+        raise ValueError("sigma_weak must be >= 0 and costs positive")
+    if not 0.0 <= budget < np.inf:
+        raise ValueError(f"budget must be finite and non-negative, got {budget}")
+    if budget > 0 and not np.any(s > w):
+        raise NoStrongChannelsError("positive budget but every subchannel has "
+                                    "sigma_strong <= sigma_weak")
+    return s, w, a, float(budget), s > w
 
-    Positive root of sprod p^2 + ssum p + (1 - d/(mu a)) = 0, evaluated as
-    p = 2 x / (ssum + sqrt(d^2 + 4 sprod d/(mu a))) with x = d/(mu a) - 1.
-    This form is subtraction-free, so it stays accurate for tiny sigma_weak
-    and reduces exactly to the linear-equation limit
-    p = 1/(mu a) - 1/sigma_strong at sigma_weak = 0.
+
+def _fill(strong: np.ndarray, weak: np.ndarray, a: np.ndarray, budgets: np.ndarray,
+          live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Powers (one row per budget, zero off ``live``, the subchannels with
+    strong > weak) and levels (inf when nothing is live).
+
+    At mu = mu_max exp(t), t <= 0, and c = d/(mu a) the optimum is
+    p = 2 (c - 1) / (ssum + sqrt(d^2 + 4 sprod c)), with c - 1 from expm1(-t).
+    The spent power T is convex and decreasing in t, and
+    dT/dt = -sum a c / (ssum + 2 sprod p) over open subchannels.  Each row
+    takes a Newton step on log T against t (exact for T a power of mu), else
+    against log(-t) (exact for T a power of -t, as subchannels open), else
+    bisects, whichever stays in the bracket, until T meets the budget to
+    ``LEVEL_REL_TOL`` or the bracket cannot be split.
     """
-    x = d / (mu * a) - 1.0
-    active = (d > 0) & (x > 0)
-    p = np.zeros_like(a)
-    if np.any(active):
-        disc = d[active] ** 2 + 4.0 * d[active] * sprod[active] / (mu * a[active])
-        p[active] = 2.0 * x[active] / (ssum[active] + np.sqrt(disc))
-    return p
+    p = np.zeros((budgets.size, a.size))
+    if not np.any(live):
+        return p, np.full(budgets.size, np.inf)
+    s, w, a = strong[live], weak[live], a[live]
+    d, ssum, sprod = s - w, s + w, s * w
+    mu_max = np.max(d / a)
+    ratio = d / a / mu_max
+    closed, root_sprod = 1.0 - ratio, 2.0 * np.sqrt(sprod)
+    spend = budgets > 0
+    b = np.where(spend, budgets, 1.0)
 
+    def spent(t):
+        x = ratio * np.expm1(-t)[:, None] - closed
+        c = x + 1.0
+        q = 2.0 * np.maximum(x, 0.0) / (ssum + np.hypot(d, root_sprod * np.sqrt(c)))
+        return q, q @ a, -(np.where(x > 0, c / (ssum + 2.0 * sprod * q), 0.0) @ a)
 
-def _level(total, budget: float, lo: float, hi: float) -> float:
-    """Water level ``mu`` at which the decreasing ``total(mu)`` meets ``budget``.
-
-    ``total(hi) <= budget`` must hold.  ``lo`` steps down by factors of 100
-    until ``total(lo) >= budget``, then the bracket is bisected at its
-    geometric midpoint until the total is within ``LEVEL_REL_TOL`` of the
-    budget or the bracket stops shrinking.
-    """
-    while total(lo) < budget:
-        lo *= 1e-2
-        if lo < 1e-280:
-            raise NoConvergenceError("budget too large to bracket the water level")
-    mu = lo
-    for _ in range(LEVEL_MAX_ITER):
-        mu = float(np.sqrt(lo * hi))
-        t = total(mu)
-        if abs(t - budget) <= LEVEL_REL_TOL * budget:
-            break
-        if t > budget:
-            lo = mu
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # a p >= (a/s)(sqrt(c) - 1): T >= 2 b once sqrt(c) = 2 + 2 b s/a.  Below
+        # floor, mu < tiny * max(1, mu_max) or c > 1/tiny overflows float64.
+        floor = np.log(np.finfo(float).tiny) + max(0.0, -np.log(mu_max))
+        start = np.log(ratio) - 2.0 * (LN2 + np.logaddexp(0.0, np.log(b)[:, None] + np.log(s / a)))
+        t = np.maximum(floor, start.max(axis=1))
+        lo, hi = t, np.zeros_like(t)
+        q, total, slope = spent(t)
+        short = spend & ~(total >= b)
+        if np.any(short):
+            raise ValueError(f"budget {b[short].max():.6g} is outside the supported range [0, "
+                             f"{total[short][0]:.6g}]: its water level is below the float64 range")
+        todo = spend.copy()
+        for _ in range(LEVEL_MAX_ITER):
+            todo &= ~(np.abs(total - b) <= LEVEL_REL_TOL * b)
+            if not np.any(todo):
+                break
+            over = ~(total < b)
+            lo, hi = np.where(over, t, lo), np.where(over, hi, t)
+            step = mid = 0.5 * (lo + hi)
+            for newton in (t * (b / total) ** (total / (t * slope)),
+                           t - np.log(total / b) * total / slope):
+                step = np.where((lo < newton) & (newton < hi), newton, step)
+            todo &= (lo < mid) & (mid < hi)
+            t = np.where(todo, step, t)
+            q, total, slope = spent(t)
         else:
-            hi = mu
-        if hi - lo <= 1e-16 * hi:
-            mu = lo if abs(total(lo) - budget) <= abs(total(hi) - budget) else hi
-            break
-    return mu
+            raise NoConvergenceError(f"water level not found in {LEVEL_MAX_ITER} steps")
+    p[:, live] = np.where(spend[:, None], q, 0.0)
+    return p, np.where(spend, mu_max * np.exp(t), mu_max)
 
 
-def waterfill(
-    sigma_strong: np.ndarray,
-    sigma_weak: np.ndarray,
-    a: np.ndarray,
-    budget: float,
-) -> tuple[np.ndarray, float]:
+def waterfill(sigma_strong: np.ndarray, sigma_weak: np.ndarray, a: np.ndarray,
+              budget: float) -> tuple[np.ndarray, float]:
     """Water-filling over difference-of-log subchannels.
 
     Maximizes sum_i [ln(1 + sigma_strong_i p_i) - ln(1 + sigma_weak_i p_i)]
     subject to sum_i a_i p_i = budget, p >= 0.  The per-level optimum is in
-    closed form; the level ``mu`` is found by bisection on the monotone total.
-    Subchannels with sigma_strong <= sigma_weak have no value and get zero.
+    closed form; the level ``mu`` solves the monotone budget equation by a
+    bracketed Newton search in log mu.  Subchannels with
+    sigma_strong <= sigma_weak have no value and get zero.
+
+    Supported budgets have a level mu of at least 2.2e-308 (the smallest
+    normal float64) times max(1, mu_max), mu_max = max_i (sigma_strong_i -
+    sigma_weak_i) / a_i.  Spent power grows like mu^{-1/2} (like 1/mu where
+    sigma_weak = 0), so for O(1) sigmas and costs that is up to about 1e150.
 
     Returns the power vector and the water level.
 
     Raises
     ------
+    DimensionMismatchError
+        If the three vectors are not 1-D of one shape.
+    ValueError
+        If an input is not finite, sigma_weak < 0, a cost is not positive, or
+        the budget is negative or above the supported range the message gives.
     NoStrongChannelsError
         If the budget is positive but no subchannel has positive value.
     """
-    sigma_strong = np.asarray(sigma_strong, dtype=float)
-    sigma_weak = np.asarray(sigma_weak, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if not (sigma_strong.shape == sigma_weak.shape == a.shape):
-        raise DimensionMismatchError("sigma and cost vectors must share a shape")
-    if np.any(sigma_weak < 0) or np.any(a <= 0):
-        raise ValueError("sigma_weak must be >= 0 and costs positive")
-
-    d = sigma_strong - sigma_weak
-    ssum = sigma_strong + sigma_weak
-    sprod = sigma_strong * sigma_weak
-    gaps = d[d > 0] / a[d > 0] if np.any(d > 0) else np.array([])
-    mu_ceil = float(gaps.max()) if gaps.size else np.inf
-
-    if budget <= 0:
-        return np.zeros_like(a), mu_ceil
-    if not np.isfinite(mu_ceil):
-        raise NoStrongChannelsError(
-            "positive budget but every subchannel has sigma_strong <= sigma_weak"
-        )
-
-    def total(mu: float) -> float:
-        return float(a @ _powers(mu, d, ssum, sprod, a))
-
-    mu = _level(total, budget, 1e-18 * mu_ceil, mu_ceil)
-    return _powers(mu, d, ssum, sprod, a), mu
+    s, w, a, budget, live = _check_fill(sigma_strong, sigma_weak, a, budget)
+    p, mu = _fill(s, w, a, np.array([budget]), live)
+    return p[0], float(mu[0])
 
 
-def waterfill_high_snr(
-    sigma_strong: np.ndarray,
-    sigma_weak: np.ndarray,
-    a: np.ndarray,
-    budget: float,
-) -> tuple[np.ndarray, float]:
+def waterfill_high_snr(sigma_strong: np.ndarray, sigma_weak: np.ndarray, a: np.ndarray,
+                       budget: float) -> tuple[np.ndarray, float]:
     """Large-budget closed form p_i = sqrt((1/sigma_weak_i - 1/sigma_strong_i) / (mu a_i)).
 
-    The level follows from the budget in closed form after squaring.  Entries
-    with sigma_weak = 0 diverge from that scaling (their power grows like
-    1/mu, not 1/sqrt(mu)), so their exact expression is kept and the mixed
-    total is solved by bisection instead.
+    With y = mu^{-1/2} these entries spend A y.  Entries with sigma_weak = 0
+    grow like 1/mu instead, so their exact p_j = max(0, y^2/a_j - 1/sigma_strong_j)
+    is kept, and the piecewise quadratic total A y + sum_j max(0, y^2 - a_j/sigma_strong_j)
+    is solved per active set like ``waterfill_capacity``.  Inputs are checked as in
+    ``waterfill``.
     """
-    sigma_strong = np.asarray(sigma_strong, dtype=float)
-    sigma_weak = np.asarray(sigma_weak, dtype=float)
-    a = np.asarray(a, dtype=float)
-    d = sigma_strong - sigma_weak
-    active = d > 0
+    s, w, a, budget, active = _check_fill(sigma_strong, sigma_weak, a, budget)
     if budget <= 0:
         return np.zeros_like(a), np.inf
-    if not np.any(active):
-        raise NoStrongChannelsError(
-            "positive budget but every subchannel has sigma_strong <= sigma_weak"
-        )
-
-    zero_w = active & (sigma_weak <= 1e-12 * sigma_strong)
-    sqrt_entries = active & ~zero_w
+    zero_w = active & (w <= 1e-12 * s)
+    root = active & ~zero_w
     k = np.zeros_like(a)
-    k[sqrt_entries] = np.sqrt(
-        (1.0 / sigma_weak[sqrt_entries] - 1.0 / sigma_strong[sqrt_entries])
-        / a[sqrt_entries]
-    )
-
-    if not np.any(zero_w):
-        mu = float((a @ k / budget) ** 2)
-        return k / np.sqrt(mu), mu
-
-    def linear(mu: float) -> np.ndarray:
-        return np.clip(1.0 / (mu * a[zero_w]) - 1.0 / sigma_strong[zero_w], 0.0, None)
-
-    def total(mu: float) -> float:
-        t = float(a[sqrt_entries] @ k[sqrt_entries]) / np.sqrt(mu)
-        return t + float(a[zero_w] @ linear(mu))
-
-    hi = 1.0
-    while total(hi) > budget:
-        hi *= 1e2
-    mu = _level(total, budget, hi, hi)
-    p = k / np.sqrt(mu)
-    p[zero_w] = linear(mu)
-    return p, mu
+    k[root] = np.sqrt((1.0 / w[root] - 1.0 / s[root]) / a[root])
+    big_a = float(a @ k)
+    tau = np.sort(a[zero_w] / s[zero_w])
+    for m in range(tau.size, -1, -1):
+        total = budget + float(np.sum(tau[:m]))
+        y = 2.0 * total / (big_a + float(np.sqrt(big_a * big_a + 4.0 * m * total)))
+        if m == 0 or y * y >= tau[m - 1]:
+            break
+    p = k * y
+    p[zero_w] = np.clip(y * y / a[zero_w] - 1.0 / s[zero_w], 0.0, None)
+    return p, 1.0 / (y * y)
 
 
 @dataclass
@@ -319,46 +312,46 @@ def split_grid(alpha_grid: int | np.ndarray) -> np.ndarray:
     return np.asarray(alpha_grid, dtype=float)
 
 
+def _split_fills(dc: DiagonalizedChannel, alphas: np.ndarray, pt: float):
+    """(powers, levels) of user 1 and of user 2, one row per split.  Tie
+    subchannels carry no secrecy value and get p = 0."""
+    rho, s1, s2, a = dc.rho, dc.sigma1, dc.sigma2, dc.a
+    return (_fill(s1[:rho], s2[:rho], a[:rho], alphas * pt, (s1 - s2)[:rho] > SIGMA_TIE_TOL),
+            _fill(s2[rho:], s1[rho:], a[rho:], (1 - alphas) * pt, (s2 - s1)[rho:] > SIGMA_TIE_TOL))
+
+
+def _rates(dc: DiagonalizedChannel, p1: np.ndarray, p2: np.ndarray):
+    """Both users' rates in bits, for powers with or without a leading batch axis."""
+    rho = dc.rho
+    r1 = np.sum(np.log1p(dc.sigma1[:rho] * p1) - np.log1p(dc.sigma2[:rho] * p1), axis=-1)
+    r2 = np.sum(np.log1p(dc.sigma2[rho:] * p2) - np.log1p(dc.sigma1[rho:] * p2), axis=-1)
+    return clamp_rate(r1) / LN2, clamp_rate(r2) / LN2
+
+
 def allocate(dc: DiagonalizedChannel, alpha: float, pt: float) -> PowerAllocation:
     """Split the budget and water-fill each user's block independently."""
     check_split(alpha, pt)
-    rho = dc.rho
-
-    def block(strong, weak, cost, budget):
-        # Tie subchannels carry no secrecy value; force p = 0 there.
-        live = (strong - weak) > SIGMA_TIE_TOL
-        p = np.zeros_like(cost)
-        if not np.any(live):
-            return p, np.inf
-        p_live, mu = waterfill(strong[live], weak[live], cost[live], budget)
-        p[live] = p_live
-        return p, mu
-
-    p1, mu1 = block(dc.sigma1[:rho], dc.sigma2[:rho], dc.a[:rho], alpha * pt)
-    p2, mu2 = block(dc.sigma2[rho:], dc.sigma1[rho:], dc.a[rho:], (1.0 - alpha) * pt)
-    return PowerAllocation(alpha, p1, p2, mu1, mu2)
+    (p1, mu1), (p2, mu2) = _split_fills(dc, np.array([alpha], dtype=float), pt)
+    return PowerAllocation(alpha, p1[0], p2[0], float(mu1[0]), float(mu2[0]))
 
 
 def corner_rates(dc: DiagonalizedChannel, alloc: PowerAllocation) -> CornerPoint:
     """Rate pair of an allocation, in bits."""
-    rho = dc.rho
-    r1 = float(
-        np.sum(np.log1p(dc.sigma1[:rho] * alloc.p1) - np.log1p(dc.sigma2[:rho] * alloc.p1))
-    )
-    r2 = float(
-        np.sum(np.log1p(dc.sigma2[rho:] * alloc.p2) - np.log1p(dc.sigma1[rho:] * alloc.p2))
-    )
-    return CornerPoint(
-        clamp_rate(r1) / LN2, clamp_rate(r2) / LN2,
-        alpha=alloc.alpha, provenance="avgpower",
-    )
+    r1, r2 = _rates(dc, alloc.p1, alloc.p2)
+    return CornerPoint(r1, r2, alpha=alloc.alpha, provenance="avgpower")
 
 
 def sweep_corners(
     dc: DiagonalizedChannel, pt: float, alpha_grid: int | np.ndarray
 ) -> list[CornerPoint]:
-    """One corner per power split of the grid (see ``split_grid``)."""
-    return [corner_rates(dc, allocate(dc, float(al), pt)) for al in split_grid(alpha_grid)]
+    """One corner per power split of the grid (see ``split_grid``), all
+    splits water-filled in one batch per user."""
+    alphas = split_grid(alpha_grid)
+    for alpha in alphas:
+        check_split(alpha, pt)
+    (p1, _), (p2, _) = _split_fills(dc, alphas, pt)
+    return [CornerPoint(r1, r2, alpha=float(alpha), provenance="avgpower")
+            for alpha, r1, r2 in zip(alphas, *_rates(dc, p1, p2))]
 
 
 def region_sweep(ch: Channel, pt: float, alpha_grid: int | np.ndarray = 101) -> RegionEstimate:
@@ -385,14 +378,13 @@ def waterfill_capacity(h: np.ndarray, pt: float) -> float:
     return float(np.sum(np.log1p(lam[:k] * p))) / LN2
 
 
-def p2p_limit_check(ch: Channel, pt: float, eps: float = 1e-6) -> tuple[float, float]:
-    """Secrecy rate with the second channel scaled by ``eps`` vs plain capacity.
+def p2p_limit_check(ch: Channel, pt: float) -> tuple[float, float]:
+    """Secrecy rate with the second channel scaled by 1e-6 vs plain capacity.
 
     As the second receiver fades away, the alpha = 1 corner of the secrecy
     region must approach the point-to-point water-filling capacity of H.
     Returns (secrecy R1, capacity), both in bits.
     """
-    faded = Channel(ch.H, eps * ch.G)
-    dc = diagonalize(faded)
+    dc = diagonalize(Channel(ch.H, 1e-6 * ch.G))
     point = corner_rates(dc, allocate(dc, 1.0, pt))
     return point.R1, waterfill_capacity(ch.H, pt)

@@ -236,10 +236,10 @@ def rate_logdet(h: np.ndarray, k: np.ndarray) -> float:
     return logdet(np.eye(m) + herm(h @ k @ h.conj().T))
 
 
-def clamp_rate(x: float) -> float:
-    """A rate floored at zero; NaN stays NaN instead of passing for a zero rate.
+def clamp_rate(x: float | np.ndarray) -> float | np.ndarray:
+    """Rates floored at zero, elementwise; NaN stays NaN instead of passing for a zero rate.
 
     ``np.maximum`` returns its second argument on a tie, so -0.0 comes out
     as 0.0.
     """
-    return float(np.maximum(x, 0.0))
+    return np.maximum(x, 0.0)

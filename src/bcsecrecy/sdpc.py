@@ -100,9 +100,13 @@ class SdpcSolution:
     gevd: GevdResult
     kt_star: np.ndarray
     corner: CornerPoint
-    s_reduced: bool
     u_r: np.ndarray | None = field(default=None, repr=False)
     s_sqrt: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def s_reduced(self) -> bool:
+        """Whether S was rank-deficient, so the pencil was solved on its range."""
+        return self.u_r is not None
 
     def lift(self, a: np.ndarray) -> np.ndarray:
         """Map a working-space matrix back to the full transmit space."""
@@ -146,11 +150,10 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
     s = _sized_constraint(s, ch.n_t)
     w, v, rank = psd_range(s, "constraint")
     s = herm(s)
-    reduced = rank < ch.n_t
 
     # A zero constraint (rank 0) runs through the reduced path on an empty
     # working space: an empty pencil, rates (0, 0) and covariance 0.
-    if reduced:
+    if rank < ch.n_t:
         u_r = v[:, :rank]
         h_r = ch.H @ u_r
         g_r = ch.G @ u_r
@@ -182,7 +185,7 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
         ch, s, gevd,
         np.zeros((ch.n_t, ch.n_t), dtype=complex),
         CornerPoint(r1_nats / LN2, r2_nats / LN2, provenance="sdpc"),
-        s_reduced=reduced, u_r=u_r, s_sqrt=s_sqrt,
+        u_r=u_r, s_sqrt=s_sqrt,
     )
     sol.kt_star = sol.lift(kt_work)
     return sol

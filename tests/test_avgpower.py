@@ -15,14 +15,22 @@ from bcsecrecy import (
     waterfill,
     waterfill_high_snr,
 )
-from bcsecrecy.avgpower import PowerAllocation, reduce_nullspace, waterfill_capacity
+from bcsecrecy.avgpower import (
+    PowerAllocation,
+    reduce_nullspace,
+    sweep_corners,
+    waterfill_capacity,
+)
 from bcsecrecy.errors import (
     DimensionMismatchError,
     NoStrongChannelsError,
     ZeroChannelError,
 )
 from bcsecrecy.linalg import LN2, herm
-from conftest import FIG_PT, cgauss, rand_channel
+from conftest import FIG_G, FIG_H, FIG_PT, cgauss, rand_channel
+
+# An underflow or NaN in the water-level search shows up as a RuntimeWarning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestReduceNullspace:
@@ -194,12 +202,51 @@ class TestWaterfill:
         with pytest.raises(DimensionMismatchError):
             waterfill(np.ones(2), np.ones(3), np.ones(2), 1.0)
 
+    def test_budget_residual_below_1e12(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            weak = rng.uniform(0.0, 0.5, n)
+            weak[rng.random(n) < 0.2] = 0.0
+            strong = weak + rng.uniform(1e-3, 1.0, n)
+            a = rng.uniform(0.1, 10.0, n)
+            budget = float(10.0 ** rng.uniform(-2.0, 15.0))
+            p, _ = waterfill(strong, weak, a, budget)
+            assert abs(p @ a - budget) <= 1e-12 * budget
+
+    def test_tiny_budget_stays_proportional(self):
+        # Just above the opening level the power is linear in the budget.
+        for budget in (1e-12, 1e-100, 1e-300):
+            p, _ = waterfill(np.array([1.0]), np.array([0.5]), np.array([2.0]), budget)
+            assert p[0] == pytest.approx(budget / 2.0, rel=1e-12)
+
     def test_zero_weak_limit_is_continuous(self):
         strong = np.array([2.0, 1.0])
         a = np.array([1.0, 1.0])
         p0, _ = waterfill(strong, np.array([0.0, 0.0]), a, 4.0)
         p1, _ = waterfill(strong, np.array([1e-14, 1e-14]), a, 4.0)
         assert np.max(np.abs(p0 - p1)) <= 1e-6
+
+
+@pytest.mark.parametrize("fill", [waterfill, waterfill_high_snr])
+def test_fill_inputs_checked(fill):
+    good = (np.array([0.9, 0.6]), np.array([0.2, 0.3]), np.ones(2), 10.0)
+    bad_values = [
+        (3, np.nan), (3, np.inf), (3, -1.0),
+        (0, np.array([np.nan, 0.6])), (0, np.array([np.inf, 0.6])),
+        (1, np.array([-0.1, 0.3])), (1, np.array([0.2, np.nan])),
+        (2, np.array([-1.0, 1.0])), (2, np.array([0.0, 1.0])), (2, np.array([np.inf, 1.0])),
+    ]
+    for index, value in bad_values:
+        args = list(good)
+        args[index] = value
+        with pytest.raises(ValueError):
+            fill(*args)
+    with pytest.raises(DimensionMismatchError):
+        fill(np.ones(2), np.ones(3) * 0.1, np.ones(2), 1.0)
+    with pytest.raises(DimensionMismatchError):
+        fill(np.ones((2, 2)), np.zeros((2, 2)), np.ones((2, 2)), 1.0)
+    assert np.all(np.isfinite(fill(*good)[0]))
 
 
 class TestWaterfillHighSnr:
@@ -284,6 +331,57 @@ class TestAllocateAndRates:
             region_sweep(fig_channel, np.inf, 11)
 
 
+class TestLargeBudgets:
+    def test_rates_scale_invariant(self, fig_channel):
+        # (H, G, Pt) -> (cH, cG, Pt/c^2) leaves every rate unchanged.
+        big = region_sweep(fig_channel, 1e100)
+        scaled = region_sweep(Channel(1e45 * FIG_H, 1e45 * FIG_G), 1e10)
+        for p, q in zip(big.points, scaled.points):
+            assert p.R1 == pytest.approx(q.R1, abs=1e-9)
+            assert p.R2 == pytest.approx(q.R2, abs=1e-9)
+        assert big.area == pytest.approx(scaled.area, rel=1e-9)
+        assert np.isfinite(big.area) and big.area > 0.0
+
+    def test_allocation_finite_and_on_budget(self, fig_channel):
+        dc = diagonalize(fig_channel)
+        alloc = allocate(dc, 0.5, 1e100)
+        assert np.all(np.isfinite(alloc.full_vector()))
+        assert float(alloc.p1 @ dc.a[: dc.rho]) == pytest.approx(0.5e100, rel=1e-12)
+        assert float(alloc.p2 @ dc.a[dc.rho:]) == pytest.approx(0.5e100, rel=1e-12)
+
+    def test_unrepresentable_level_rejected(self, fig_channel):
+        dc = diagonalize(fig_channel)
+        with pytest.raises(ValueError, match="supported range"):
+            allocate(dc, 0.5, 1e300)
+        with pytest.raises(ValueError, match="supported range"):
+            region_sweep(fig_channel, 1e300, 11)
+        with pytest.raises(ValueError, match="supported range"):
+            waterfill(np.array([0.9]), np.array([0.2]), np.array([1.0]), 1e300)
+
+
+SWEEP_CHANNELS = {
+    "worked": lambda rng: Channel(FIG_H.copy(), FIG_G.copy()),
+    "random4x4": lambda rng: rand_channel(rng, 4, m1=4, m2=4),
+    # One user's block is empty: no second receiver (rho = n), no first (rho = 0).
+    "rho_n": lambda rng: Channel(cgauss(rng, (2, 2)), np.zeros((2, 2), dtype=complex)),
+    "rho_0": lambda rng: Channel(np.zeros((2, 2), dtype=complex), cgauss(rng, (2, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CHANNELS))
+def test_sweep_matches_single_splits(name):
+    dc = diagonalize(SWEEP_CHANNELS[name](np.random.default_rng(16)))
+    if name.startswith("rho"):
+        assert dc.rho == (dc.n if name == "rho_n" else 0)
+    for grid in (21, np.array([1.0, 0.0, 0.37])):
+        corners = sweep_corners(dc, FIG_PT, grid)
+        assert {0.0, 1.0} <= {c.alpha for c in corners}
+        for c in corners:
+            single = corner_rates(dc, allocate(dc, c.alpha, FIG_PT))
+            assert abs(c.R1 - single.R1) <= 1e-12
+            assert abs(c.R2 - single.R2) <= 1e-12
+
+
 class TestRegionSweep:
     def test_endpoint_alpha_one(self, fig_channel):
         est = region_sweep(fig_channel, FIG_PT, alpha_grid=5)
@@ -333,8 +431,9 @@ class TestPointToPointLimit:
     def test_comparable_channels_pay_secrecy_penalty(self):
         rng = np.random.default_rng(14)
         ch = rand_channel(rng, 2, m1=2, m2=2)
-        r1, cap = p2p_limit_check(ch, 10.0, eps=1.0)
-        assert r1 < cap - 1e-6
+        dc = diagonalize(ch)
+        r1 = corner_rates(dc, allocate(dc, 1.0, 10.0)).R1
+        assert r1 < waterfill_capacity(ch.H, 10.0) - 1e-6
 
     def test_capacity_oracle_closed_form(self):
         h = np.diag([1.0, 2.0]).astype(complex)

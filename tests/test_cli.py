@@ -222,6 +222,15 @@ class TestInputErrors:
         for power in ("-2", "nan", "inf"):
             assert main(["region", "--channels", fig_file, "--power", power]) == 2
 
+    def test_huge_power(self, tmp_path, fig_file, capsys):
+        # 1e100 still has a representable water level; 1e300 does not.
+        out = tmp_path / "huge.csv"
+        assert main(["region", "--channels", fig_file, "--power", "1e100", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert all(math.isfinite(float(r[1])) and math.isfinite(float(r[2])) for r in rows)
+        assert main(["region", "--channels", fig_file, "--power", "1e300"]) == 2
+        assert "supported range" in capsys.readouterr().err
+
     def test_nonpositive_pt_in_file(self, tmp_path):
         ch = write_channel(tmp_path / "p0.json", FIG_H, FIG_G, pt=0.0)
         assert main(["region", "--channels", ch]) == 2
