@@ -272,6 +272,13 @@ def waterfill_high_snr(sigma_strong: np.ndarray, sigma_weak: np.ndarray, a: np.n
         y = 2.0 * total / (big_a + float(np.sqrt(big_a * big_a + 4.0 * m * total)))
         if m == 0 or y * y >= tau[m - 1]:
             break
+    # The same level floor as ``waterfill``; the range ends where y = floor^{-1/2}.
+    floor = np.finfo(float).tiny * max(1.0, float(np.max((s - w)[active] / a[active])))
+    if not 1.0 / (y * y) >= floor:
+        y_top = floor ** -0.5
+        top = big_a * y_top + float(np.sum(np.clip(y_top * y_top - tau, 0.0, None)))
+        raise ValueError(f"budget {budget:.6g} is outside the supported range [0, {top:.6g}]: "
+                         "its water level is below the float64 range")
     p = k * y
     p[zero_w] = np.clip(y * y / a[zero_w] - 1.0 / s[zero_w], 0.0, None)
     return p, 1.0 / (y * y)

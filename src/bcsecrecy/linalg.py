@@ -14,7 +14,6 @@ Conventions
 * Tolerances are relative to the matrix scale unless stated otherwise.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,27 +36,52 @@ COND_LIMIT = 1e12    # largest Gram-matrix condition number projector() accepts
 LN2 = float(np.log(2.0))
 
 
+def ctrans(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes, so of every matrix of a stack."""
+    return a.swapaxes(-1, -2).conj()
+
+
 def herm(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^H)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part (A + A^H)/2, of one matrix or of every matrix of a stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2).conj())
+
+
+def _any(mask: np.ndarray) -> bool:
+    """Whether any entry of a boolean array is true; a numpy bool scalar
+    (from a single matrix) skips the reduction."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.any())
+
+
+def _count(mask: np.ndarray) -> int | np.ndarray:
+    """True entries along the last axis; a plain int for a single vector."""
+    return np.count_nonzero(mask, axis=-1) if mask.ndim > 1 else int(np.count_nonzero(mask))
+
+
+def _first(values: np.ndarray, bad: np.ndarray) -> float:
+    """The entry of ``values`` at the first true entry of ``bad`` (same shape)."""
+    return float(values[bad].flat[0])
 
 
 def _check_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Hermitian part of a finite square matrix or ``(..., n, n)`` stack,
+    each matrix checked against its own scale.  An exactly Hermitian input is
+    its own Hermitian part and comes back as is, without a copy."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
-    scale = 1.0 + (np.abs(a).max() if a.size else 0.0)
+    scale = 1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0)
     # A NaN or inf entry makes the scale non-finite.  Huge finite entries can
     # overflow it too, so only a full scan decides.
-    if not math.isfinite(scale) and not np.isfinite(a).all():
+    if _any(~(scale < np.inf)) and not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
-    dev = np.abs(a - a.conj().T).max() if a.size else 0.0
-    if dev > HERM_TOL * scale:
+    dev = np.abs(a - ctrans(a)).max(axis=(-2, -1), initial=0.0)
+    bad = dev > HERM_TOL * scale
+    if _any(bad):
         raise NonHermitianError(
-            f"{name} deviates from Hermitian symmetry by {dev:.3e} "
-            f"(tolerance {HERM_TOL * scale:.3e})"
+            f"{name} deviates from Hermitian symmetry by {_first(dev, bad):.3e} "
+            f"(tolerance {HERM_TOL * _first(scale, bad):.3e})"
         )
-    return herm(a)
+    return herm(a) if _any(dev > 0.0) else a
 
 
 def _eigh(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -75,23 +99,33 @@ def herm_eig(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarra
     Parameters
     ----------
     a : ndarray
-        Square finite matrix, Hermitian within ``HERM_TOL`` relative tolerance.
+        Square finite matrix, Hermitian within ``HERM_TOL`` relative tolerance,
+        or a ``(..., n, n)`` stack of them.
     name : str
         How error messages refer to ``a``.
 
     Returns
     -------
     w : ndarray
-        Real eigenvalues sorted in descending order.
+        Real eigenvalues sorted in descending order (along the last axis).
     v : ndarray
-        Unitary matrix whose columns are the matching eigenvectors.
+        Unitary matrix whose columns are the matching eigenvectors (one per
+        stack item).
     """
     w, v = _eigh(_check_hermitian(a, name), name)
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    return _descending(w, v)
 
 
-def psd_range(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray, int]:
+def _descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs from ``eigh`` reordered by descending eigenvalue; ties keep
+    the ascending-solver order.  Works on stacks."""
+    order = np.argsort(-w, axis=-1, kind="stable")
+    if w.ndim == 1:
+        return w[order], v[:, order]
+    return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
+
+
+def psd_range(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray, int | np.ndarray]:
     """Eigendecomposition and numerical rank of a Hermitian PSD matrix.
 
     Returns ``(w, v, rank)``: eigenvalues descending and their eigenvectors,
@@ -99,15 +133,20 @@ def psd_range(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarr
     times the spectral norm, so ``v[:, :rank]`` is an orthonormal basis of
     range(A).  An eigenvalue below ``-PSD_TOL`` times the spectral norm
     raises NotPositiveSemidefiniteError naming ``name``; smaller negatives
-    are rounding noise.
+    are rounding noise.  A ``(..., n, n)`` stack is decomposed in one call,
+    each matrix against its own spectral norm, and ``rank`` is then an
+    integer array of the stack's shape.
     """
     w, v = herm_eig(a, name)
-    scale = np.abs(w).max() if w.size else 0.0
-    if w.size and w.min() < -PSD_TOL * scale:
+    scale = np.abs(w).max(axis=-1, initial=0.0)
+    low = w.min(axis=-1, initial=0.0)
+    bad = low < -PSD_TOL * scale
+    if _any(bad):
         raise NotPositiveSemidefiniteError(
-            f"{name} has eigenvalue {w.min():.3e} below -{PSD_TOL:.0e} * {scale:.3e}"
+            f"{name} has eigenvalue {_first(low, bad):.3e} below "
+            f"-{PSD_TOL:.0e} * {_first(scale, bad):.3e}"
         )
-    return w, v, int(np.count_nonzero(w > RANK_TOL * scale))
+    return w, v, _count(w > RANK_TOL * scale[..., None])
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -127,11 +166,13 @@ class GevdResult:
 
     ``b`` counts eigenvalues exceeding one (with a relative tie tolerance);
     the leading ``b`` columns of ``eigvecs`` span the block where A dominates B.
+    For a stack of pencils every field gains the stack's leading axes and
+    ``b`` is an integer array; the block properties need a single pencil.
     """
 
     eigvecs: np.ndarray
     eigvals: np.ndarray
-    b: int
+    b: int | np.ndarray
 
     @property
     def upper_vecs(self) -> np.ndarray:
@@ -148,14 +189,18 @@ def gevd_definite(a: np.ndarray, b: np.ndarray) -> GevdResult:
     """Generalized eigendecomposition of a Hermitian positive definite pencil.
 
     Solves A c = lambda B c for Hermitian positive definite A and B by
-    congruence: with W = B^{-1/2}, the eigenvectors Phi of W A W give
-    C = W Phi, which satisfies C^H A C = diag(lambda) and C^H B C = I.
+    congruence: with the Cholesky factor B = L L^H, the eigenvectors Phi of
+    L^{-1} A L^{-H} give C = L^{-H} Phi, which satisfies C^H A C = diag(lambda)
+    and C^H B C = I.  One Cholesky factorization and one ``eigh`` per pencil.
 
     Parameters
     ----------
     a, b : ndarray
-        Hermitian positive definite matrices of equal size.  An eigenvalue at
-        or below ``RANK_TOL`` times the largest counts as zero.
+        Hermitian positive definite matrices of equal size, or equal-shape
+        ``(..., n, n)`` stacks of them, solved in one batch.  A failed
+        Cholesky factorization of B, or an eigenvalue of A along the pencil
+        at or below ``RANK_TOL`` times the largest, raises
+        NotPositiveDefiniteError.
 
     Returns
     -------
@@ -169,27 +214,24 @@ def gevd_definite(a: np.ndarray, b: np.ndarray) -> GevdResult:
         raise DimensionMismatchError(
             f"pencil components differ in shape: {a.shape} vs {b.shape}"
         )
-    wb, vb = _eigh(b, "pencil component B")
-    if wb.size == 0:
-        return GevdResult(np.zeros((0, 0), dtype=complex), np.zeros(0), 0)
-    if wb.min() <= RANK_TOL * max(wb.max(), 0.0):
+    try:
+        chol_inv = np.linalg.inv(np.linalg.cholesky(b))
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
-            f"pencil component B has eigenvalue {wb.min():.3e}, not positive definite"
-        )
-    w_inv_half = (vb / np.sqrt(wb)) @ vb.conj().T
-    m = herm(w_inv_half @ a @ w_inv_half)
-    wm, vm = _eigh(m, "reduced pencil")
-    if wm.min() <= RANK_TOL * max(wm.max(), 0.0):
+            f"pencil component B is not positive definite: {exc}"
+        ) from exc
+    # eigh reads one triangle only, so the product needs no symmetrizing.
+    wm, vm = _eigh(chol_inv @ a @ ctrans(chol_inv), "reduced pencil")
+    low = wm.min(axis=-1, initial=np.inf)
+    bad = low <= RANK_TOL * wm.max(axis=-1, initial=0.0)
+    if _any(bad):
         raise NotPositiveDefiniteError(
-            f"pencil component A has eigenvalue {wm.min():.3e} along the pencil, "
+            f"pencil component A has eigenvalue {_first(low, bad):.3e} along the pencil, "
             "not positive definite"
         )
-    order = np.argsort(-wm, kind="stable")
-    eigvals = wm[order]
-    eigvecs = w_inv_half @ vm[:, order]
-    eps = 1e-9 * (1.0 + eigvals[0])
-    split = int(np.count_nonzero(eigvals > 1.0 + eps))
-    return GevdResult(eigvecs, eigvals, split)
+    eigvals, vm = _descending(wm, vm)
+    eps = 1e-9 * (1.0 + eigvals[..., :1])
+    return GevdResult(ctrans(chol_inv) @ vm, eigvals, _count(eigvals > 1.0 + eps))
 
 
 def projector(c: np.ndarray) -> np.ndarray:

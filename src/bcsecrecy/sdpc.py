@@ -25,6 +25,7 @@ from .linalg import (
     RANK_TOL,
     GevdResult,
     clamp_rate,
+    ctrans,
     gevd_definite,
     herm,
     herm_eig,
@@ -125,17 +126,39 @@ def _sized_constraint(s: np.ndarray, n_t: int) -> np.ndarray:
     return s
 
 
+def _root(w: np.ndarray, v: np.ndarray, rank: int | np.ndarray) -> np.ndarray:
+    """Hermitian root of a constraint from its ``psd_range`` decomposition,
+    with the eigenvalues past ``rank`` set to zero.  Works on stacks."""
+    kept = np.arange(w.shape[-1]) < np.expand_dims(rank, -1)
+    root = np.where(kept, np.sqrt(np.clip(w, 0.0, None)), 0.0)
+    return herm((v * root[..., None, :]) @ ctrans(v))
+
+
+def _pencil(s_sqrt: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R H^H H R + I, R G^H G R + I) for a Hermitian root R of the
+    constraint, or for a ``(k, n, n)`` stack of roots."""
+    eye = np.eye(s_sqrt.shape[-1])
+    return tuple(herm(s_sqrt @ (x.conj().T @ x) @ s_sqrt) + eye for x in (h, g))
+
+
+def _rates_bits(gevd: GevdResult) -> tuple[np.ndarray, np.ndarray]:
+    """Corner rates in bits: R1 = sum of ln lambda_i over the ``b`` leading
+    eigenvalues, R2 = -sum over the rest, each floored at zero.  Works on
+    the result of a stack of pencils."""
+    logs = np.log(gevd.eigvals)
+    upper = np.arange(logs.shape[-1]) < np.expand_dims(gevd.b, -1)
+    r1 = np.sum(logs, axis=-1, where=upper)
+    r2 = -np.sum(logs, axis=-1, where=~upper)
+    return clamp_rate(r1) / LN2, clamp_rate(r2) / LN2
+
+
 def build_pencil(ch: Channel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both components of the definite pencil for constraint ``s``.
 
     Returns (S^{1/2} H^H H S^{1/2} + I, S^{1/2} G^H G S^{1/2} + I); each is
     Hermitian with every eigenvalue >= 1, so the pencil is always definite.
     """
-    r = psd_sqrt(_sized_constraint(s, ch.n_t))
-    eye = np.eye(ch.n_t)
-    a = herm(r @ ch.gram_h() @ r) + eye
-    b = herm(r @ ch.gram_g() @ r) + eye
-    return a, b
+    return _pencil(psd_sqrt(_sized_constraint(s, ch.n_t)), ch.H, ch.G)
 
 
 def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
@@ -161,19 +184,13 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
     else:
         u_r = None
         h_r, g_r = ch.H, ch.G
-        s_sqrt = herm((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+        s_sqrt = _root(w, v, rank)
 
     n = s_sqrt.shape[0]
-    eye = np.eye(n)
-    a = herm(s_sqrt @ (h_r.conj().T @ h_r) @ s_sqrt) + eye
-    b = herm(s_sqrt @ (g_r.conj().T @ g_r) @ s_sqrt) + eye
-    gevd = gevd_definite(a, b)
+    gevd = gevd_definite(*_pencil(s_sqrt, h_r, g_r))
+    r1, r2 = _rates_bits(gevd)
 
-    lam = gevd.eigvals
     split = gevd.b
-    r1_nats = clamp_rate(np.sum(np.log(lam[:split])))
-    r2_nats = clamp_rate(-np.sum(np.log(lam[split:])))
-
     if split == 0:
         kt_work = np.zeros((n, n), dtype=complex)
     elif split == n:
@@ -184,11 +201,32 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
     sol = SdpcSolution(
         ch, s, gevd,
         np.zeros((ch.n_t, ch.n_t), dtype=complex),
-        CornerPoint(r1_nats / LN2, r2_nats / LN2, provenance="sdpc"),
+        CornerPoint(r1, r2, provenance="sdpc"),
         u_r=u_r, s_sqrt=s_sqrt,
     )
     sol.kt_star = sol.lift(kt_work)
     return sol
+
+
+def _stacked_corners(ch: Channel, s: np.ndarray) -> np.ndarray:
+    """Corner rates in bits, shape (k, 2), of a ``(k, n_t, n_t)`` stack of
+    constraints, every item solved in one batch of the kernels above.
+
+    Each item stays in the full transmit space: its root S^{1/2} keeps only
+    the eigenvalues above ``RANK_TOL`` times its scale.  A rank-deficient
+    item's pencil then has the eigenvalues of the reduced pencil of
+    ``solve_matrix_constraint`` plus n_t - rank eigenvalues equal to one up
+    to rounding, which change neither ``b`` nor the rates, so every rank
+    from 0 to n_t shares the stack.
+    """
+    s = np.asarray(s, dtype=complex)
+    if s.ndim != 3 or s.shape[1:] != (ch.n_t, ch.n_t):
+        raise DimensionMismatchError(
+            f"constraints must form a (k, {ch.n_t}, {ch.n_t}) stack, got shape {s.shape}"
+        )
+    # Nested so that each stage's stack is freed once the next one is built.
+    gevd = gevd_definite(*_pencil(_root(*psd_range(s, "constraint")), ch.H, ch.G))
+    return np.stack(_rates_bits(gevd), axis=-1)
 
 
 def orthogonality_defect(sol: SdpcSolution) -> float:

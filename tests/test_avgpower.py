@@ -358,6 +358,19 @@ class TestLargeBudgets:
         with pytest.raises(ValueError, match="supported range"):
             waterfill(np.array([0.9]), np.array([0.2]), np.array([1.0]), 1e300)
 
+    def test_high_snr_level_range_matches_waterfill(self):
+        # Its level 1/y^2 underflowed to 0.0 instead of raising.
+        args = (np.array([0.9]), np.array([0.2]), np.array([1.0]), 1e300)
+        messages = []
+        for fill in (waterfill, waterfill_high_snr):
+            with pytest.raises(ValueError, match=r"supported range \[0, ") as err:
+                fill(*args)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        # Zero-weak entries spend like 1/mu, so the same budget stays in range.
+        p, mu = waterfill_high_snr(np.array([0.9]), np.array([0.0]), np.array([1.0]), 1e300)
+        assert np.isfinite(p).all() and mu > 0.0
+
 
 SWEEP_CHANNELS = {
     "worked": lambda rng: Channel(FIG_H.copy(), FIG_G.copy()),

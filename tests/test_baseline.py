@@ -10,6 +10,7 @@ from bcsecrecy import (
     miso_region,
     region_sweep,
     search_region,
+    solve_matrix_constraint,
 )
 from bcsecrecy.baseline import sample_constraint
 from bcsecrecy.hull import pareto_hull
@@ -95,3 +96,55 @@ class TestSearchRegion:
         cap = pareto_hull([(p.c1, p.c2) for p in miso_region(mc, 10.0, 2001)])
         for x, y in est.hull.vertices:
             assert y <= cap.envelope(x) + 1e-5
+
+    def test_samples_match_single_solves(self):
+        # The one stacked solve gives each sample the corner of its own solve.
+        rng = np.random.default_rng(12)
+        for ch in (rand_channel(rng, 2), rand_channel(rng, 4, m1=4, m2=4)):
+            cfg = SearchConfig(samples=60, seed=4, pt=12.0)
+            got = [(p.R1, p.R2) for p in search_region(ch, cfg).points
+                   if p.provenance == "baseline-sample"]
+            children = np.random.SeedSequence(cfg.seed).spawn(cfg.samples)
+            for child, rates in zip(children, got, strict=True):
+                s = sample_constraint(ch.n_t, cfg.pt, np.random.default_rng(child))
+                sol = solve_matrix_constraint(ch, s)
+                assert np.max(np.abs(np.subtract(rates, (sol.corner.R1, sol.corner.R2)))) <= 1e-12
+
+    def test_zero_samples(self, fig_channel):
+        est = search_region(fig_channel, SearchConfig(samples=0, seed=0, pt=12.0))
+        assert {p.provenance for p in est.points} == {"sw-family"}
+        assert est.area > 0.0
+
+    def test_decompositions_do_not_grow_with_samples(self, fig_channel, monkeypatch):
+        counts = {"eigh": 0, "cholesky": 0}
+        for name in counts:
+            def counting(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _f(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        seen = []
+        for samples in (50, 200):
+            counts.update(eigh=0, cholesky=0)
+            search_region(fig_channel, SearchConfig(samples=samples, seed=1, pt=12.0))
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0]["cholesky"] == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("samples, pt, what", [
+    (-1, 12.0, "samples"),
+    (2.5, 12.0, "samples"),
+    (10, -1.0, "power"),
+    (10, float("nan"), "power"),
+    (10, float("inf"), "power"),
+])
+def test_search_inputs_checked(fig_channel, monkeypatch, samples, pt, what):
+    # Each raised something else, or only after sampling, before the check.
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before checking the inputs")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    with pytest.raises(ValueError, match=what):
+        search_region(fig_channel, SearchConfig(samples=samples, seed=0, pt=pt))

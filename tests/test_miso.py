@@ -93,21 +93,20 @@ class TestCapacityPoint:
 
 class TestLinearPoint:
     def test_covariance_decomposed_once(self, monkeypatch):
-        # One eigh of S_Q, two for the swapped-role 2x2 pencil; the channel is
-        # not reduced again.
+        # One eigh of S_Q, one Cholesky and one eigh for the swapped-role 2x2
+        # pencil; the channel is not reduced again.
         rng = np.random.default_rng(5)
         mc = rand_miso(rng, n=4)
         point = miso_capacity_point(mc, 10.0, 0.5)
-        eigh = np.linalg.eigh
-        calls = []
+        calls = {"eigh": [], "cholesky": []}
+        for name, shapes in calls.items():
+            def counting(a, *args, _f=getattr(np.linalg, name), _shapes=shapes, **kwargs):
+                _shapes.append(np.shape(a))
+                return _f(a, *args, **kwargs)
 
-        def counting_eigh(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+            monkeypatch.setattr(np.linalg, name, counting)
         miso_linear_point(mc, point)
-        assert calls == [(4, 4), (2, 2), (2, 2)]
+        assert calls == {"eigh": [(4, 4), (2, 2)], "cholesky": [(2, 2)]}
 
     def test_endpoints_equal_capacity(self):
         rng = np.random.default_rng(4)

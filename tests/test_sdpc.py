@@ -12,7 +12,7 @@ from bcsecrecy import (
 )
 from bcsecrecy.errors import DimensionMismatchError, NotPositiveSemidefiniteError
 from bcsecrecy.linalg import LN2, herm, rate_logdet
-from bcsecrecy.sdpc import build_pencil, rank_bound_check
+from bcsecrecy.sdpc import _stacked_corners, build_pencil, rank_bound_check
 from conftest import FIG_G, FIG_H, FIG_PT, cgauss, rand_channel, rand_psd
 
 
@@ -142,6 +142,50 @@ class TestSolveMatrixConstraint:
         h[0, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             Channel(h, FIG_G.copy())
+
+
+def constraints_of_every_rank(rng: np.random.Generator, n: int, per_rank: int = 3) -> np.ndarray:
+    """Random PSD constraints of rank 0 to n, ``per_rank`` of each."""
+    out = []
+    for r in range(n + 1):
+        for _ in range(per_rank):
+            f = cgauss(rng, (n, r))
+            out.append(herm(f @ f.conj().T) * float(rng.uniform(0.5, 12.0)))
+    return np.stack(out)
+
+
+class TestStackedCorners:
+    @pytest.mark.parametrize("name", ["worked", "random4x4", "one_antenna"])
+    def test_matches_single_solves(self, name):
+        rng = np.random.default_rng(30)
+        ch = {
+            "worked": Channel(FIG_H.copy(), FIG_G.copy()),
+            "random4x4": rand_channel(rng, 4, m1=4, m2=4),
+            "one_antenna": rand_channel(rng, 1),
+        }[name]
+        stack = constraints_of_every_rank(rng, ch.n_t)
+        rates = _stacked_corners(ch, stack)
+        assert rates.shape == (stack.shape[0], 2)
+        for s, got in zip(stack, rates):
+            sol = solve_matrix_constraint(ch, s)
+            assert np.max(np.abs(got - [sol.corner.R1, sol.corner.R2])) <= 1e-12
+
+    def test_zero_constraint_is_origin(self, fig_channel):
+        rates = _stacked_corners(fig_channel, np.zeros((3, 2, 2), dtype=complex))
+        assert np.array_equal(rates, np.zeros((3, 2)))
+
+    def test_empty_stack(self, fig_channel):
+        rates = _stacked_corners(fig_channel, np.zeros((0, 2, 2), dtype=complex))
+        assert rates.shape == (0, 2)
+
+    def test_rejects_bad_items(self, fig_channel):
+        good = np.eye(2, dtype=complex)
+        with pytest.raises(NotPositiveSemidefiniteError, match="constraint"):
+            _stacked_corners(fig_channel, np.stack([good, np.diag([1.0, -1.0])]))
+        with pytest.raises(ValueError, match="constraint"):
+            _stacked_corners(fig_channel, np.stack([good, np.full((2, 2), np.nan)]))
+        with pytest.raises(DimensionMismatchError):
+            _stacked_corners(fig_channel, good)
 
 
 class TestOrthogonalityDefect:
