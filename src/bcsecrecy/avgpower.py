@@ -12,6 +12,7 @@ Each split yields one rectangle corner; sweeping alpha and convexifying
 traces out the full region.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,7 +166,9 @@ def _fill(strong: np.ndarray, weak: np.ndarray, a: np.ndarray, budgets: np.ndarr
     takes a Newton step on log T against t (exact for T a power of mu), else
     against log(-t) (exact for T a power of -t, as subchannels open), else
     bisects, whichever stays in the bracket, until T meets the budget to
-    ``LEVEL_REL_TOL`` or the bracket cannot be split.
+    ``LEVEL_REL_TOL`` or the bracket cannot be split.  A block with one live
+    subchannel spends p = b/a at mu = mu_max / ((1 + s p)(1 + w p)), so its
+    search starts at that level and the first tolerance check ends it.
     """
     p = np.zeros((budgets.size, a.size))
     if not np.any(live):
@@ -189,10 +192,15 @@ def _fill(strong: np.ndarray, weak: np.ndarray, a: np.ndarray, budgets: np.ndarr
         # floor, mu < tiny * max(1, mu_max) or c > 1/tiny overflows float64.
         floor = np.log(np.finfo(float).tiny) + max(0.0, -np.log(mu_max))
         start = np.log(ratio) - 2.0 * (LN2 + np.logaddexp(0.0, np.log(b)[:, None] + np.log(s / a)))
-        t = np.maximum(floor, start.max(axis=1))
-        lo, hi = t, np.zeros_like(t)
+        lo = np.maximum(floor, start.max(axis=1))
+        t, hi = lo, np.zeros_like(lo)
+        if s.size == 1:
+            # The exact level may spend a rounding error under the budget, so
+            # the bracket starts at the floor, and only the floor can be short.
+            t = np.maximum(floor, -(np.log1p(s * b / a) + np.log1p(w * b / a)))
+            lo = np.full_like(t, floor)
         q, total, slope = spent(t)
-        short = spend & ~(total >= b)
+        short = spend & ~(total >= b) & (t <= lo)
         if np.any(short):
             raise ValueError(f"budget {b[short].max():.6g} is outside the supported range [0, "
                              f"{total[short][0]:.6g}]: its water level is below the float64 range")
@@ -303,20 +311,34 @@ class PowerAllocation:
         return np.concatenate([self.p1, self.p2])
 
 
-def check_split(alpha: float, pt: float) -> None:
-    """Reject a power split outside [0, 1] or a total power that is negative or not finite."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+def check_split(alpha: float | np.ndarray, pt: float) -> None:
+    """Reject a power split outside [0, 1] (or an array holding one) or a
+    total power that is negative or not finite."""
+    alpha = np.asarray(alpha, dtype=float)
+    bad = ~((0.0 <= alpha) & (alpha <= 1.0))
+    if bad.any():
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha[bad][0]}")
     if not 0.0 <= pt < np.inf:
         raise ValueError(f"total power must be finite and non-negative, got {pt}")
 
 
+def _check_count(value, name: str) -> None:
+    """Reject a count that is not an integer >= 0 (a bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 def split_grid(alpha_grid: int | np.ndarray) -> np.ndarray:
     """Power splits of a sweep: ``alpha_grid`` evenly spaced points of [0, 1],
-    or the given splits when ``alpha_grid`` is an array."""
+    or the given splits when ``alpha_grid`` is a 1-D array.  Any other count
+    or shape raises ValueError; the splits' domain is ``check_split``'s."""
     if np.isscalar(alpha_grid):
-        return np.linspace(0.0, 1.0, int(alpha_grid))
-    return np.asarray(alpha_grid, dtype=float)
+        _check_count(alpha_grid, "alpha_grid")
+        return np.linspace(0.0, 1.0, alpha_grid)
+    alphas = np.asarray(alpha_grid, dtype=float)
+    if alphas.ndim != 1:
+        raise ValueError(f"alpha_grid must be a count or a 1-D array, got shape {alphas.shape}")
+    return alphas
 
 
 def _split_fills(dc: DiagonalizedChannel, alphas: np.ndarray, pt: float):
@@ -354,8 +376,7 @@ def sweep_corners(
     """One corner per power split of the grid (see ``split_grid``), all
     splits water-filled in one batch per user."""
     alphas = split_grid(alpha_grid)
-    for alpha in alphas:
-        check_split(alpha, pt)
+    check_split(alphas, pt)
     (p1, _), (p2, _) = _split_fills(dc, alphas, pt)
     return [CornerPoint(r1, r2, alpha=float(alpha), provenance="avgpower")
             for alpha, r1, r2 in zip(alphas, *_rates(dc, p1, p2))]

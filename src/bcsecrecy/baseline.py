@@ -11,18 +11,20 @@ its own spawned substream, so results do not depend on evaluation order and a
 longer run strictly extends a shorter one with the same seed.
 """
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .avgpower import diagonalize, sweep_corners
+from .avgpower import _check_count, diagonalize, sweep_corners
 from .hull import RegionEstimate, estimate_region
 from .linalg import ctrans, herm
 from .sdpc import Channel, CornerPoint, _stacked_corners
 
 # Power splits of the structured water-filling family added to every search.
 SW_SPLITS = 101
+# Samples drawn and solved per stack, so a search's working memory does not
+# grow with its sample count.
+CHUNK = 256
 
 
 @dataclass
@@ -63,24 +65,28 @@ def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
 
     Sample i is drawn from the i-th spawned child of ``cfg.seed``; the
     factors are padded with zero columns to n_t x n_t, which leaves A A^H
-    unchanged, and all constraints are solved as one stack.
+    unchanged, and the constraints are solved in stacks of ``CHUNK``.
 
     Raises ValueError, before drawing anything, unless ``cfg.samples`` is an
     integer >= 0 and ``cfg.pt`` is finite and >= 0.
     """
     samples, pt = cfg.samples, cfg.pt
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 0:
-        raise ValueError(f"samples must be an integer >= 0, got {samples!r}")
+    _check_count(samples, "samples")
     if not 0.0 <= pt < np.inf:
         raise ValueError(f"total power must be finite and non-negative, got {pt}")
     n = ch.n_t
-    stack = np.zeros((samples, n, n), dtype=complex)
-    for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(samples)):
-        a = _factor(n, np.random.default_rng(child))
-        stack[i, :, : a.shape[1]] = a
-    stack = _normalized(stack, pt)
-    rates = _stacked_corners(ch, stack)
-    points = [CornerPoint(r1, r2, provenance="baseline-sample") for r1, r2 in rates.tolist()]
+    root = np.random.SeedSequence(cfg.seed)
+    points = []
+    # Successive spawns continue the children's numbering, so chunking leaves every draw as is.
+    for start in range(0, samples, CHUNK):
+        size = min(CHUNK, samples - start)
+        stack = np.zeros((size, n, n), dtype=complex)
+        for i, child in enumerate(root.spawn(size)):
+            a = _factor(n, np.random.default_rng(child))
+            stack[i, :, : a.shape[1]] = a
+        rates = _stacked_corners(ch, _normalized(stack, pt))
+        points.extend(CornerPoint(r1, r2, provenance="baseline-sample")
+                      for r1, r2 in rates.tolist())
     corners = sweep_corners(diagonalize(ch), pt, SW_SPLITS)
     points.extend(replace(c, provenance="sw-family") for c in corners)
     return estimate_region(points)

@@ -52,7 +52,7 @@ class RegionEstimate:
 def pareto_hull(points) -> Hull:
     """Upper-right hull of corner points or of an (n, 2) array of finite rate pairs."""
     if len(points) and isinstance(points[0], CornerPoint):
-        xy = np.array([[p.R1, p.R2] for p in points], dtype=float)
+        xy = np.fromiter(((p.R1, p.R2) for p in points), np.dtype((float, 2)), len(points))
     else:
         xy = np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.isfinite(xy).all():
@@ -65,6 +65,7 @@ def pareto_hull(points) -> Hull:
     x_max = xy[:, 0].max()
     y_max = xy[:, 1].max()
     pts = np.vstack([xy, [0.0, y_max], [x_max, 0.0]])
+    del xy  # a large cloud is held once, not twice, through the sort below
 
     # Keep only the highest point at each abscissa, sorted left to right.
     order = np.lexsort((-pts[:, 1], pts[:, 0]))

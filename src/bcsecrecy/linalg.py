@@ -185,6 +185,33 @@ class GevdResult:
         return self.eigvecs[:, self.b:]
 
 
+def _gevd_core(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and eigenvector matrix C of the Hermitian
+    pencil (A, B), or of a stack of them, by congruence with the Cholesky
+    factor of B, as in ``gevd_definite`` but without its check on A.
+
+    A caller whose A is positive definite by construction and that reads only
+    the principal pair uses this directly: an eigenvalue spread above
+    1 / ``RANK_TOL``, which ``gevd_definite`` rejects, costs that pair no
+    accuracy.
+    """
+    a = _check_hermitian(a, "pencil component A")
+    b = _check_hermitian(b, "pencil component B")
+    if a.shape != b.shape:
+        raise DimensionMismatchError(
+            f"pencil components differ in shape: {a.shape} vs {b.shape}"
+        )
+    try:
+        chol_inv = np.linalg.inv(np.linalg.cholesky(b))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            f"pencil component B is not positive definite: {exc}"
+        ) from exc
+    # eigh reads one triangle only, so the product needs no symmetrizing.
+    eigvals, vm = _descending(*_eigh(chol_inv @ a @ ctrans(chol_inv), "reduced pencil"))
+    return eigvals, ctrans(chol_inv) @ vm
+
+
 def gevd_definite(a: np.ndarray, b: np.ndarray) -> GevdResult:
     """Generalized eigendecomposition of a Hermitian positive definite pencil.
 
@@ -208,30 +235,16 @@ def gevd_definite(a: np.ndarray, b: np.ndarray) -> GevdResult:
         Eigenvalues descending (all positive), eigenvector matrix C, and the
         split index ``b`` = number of eigenvalues above 1 + 1e-9 * (1 + lambda_1).
     """
-    a = _check_hermitian(a, "pencil component A")
-    b = _check_hermitian(b, "pencil component B")
-    if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"pencil components differ in shape: {a.shape} vs {b.shape}"
-        )
-    try:
-        chol_inv = np.linalg.inv(np.linalg.cholesky(b))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"pencil component B is not positive definite: {exc}"
-        ) from exc
-    # eigh reads one triangle only, so the product needs no symmetrizing.
-    wm, vm = _eigh(chol_inv @ a @ ctrans(chol_inv), "reduced pencil")
-    low = wm.min(axis=-1, initial=np.inf)
-    bad = low <= RANK_TOL * wm.max(axis=-1, initial=0.0)
+    eigvals, eigvecs = _gevd_core(a, b)
+    low = eigvals.min(axis=-1, initial=np.inf)
+    bad = low <= RANK_TOL * eigvals.max(axis=-1, initial=0.0)
     if _any(bad):
         raise NotPositiveDefiniteError(
             f"pencil component A has eigenvalue {_first(low, bad):.3e} along the pencil, "
             "not positive definite"
         )
-    eigvals, vm = _descending(wm, vm)
     eps = 1e-9 * (1.0 + eigvals[..., :1])
-    return GevdResult(ctrans(chol_inv) @ vm, eigvals, _count(eigvals > 1.0 + eps))
+    return GevdResult(eigvecs, eigvals, _count(eigvals > 1.0 + eps))
 
 
 def projector(c: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .avgpower import check_split, reduce_nullspace, split_grid
 from .errors import DimensionMismatchError
-from .linalg import LN2, clamp_rate, gevd_definite, herm, psd_range
+from .linalg import LN2, _gevd_core, clamp_rate, ctrans, herm, psd_range
 from .sdpc import Channel
 
 
@@ -71,53 +71,90 @@ class MisoRegionPoint:
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate so the largest-magnitude entry is real positive."""
-    idx = int(np.argmax(np.abs(v)))
-    piv = v[idx]
-    if np.abs(piv) == 0.0:
-        return v
+    """Rotate each unit vector (last axis) so its largest-magnitude entry is real positive."""
+    piv = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], -1)
     return v * (piv.conj() / np.abs(piv))
 
 
-def _principal(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit-norm principal generalized eigenvector and eigenvalue of (a, b)."""
-    res = gevd_definite(a, b)
-    vec = res.eigvecs[:, 0]
-    return _fix_phase(vec / np.linalg.norm(vec)), float(res.eigvals[0])
+def _outer(v: np.ndarray) -> np.ndarray:
+    """v v^H of a vector, or of every vector of a stack (last axis)."""
+    return v[..., :, None] * v.conj()[..., None, :]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^H y of two vectors, or of every pair of a stack (last axis)."""
+    return np.sum(x.conj() * y, axis=-1)
+
+
+def _principal(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm principal generalized eigenvectors and eigenvalues of the
+    pencils (a, b), over a leading ``...`` axis.
+
+    Each pencil is I plus PSD terms, so definite by construction, and only its
+    principal pair is read.  ``gevd_definite``'s check on the smallest
+    eigenvalue, which rejects any spread above 1 / RANK_TOL, is skipped.
+    """
+    eigvals, eigvecs = _gevd_core(a, b)
+    vec = eigvecs[..., 0]
+    return _fix_phase(vec / np.linalg.norm(vec, axis=-1, keepdims=True)), eigvals[..., 0]
+
+
+def _capacity(mc: MisoChannel, pt: float, alphas: np.ndarray):
+    """(C1, C2) in bits, e1, and e2 and S_Q per split, for every split of
+    ``alphas`` (a 1-D array, or 0-d for one split), in the full antenna
+    space.  The channel is reduced and e1 solved once; the shrunk pencils of
+    all splits are one stack."""
+    check_split(alphas, pt)
+    ch_r, u_p, _ = reduce_nullspace(mc.as_channel())
+    h, g = ch_r.H[0].conj(), ch_r.G[0].conj()
+    eye = np.eye(h.size)
+    hh, gg = _outer(h), _outer(g)
+
+    e1, _ = _principal(eye + pt * hh, eye + pt * gg)
+    gain_h, gain_g = (float(np.abs(v.conj() @ e1) ** 2) for v in (h, g))
+    first, rest = alphas * pt, (1.0 - alphas) * pt
+    # The first user's beam appears as noise at both receivers: gamma1 is the
+    # ratio of those noises, and the second user's pencil shrinks by them.
+    noise_h, noise_g = 1.0 + first * gain_h, 1.0 + first * gain_g
+    e2, gamma2 = _principal(eye + (rest / noise_g)[..., None, None] * gg,
+                            eye + (rest / noise_h)[..., None, None] * hh)
+
+    s_q = herm(first[..., None, None] * _outer(e1) + rest[..., None, None] * _outer(e2))
+    c1, c2 = (clamp_rate(np.log(x)) / LN2 for x in (noise_h / noise_g, gamma2))
+    return c1, c2, u_p @ e1, e2 @ u_p.T, herm(u_p @ s_q @ ctrans(u_p))
 
 
 def miso_capacity_point(mc: MisoChannel, pt: float, alpha: float) -> MisoRegionPoint:
     """Capacity pair and attaining covariance for one power split."""
-    check_split(alpha, pt)
-    ch_r, u_p, _ = reduce_nullspace(mc.as_channel())
-    h = ch_r.H[0].conj()
-    g = ch_r.G[0].conj()
-    eye = np.eye(h.size)
-    hh = np.outer(h, h.conj())
-    gg = np.outer(g, g.conj())
+    c1, c2, e1, e2, s_q = _capacity(mc, pt, np.asarray(alpha, dtype=float))
+    return MisoRegionPoint(alpha, pt, float(c1), float(c2), e1, e2, s_q)
 
-    e1, _ = _principal(eye + pt * hh, eye + pt * gg)
-    gain_h = float(np.abs(h.conj() @ e1) ** 2)
-    gain_g = float(np.abs(g.conj() @ e1) ** 2)
-    gamma1 = (1.0 + alpha * pt * gain_h) / (1.0 + alpha * pt * gain_g)
-    c1 = clamp_rate(np.log(gamma1))
 
-    # The first user's beam appears as noise at both receivers.
-    shrink_g = (1.0 - alpha) * pt / (1.0 + alpha * pt * gain_g)
-    shrink_h = (1.0 - alpha) * pt / (1.0 + alpha * pt * gain_h)
-    e2, gamma2 = _principal(eye + shrink_g * gg, eye + shrink_h * hh)
-    c2 = clamp_rate(np.log(gamma2))
+def _loss_bits(mc: MisoChannel, pt: float, e1: np.ndarray, s_q: np.ndarray) -> np.ndarray:
+    """Beamforming loss in bits of each S_Q (leading ``...`` axis) with first
+    beam e1; zero where S_Q has rank below two."""
+    lam, v, rank = psd_range(s_q, "covariance")
+    full = np.asarray(rank >= 2)
+    if not full.any():
+        return np.zeros(full.shape)
+    # Rows of rank below two run with unit eigenvalues, and their loss is dropped.
+    lam = np.where(full[..., None], lam[..., :2], 1.0)
+    u_h = ctrans(v[..., :2])
+    h, g, e1 = u_h @ mc.h, u_h @ mc.g, u_h @ e1
+    eye = np.eye(2)
+    f1, _ = _principal(eye + pt * _outer(g), eye + pt * _outer(h))
 
-    s_q = herm(
-        alpha * pt * np.outer(e1, e1.conj())
-        + (1.0 - alpha) * pt * np.outer(e2, e2.conj())
-    )
-    return MisoRegionPoint(
-        alpha=alpha, pt=pt,
-        c1=c1 / LN2, c2=c2 / LN2,
-        e1=u_p @ e1, e2=u_p @ e2,
-        s_q=herm(u_p @ s_q @ u_p.conj().T),
-    )
+    def beam(direction: np.ndarray) -> np.ndarray:
+        scale = np.sum(np.abs(direction) ** 2 / lam, axis=-1) + np.abs(_dot(g, direction)) ** 2
+        return direction / np.sqrt(lam) / np.sqrt(scale)[..., None]
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # on the dropped rows
+        c1_vec, c2_vec = beam(e1), beam(f1)
+        p1c, p2c = (eye - _outer(c) / np.real(_dot(c, c))[..., None, None]
+                    for c in (c1_vec, c2_vec))
+        denom = np.real(_dot(c2_vec, (p1c @ c2_vec[..., None])[..., 0]))
+        coupling = _dot(c1_vec, (p2c @ p1c @ c2_vec[..., None])[..., 0])
+        return np.where(full, np.log1p(np.abs(coupling) ** 2 / denom**2) / LN2, 0.0)
 
 
 def miso_linear_point(mc: MisoChannel, point: MisoRegionPoint) -> MisoRegionPoint:
@@ -134,52 +171,19 @@ def miso_linear_point(mc: MisoChannel, point: MisoRegionPoint) -> MisoRegionPoin
     range is span{h, g}, so its leading eigenvectors are the working basis
     and S_Q^{-1/2} is diagonal there.
     """
-    lam, v, rank = psd_range(point.s_q, "covariance")
-    if rank < 2:
-        return replace(point, r1=point.c1, r2=point.c2, loss_bits=0.0)
-
-    u = v[:, :rank]
-    h = u.conj().T @ mc.h
-    g = u.conj().T @ mc.g
-    eye = np.eye(rank)
-    hh = np.outer(h, h.conj())
-    gg = np.outer(g, g.conj())
-    pt = point.pt
-    e1 = u.conj().T @ point.e1
-    f1, _ = _principal(eye + pt * gg, eye + pt * hh)
-
-    s_inv_half = np.diag(1.0 / np.sqrt(lam[:rank]))
-    s_inv = np.diag(1.0 / lam[:rank])
-
-    def beam(direction: np.ndarray) -> np.ndarray:
-        scale = np.real(direction.conj() @ (s_inv + gg) @ direction)
-        return (s_inv_half @ direction) / np.sqrt(scale)
-
-    c1_vec = beam(e1)
-    c2_vec = beam(f1)
-
-    def perp(v: np.ndarray) -> np.ndarray:
-        return eye - np.outer(v, v.conj()) / np.real(v.conj() @ v)
-
-    p1c = perp(c1_vec)
-    p2c = perp(c2_vec)
-    denom = float(np.real(c2_vec.conj() @ p1c @ c2_vec))
-    coupling = complex(c1_vec.conj() @ p2c @ p1c @ c2_vec)
-    loss_nats = float(np.log1p(np.abs(coupling) ** 2 / denom**2))
-    loss_bits = loss_nats / LN2
-    return replace(
-        point,
-        r1=clamp_rate(point.c1 - loss_bits),
-        r2=clamp_rate(point.c2 - loss_bits),
-        loss_bits=loss_bits,
-    )
+    loss = float(_loss_bits(mc, point.pt, point.e1, point.s_q))
+    return replace(point, r1=clamp_rate(point.c1 - loss), r2=clamp_rate(point.c2 - loss),
+                   loss_bits=loss)
 
 
-def miso_region(
-    mc: MisoChannel, pt: float, alpha_grid: int | np.ndarray = 101
-) -> list[MisoRegionPoint]:
-    """Capacity and beamforming pairs over a sweep of power splits (see ``split_grid``)."""
-    return [
-        miso_linear_point(mc, miso_capacity_point(mc, pt, float(al)))
-        for al in split_grid(alpha_grid)
-    ]
+def miso_region(mc: MisoChannel, pt: float,
+                alpha_grid: int | np.ndarray = 101) -> list[MisoRegionPoint]:
+    """Capacity and beamforming pairs over a sweep of power splits (see
+    ``split_grid``), all splits solved in one batch."""
+    alphas = split_grid(alpha_grid)
+    c1, c2, e1, e2, s_q = _capacity(mc, pt, alphas)
+    loss = _loss_bits(mc, pt, e1, s_q)
+    rates = zip(alphas.tolist(), c1.tolist(), c2.tolist(), e2, s_q,
+                clamp_rate(c1 - loss).tolist(), clamp_rate(c2 - loss).tolist(), loss.tolist())
+    return [MisoRegionPoint(al, pt, x1, x2, e1.copy(), y2, s, z1, z2, bits)
+            for al, x1, x2, y2, s, z1, z2, bits in rates]

@@ -5,6 +5,7 @@ import pytest
 
 from bcsecrecy import (
     Channel,
+    MisoChannel,
     allocate,
     corner_rates,
     diagonalize,
@@ -15,7 +16,9 @@ from bcsecrecy import (
     waterfill,
     waterfill_high_snr,
 )
+from bcsecrecy import avgpower
 from bcsecrecy.avgpower import (
+    LEVEL_REL_TOL,
     PowerAllocation,
     reduce_nullspace,
     sweep_corners,
@@ -319,6 +322,32 @@ class TestAllocateAndRates:
         nan = np.full(dc.n, np.nan)
         point = corner_rates(dc, PowerAllocation(0.5, nan[: dc.rho], nan[dc.rho:], 1.0, 1.0))
         assert np.isnan(point.R1) and np.isnan(point.R2)
+
+    def test_one_live_subchannel_exact_level(self, monkeypatch):
+        # Each block of this channel has one live subchannel, so its level is
+        # known in closed form and the search must end at its first tolerance
+        # check: one allowed iteration is then enough.  Rates from the bracketed
+        # search that started from a bound instead.
+        monkeypatch.setattr(avgpower, "LEVEL_MAX_ITER", 1)
+        h = np.array([0.8 + 0.3j, -0.5 + 1.1j])
+        g = np.array([0.4 - 0.9j, 1.2 + 0.2j])
+        dc = diagonalize(MisoChannel(h, g).as_channel())
+        assert (dc.rho, dc.n) == (1, 2)
+        searched = {
+            (0.3, 10.0): (0.2417779353804732, 0.5619426376375498),
+            (1.0, 10.0): (0.6854138804538125, 0.0),
+            (0.5, 1e8): (21.536027719967468, 21.69787854916671),
+            (0.7, 1e-6): (6.141758757624224e-08, 2.944678889022875e-08),
+        }
+        for (alpha, pt), (r1, r2) in searched.items():
+            alloc = allocate(dc, alpha, pt)
+            for p, a, budget in ((alloc.p1, dc.a[:1], alpha * pt),
+                                 (alloc.p2, dc.a[1:], (1 - alpha) * pt)):
+                assert abs(float(p @ a) - budget) <= LEVEL_REL_TOL * budget
+            got = corner_rates(dc, alloc)
+            assert abs(got.R1 - r1) <= 1e-12 and abs(got.R2 - r2) <= 1e-12
+        with pytest.raises(ValueError, match="supported range"):
+            allocate(dc, 0.5, 1e300)
 
     def test_alpha_validated(self, fig_channel):
         dc = diagonalize(fig_channel)

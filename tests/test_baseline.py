@@ -1,5 +1,7 @@
 """Randomized reference search: sampling, determinism, hull consistency."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from bcsecrecy import (
     Channel,
     MisoChannel,
     SearchConfig,
+    baseline,
     miso_region,
     region_sweep,
     search_region,
@@ -109,6 +112,32 @@ class TestSearchRegion:
                 s = sample_constraint(ch.n_t, cfg.pt, np.random.default_rng(child))
                 sol = solve_matrix_constraint(ch, s)
                 assert np.max(np.abs(np.subtract(rates, (sol.corner.R1, sol.corner.R2)))) <= 1e-12
+
+    def test_chunks_keep_every_draw(self, fig_channel, monkeypatch):
+        # Chunks of 16 spawn the children in pieces; sample i still draws from child i.
+        cfg = SearchConfig(samples=40, seed=7, pt=12.0)
+        whole = search_region(fig_channel, cfg)
+        monkeypatch.setattr(baseline, "CHUNK", 16)
+        chunked = search_region(fig_channel, cfg)
+        assert len(chunked.points) == len(whole.points)
+        for p, q in zip(chunked.points, whole.points):
+            assert p.provenance == q.provenance
+            assert abs(p.R1 - q.R1) <= 1e-12 and abs(p.R2 - q.R2) <= 1e-12
+        assert chunked.area == whole.area
+
+    def test_working_memory_does_not_grow_with_samples(self):
+        # The returned estimate holds one CornerPoint per sample (about 160
+        # bytes each), so the peak is compared beyond what it still holds.
+        ch = rand_channel(np.random.default_rng(13), 4, m1=4, m2=4)
+        extra = []
+        for samples in (2000, 20000):
+            tracemalloc.start()
+            est = search_region(ch, SearchConfig(samples=samples, seed=0, pt=12.0))
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert len(est.points) == samples + baseline.SW_SPLITS
+            extra.append(peak - held)
+        assert extra[1] - extra[0] <= 1_000_000
 
     def test_zero_samples(self, fig_channel):
         est = search_region(fig_channel, SearchConfig(samples=0, seed=0, pt=12.0))

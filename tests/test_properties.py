@@ -1,4 +1,5 @@
-"""Hypothesis properties of the stacked corner solve behind ``search_region``.
+"""Hypothesis properties of the stacked corner solve behind ``search_region``,
+and of the batched ``miso_region``.
 
 Channels and constraint factors are drawn entry by entry (complex, magnitude
 at most 10, zeros and tiny values included), with n_t from 1 to 6 and
@@ -9,11 +10,14 @@ B >= I gives lambda >= 1 / ||B||, so ln lambda moves by about eps ||A|| ||B||.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bcsecrecy import Channel, solve_matrix_constraint
+from bcsecrecy import Channel, MisoChannel, miso_region, solve_matrix_constraint
+from bcsecrecy.avgpower import reduce_nullspace
+from bcsecrecy.errors import ZeroChannelError
 from bcsecrecy.linalg import LN2, herm, rate_logdet
 from bcsecrecy.sdpc import _stacked_corners, build_pencil
 
@@ -90,3 +94,44 @@ def test_rates_scale_invariant(case, exponent):
     ch = Channel(h, g)
     scaled = _stacked_corners(Channel(c * h, c * g), stack / c**2)
     assert_close(scaled, _stacked_corners(ch, stack), ch, stack)
+
+
+@st.composite
+def miso_instances(draw):
+    """(h, g, pt, splits): n_t from 1 to 8, g = c h + eps e near collinear
+    (eps from 1e-12 to 1), pt from 1e-2 to 1e2 and a grid of 2 to 12 splits.
+
+    Beyond pt = 1e2 the reference solver's ``gevd_definite`` rejects some of
+    these pencils, whose eigenvalue spread then passes 1e10.
+    """
+    n = draw(st.integers(1, 8))
+    h = draw(hnp.arrays(complex, n, elements=ENTRIES))
+    e = draw(hnp.arrays(complex, n, elements=ENTRIES))
+    g = draw(ENTRIES) * h + 10.0 ** draw(st.integers(-12, 0)) * e
+    return h, g, 10.0 ** draw(st.integers(-2, 2)), draw(st.integers(2, 12))
+
+
+# Fewer examples than the corner properties: drawing the entries is most of
+# this file's time.
+@settings(SETTINGS, max_examples=60)
+@given(miso_instances())
+def test_miso_region_matches_matrix_solver(case):
+    h, g, pt, splits = case
+    mc = MisoChannel(h, g)
+    if not np.any(np.outer(h, h.conj()) + np.outer(g, g.conj())):
+        with pytest.raises(ZeroChannelError):
+            miso_region(mc, pt, splits)
+        return
+    points = miso_region(mc, pt, splits)
+    ch = mc.as_channel()
+    two_dim = reduce_nullspace(ch)[1].shape[1] == 2
+    for p in points:
+        # Each (C1, C2) is the corner of its own covariance S_Q when h and g
+        # span two dimensions.  With one, the corner can dominate the pair.
+        corner = solve_matrix_constraint(ch, p.s_q).corner
+        gaps = np.array([corner.R1 - p.c1, corner.R2 - p.c2])
+        tol = tolerance(ch, p.s_q)
+        assert np.all(np.abs(gaps) <= tol if two_dim else gaps >= -tol), (p, corner)
+        assert p.r1 <= p.c1 and p.r2 <= p.c2
+    c1, c2 = (np.array([getattr(p, f) for p in points]) for f in ("c1", "c2"))
+    assert np.all(np.diff(c1) >= -1e-12) and np.all(np.diff(c2) <= 1e-12)
