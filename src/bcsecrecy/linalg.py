@@ -235,9 +235,21 @@ def gevd_definite(a: np.ndarray, b: np.ndarray) -> GevdResult:
         Eigenvalues descending (all positive), eigenvector matrix C, and the
         split index ``b`` = number of eigenvalues above 1 + 1e-9 * (1 + lambda_1).
     """
-    eigvals, eigvecs = _gevd_core(a, b)
-    low = eigvals.min(axis=-1, initial=np.inf)
-    bad = low <= RANK_TOL * eigvals.max(axis=-1, initial=0.0)
+    return _checked_gevd(*_gevd_core(a, b))
+
+
+def _checked_gevd(
+    eigvals: np.ndarray, eigvecs: np.ndarray, tested: bool | np.ndarray = True
+) -> GevdResult:
+    """``gevd_definite``'s result from the output of ``_gevd_core``.
+
+    Raises NotPositiveDefiniteError when, in any pencil of a stack, the
+    smallest of the eigenvalues marked ``tested`` is at or below
+    ``RANK_TOL`` times the largest of them.  ``tested`` broadcasts against
+    ``eigvals``; by default every eigenvalue is tested.
+    """
+    low = np.min(eigvals, axis=-1, initial=np.inf, where=tested)
+    bad = low <= RANK_TOL * np.max(eigvals, axis=-1, initial=0.0, where=tested)
     if _any(bad):
         raise NotPositiveDefiniteError(
             f"pencil component A has eigenvalue {_first(low, bad):.3e} along the pencil, "

@@ -103,9 +103,9 @@ def loss_bounded_precoders(sol: SdpcSolution) -> LossReport:
 
     c1 = gevd.upper_vecs
     c2 = gevd.lower_vecs
-    p1c = np.eye(n) - projector(c1)
+    p1c = np.eye(ch.n_t) - projector(c1)
     p2 = projector(c2)
-    p2c = np.eye(n) - p2
+    p2c = np.eye(ch.n_t) - p2
 
     gram = herm(c2.conj().T @ p1c @ c2)
     n_mat = np.linalg.solve(gram, c2.conj().T @ p1c @ p2c @ c1)
@@ -120,8 +120,7 @@ def loss_bounded_precoders(sol: SdpcSolution) -> LossReport:
 
     s_sqrt = sol.s_sqrt
     pair = LinearPrecoderPair(
-        sol.lift(herm(s_sqrt @ p2c @ s_sqrt)),
-        sol.lift(herm(s_sqrt @ p2 @ s_sqrt)),
+        herm(s_sqrt @ p2c @ s_sqrt), herm(s_sqrt @ p2 @ s_sqrt)
     )
     exact = rate_evaluate(ch, pair)
     return LossReport(n_mat, loss_nats / LN2, guaranteed, exact)

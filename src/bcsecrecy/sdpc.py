@@ -11,8 +11,11 @@ one, user 1's rate is sum(ln lambda_i, i <= b) and user 2's is
 -sum(ln lambda_i, i > b).  The optimal input covariance for user 1 is
 K = S^{1/2} P S^{1/2} with P the projector onto the leading eigenvector block.
 
-Rank-deficient S is handled by restricting the channel to range(S) and lifting
-the covariance back, never by regularizing.
+Every solve uses the factor F = V diag(sqrt(w)) of S = V diag(w) V^H in place
+of S^{1/2}, with the columns past the rank of S set to zero, never
+regularized.  (F^H H^H H F + I, F^H G^H G F + I) has the eigenvalues above,
+and when C diagonalizes it, V C, with V cut to as many columns as F keeps,
+diagonalizes the pencil of S^{1/2}.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +27,8 @@ from .linalg import (
     LN2,
     RANK_TOL,
     GevdResult,
+    _checked_gevd,
+    _gevd_core,
     clamp_rate,
     ctrans,
     gevd_definite,
@@ -90,10 +95,10 @@ class CornerPoint:
 class SdpcSolution:
     """Corner-point solution for one (channel, matrix constraint) pair.
 
-    ``gevd`` lives in the working space: the full transmit space when S has
-    full rank, otherwise range(S) with ``u_r`` holding the orthonormal basis
-    used for the reduction.  ``kt_star`` and ``corner`` are always expressed
-    for the original channel.
+    Every field is in the transmit space.  ``gevd`` holds one eigenpair per
+    dimension of range(S), so ``gevd.eigvecs`` is n_t x ``rank``; its columns
+    diagonalize the pencil of the Hermitian root ``s_sqrt`` = S^{1/2}, as
+    built by ``build_pencil``.
     """
 
     channel: Channel
@@ -101,19 +106,13 @@ class SdpcSolution:
     gevd: GevdResult
     kt_star: np.ndarray
     corner: CornerPoint
-    u_r: np.ndarray | None = field(default=None, repr=False)
-    s_sqrt: np.ndarray | None = field(default=None, repr=False)
+    rank: int
+    s_sqrt: np.ndarray = field(repr=False)
 
     @property
     def s_reduced(self) -> bool:
         """Whether S was rank-deficient, so the pencil was solved on its range."""
-        return self.u_r is not None
-
-    def lift(self, a: np.ndarray) -> np.ndarray:
-        """Map a working-space matrix back to the full transmit space."""
-        if self.u_r is None:
-            return a
-        return self.u_r @ a @ self.u_r.conj().T
+        return self.rank < self.channel.n_t
 
 
 def _sized_constraint(s: np.ndarray, n_t: int) -> np.ndarray:
@@ -126,19 +125,19 @@ def _sized_constraint(s: np.ndarray, n_t: int) -> np.ndarray:
     return s
 
 
-def _root(w: np.ndarray, v: np.ndarray, rank: int | np.ndarray) -> np.ndarray:
-    """Hermitian root of a constraint from its ``psd_range`` decomposition,
-    with the eigenvalues past ``rank`` set to zero.  Works on stacks."""
+def _factor(w: np.ndarray, v: np.ndarray, rank: int | np.ndarray) -> np.ndarray:
+    """Range factor F = V diag(sqrt(w)) of a constraint from its
+    ``psd_range`` decomposition, with the columns past ``rank`` set to zero,
+    so F F^H is the constraint less its rounding noise.  Works on stacks."""
     kept = np.arange(w.shape[-1]) < np.expand_dims(rank, -1)
-    root = np.where(kept, np.sqrt(np.clip(w, 0.0, None)), 0.0)
-    return herm((v * root[..., None, :]) @ ctrans(v))
+    return v * np.where(kept, np.sqrt(np.clip(w, 0.0, None)), 0.0)[..., None, :]
 
 
-def _pencil(s_sqrt: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(R H^H H R + I, R G^H G R + I) for a Hermitian root R of the
-    constraint, or for a ``(k, n, n)`` stack of roots."""
-    eye = np.eye(s_sqrt.shape[-1])
-    return tuple(herm(s_sqrt @ (x.conj().T @ x) @ s_sqrt) + eye for x in (h, g))
+def _pencil(f: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F^H H^H H F + I, F^H G^H G F + I) for a factor F of the constraint
+    (n_t x r), or for a ``(k, n_t, r)`` stack of factors."""
+    eye = np.eye(f.shape[-1])
+    return tuple(herm(ctrans(xf) @ xf) + eye for xf in (h @ f, g @ f))
 
 
 def _rates_bits(gevd: GevdResult) -> tuple[np.ndarray, np.ndarray]:
@@ -164,68 +163,52 @@ def build_pencil(ch: Channel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
     """Corner point and optimal covariance under the matrix constraint ``s``.
 
-    ``s`` must be a Hermitian PSD matrix of the channel's transmit size.  It
-    is reduced to its range when rank-deficient, the pencil is solved there,
-    and the covariance split is lifted back.  Both rates come out
-    non-negative; ``b = 0`` or ``b = n`` collapse to (0, R2) and (R1, 0)
-    corners with covariance 0 and S respectively.
+    ``s`` must be a Hermitian PSD matrix of the channel's transmit size.  The
+    pencil is solved on range(S), through the first rank(S) columns V_r of
+    the eigenvectors, and its eigenvectors C come back as V_r C.  Both rates
+    come out non-negative; ``b = 0`` or ``b = rank`` collapse to (0, R2) and
+    (R1, 0) corners with covariance 0 and S respectively.  A zero constraint
+    gives an empty pencil, rates (0, 0) and covariance 0.
     """
     s = _sized_constraint(s, ch.n_t)
     w, v, rank = psd_range(s, "constraint")
-    s = herm(s)
+    v_r = v[:, :rank]
+    f = _factor(w, v, rank)[:, :rank]
 
-    # A zero constraint (rank 0) runs through the reduced path on an empty
-    # working space: an empty pencil, rates (0, 0) and covariance 0.
-    if rank < ch.n_t:
-        u_r = v[:, :rank]
-        h_r = ch.H @ u_r
-        g_r = ch.G @ u_r
-        s_sqrt = np.diag(np.sqrt(w[:rank])).astype(complex)
-    else:
-        u_r = None
-        h_r, g_r = ch.H, ch.G
-        s_sqrt = _root(w, v, rank)
-
-    n = s_sqrt.shape[0]
-    gevd = gevd_definite(*_pencil(s_sqrt, h_r, g_r))
+    gevd = gevd_definite(*_pencil(f, ch.H, ch.G))
     r1, r2 = _rates_bits(gevd)
-
-    split = gevd.b
-    if split == 0:
-        kt_work = np.zeros((n, n), dtype=complex)
-    elif split == n:
-        kt_work = herm(s_sqrt @ s_sqrt)
+    if gevd.b == rank:
+        kt_star = herm(f @ ctrans(f))
     else:
-        kt_work = herm(s_sqrt @ projector(gevd.upper_vecs) @ s_sqrt)
-
-    sol = SdpcSolution(
-        ch, s, gevd,
-        np.zeros((ch.n_t, ch.n_t), dtype=complex),
-        CornerPoint(r1, r2, provenance="sdpc"),
-        u_r=u_r, s_sqrt=s_sqrt,
+        kt_star = herm(f @ projector(gevd.upper_vecs) @ ctrans(f))
+    gevd.eigvecs = v_r @ gevd.eigvecs
+    return SdpcSolution(
+        ch, herm(s), gevd, kt_star, CornerPoint(r1, r2, provenance="sdpc"),
+        rank, herm(f @ ctrans(v_r)),
     )
-    sol.kt_star = sol.lift(kt_work)
-    return sol
 
 
 def _stacked_corners(ch: Channel, s: np.ndarray) -> np.ndarray:
     """Corner rates in bits, shape (k, 2), of a ``(k, n_t, n_t)`` stack of
     constraints, every item solved in one batch of the kernels above.
 
-    Each item stays in the full transmit space: its root S^{1/2} keeps only
-    the eigenvalues above ``RANK_TOL`` times its scale.  A rank-deficient
-    item's pencil then has the eigenvalues of the reduced pencil of
-    ``solve_matrix_constraint`` plus n_t - rank eigenvalues equal to one up
-    to rounding, which change neither ``b`` nor the rates, so every rank
-    from 0 to n_t shares the stack.
+    Each item keeps all n_t columns of its factor.  Those past its rank are
+    zero, so a rank-deficient item's pencil is the pencil of
+    ``solve_matrix_constraint`` plus an exact identity block.  The block's
+    n_t - rank eigenvalues of one change neither ``b`` nor the rates, so
+    every rank from 0 to n_t shares the stack.  They are left out of the
+    definiteness test, which then sees what ``solve_matrix_constraint``
+    sees: the rank eigenvalues farthest from one.
     """
     s = np.asarray(s, dtype=complex)
     if s.ndim != 3 or s.shape[1:] != (ch.n_t, ch.n_t):
         raise DimensionMismatchError(
             f"constraints must form a (k, {ch.n_t}, {ch.n_t}) stack, got shape {s.shape}"
         )
-    # Nested so that each stage's stack is freed once the next one is built.
-    gevd = gevd_definite(*_pencil(_root(*psd_range(s, "constraint")), ch.H, ch.G))
+    w, v, rank = psd_range(s, "constraint")
+    eigvals, eigvecs = _gevd_core(*_pencil(_factor(w, v, rank), ch.H, ch.G))
+    farthest = np.argsort(np.argsort(-np.abs(eigvals - 1.0), axis=-1), axis=-1)
+    gevd = _checked_gevd(eigvals, eigvecs, farthest < rank[:, None])
     return np.stack(_rates_bits(gevd), axis=-1)
 
 

@@ -10,11 +10,13 @@ from bcsecrecy import (
     loss_bounded_precoders,
     make_matrix_constraint,
     optimal_precoders,
+    orthogonality_defect,
     rate_evaluate,
     solve_matrix_constraint,
 )
 from bcsecrecy.errors import NotOrthogonalError
 from bcsecrecy.linalg import LN2, herm, projector
+from bcsecrecy.sdpc import build_pencil
 from conftest import FIG_PT, cgauss, rand_channel, rand_psd
 
 
@@ -132,6 +134,41 @@ class TestLossBounded:
             losses.append(loss_bounded_precoders(sol).loss_bits)
         assert losses[0] > 1e-3
         assert losses[-1] <= 1e-8
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_rank_deficient_constraint_matches_reduced_problem(self, n):
+        rng = np.random.default_rng(40 + n)
+        checked = 0
+        while checked < 5:
+            r = int(rng.integers(2, n))
+            ch = rand_channel(rng, n)
+            u = np.linalg.qr(cgauss(rng, (n, r)))[0]
+            w_r = rng.uniform(0.5, 2.0, r)
+            s = herm((u * w_r) @ u.conj().T)
+            sol = solve_matrix_constraint(ch, s)
+            gevd = sol.gevd
+            if not 0 < gevd.b < r:
+                continue
+            checked += 1
+            assert sol.s_reduced and sol.rank == r
+            reduced = solve_matrix_constraint(
+                Channel(ch.H @ u, ch.G @ u), np.diag(w_r).astype(complex)
+            )
+            report = loss_bounded_precoders(sol)
+            want = loss_bounded_precoders(reduced)
+            assert abs(orthogonality_defect(sol) - orthogonality_defect(reduced)) <= 1e-12
+            assert abs(report.loss_bits - want.loss_bits) <= 1e-12
+            assert report.n_mat.shape == want.n_mat.shape == (r - gevd.b, gevd.b)
+            for got, ref in ((report.exact, want.exact), (report.guaranteed, want.guaranteed)):
+                assert abs(got.R1 - ref.R1) <= 1e-12
+                assert abs(got.R2 - ref.R2) <= 1e-12
+
+            assert np.max(np.abs(sol.s_sqrt @ sol.s_sqrt - s)) <= 1e-12
+            a, b = build_pencil(ch, s)
+            c = gevd.eigvecs
+            assert c.shape == (n, r)
+            assert np.max(np.abs(c.conj().T @ a @ c - np.diag(gevd.eigvals))) <= 1e-10
+            assert np.max(np.abs(c.conj().T @ b @ c - np.eye(r))) <= 1e-10
 
 
 class TestDeterminantIdentities:

@@ -10,7 +10,11 @@ from bcsecrecy import (
     orthogonality_defect,
     solve_matrix_constraint,
 )
-from bcsecrecy.errors import DimensionMismatchError, NotPositiveSemidefiniteError
+from bcsecrecy.errors import (
+    DimensionMismatchError,
+    NotPositiveDefiniteError,
+    NotPositiveSemidefiniteError,
+)
 from bcsecrecy.linalg import LN2, herm, rate_logdet
 from bcsecrecy.sdpc import _stacked_corners, build_pencil, rank_bound_check
 from conftest import FIG_G, FIG_H, FIG_PT, cgauss, rand_channel, rand_psd
@@ -177,6 +181,25 @@ class TestStackedCorners:
     def test_empty_stack(self, fig_channel):
         rates = _stacked_corners(fig_channel, np.zeros((0, 2, 2), dtype=complex))
         assert rates.shape == (0, 2)
+
+    @pytest.mark.parametrize("m, weak", [(2, 0.0), (1, 0.0), (1, 100.0)])
+    def test_raises_like_single_solves(self, m, weak):
+        # A silent second user and S = diag(1e11, weak) give the pencil an
+        # eigenvalue of about 1e11 |h|^2.  With one receive antenna the other
+        # is one, a spread past 1 / RANK_TOL, but it lies on range(S) only
+        # when S has full rank.  The stack pads a rank-one S with an
+        # eigenvalue of one as well, which must not count.
+        ch = Channel(cgauss(np.random.default_rng(31), (m, 2)), np.zeros((2, 2), dtype=complex))
+        s = np.diag([1e11, weak]).astype(complex)
+        if weak > 0.0:
+            with pytest.raises(NotPositiveDefiniteError):
+                solve_matrix_constraint(ch, s)
+            with pytest.raises(NotPositiveDefiniteError):
+                _stacked_corners(ch, s[None])
+        else:
+            sol = solve_matrix_constraint(ch, s)
+            rates = _stacked_corners(ch, s[None])
+            assert np.max(np.abs(rates[0] - [sol.corner.R1, sol.corner.R2])) <= 1e-12
 
     def test_rejects_bad_items(self, fig_channel):
         good = np.eye(2, dtype=complex)
