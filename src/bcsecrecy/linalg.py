@@ -3,9 +3,9 @@
 Everything downstream (corner points, precoders, power allocation) reduces to
 a handful of primitives on small complex matrices: Hermitian eigendecomposition,
 the range and rank of a PSD matrix, PSD square roots, a definite generalized
-eigendecomposition, orthogonal projectors, and log-determinants.  They are
-collected here with explicit tolerance contracts so the rest of the package
-never touches raw LAPACK calls.
+eigendecomposition, orthonormal bases and projectors, and log-determinants.
+They are collected here with explicit tolerance contracts so the rest of the
+package never touches raw LAPACK calls.
 
 Conventions
 -----------
@@ -31,7 +31,7 @@ from .errors import (
 HERM_TOL = 1e-12     # Hermitian symmetry, scaled by 1 + max|entry|
 PSD_TOL = 1e-10      # admissible negative eigenvalue, scaled by spectral norm
 RANK_TOL = 1e-10     # eigenvalues below RANK_TOL * lambda_max count as zero
-COND_LIMIT = 1e12    # largest Gram-matrix condition number projector() accepts
+COND_LIMIT = 1e12    # largest Gram-matrix condition number _orth() and projector() accept
 
 LN2 = float(np.log(2.0))
 
@@ -259,25 +259,60 @@ def _checked_gevd(
     return GevdResult(eigvecs, eigvals, _count(eigvals > 1.0 + eps))
 
 
-def projector(c: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the column span of ``c``.
+def _orth(c: np.ndarray, complete: bool = False) -> np.ndarray:
+    """Orthonormal basis of the column span of ``c`` (n x k), by Householder QR.
 
-    ``c`` must have full column rank: the Gram matrix condition number must
-    stay below ``COND_LIMIT``.  An empty block projects onto nothing.
+    Returns Q (n x k), or with ``complete`` a unitary n x n [Q | Q_c] whose
+    last n - k columns span the orthogonal complement.  ``c`` must have full
+    column rank: the Gram matrix condition number, read off the singular
+    values of the k x k factor R, must stay below ``COND_LIMIT``.  An empty
+    block has an empty basis.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix of columns, got shape {c.shape}")
-    n, k = c.shape
-    if k == 0:
-        return np.zeros((n, n), dtype=complex)
-    u, s, _ = np.linalg.svd(c, full_matrices=False)
-    # cond(C^H C) = (s_max / s_min)^2
-    if s[-1] <= 0.0 or (s[0] / s[-1]) ** 2 >= COND_LIMIT:
-        raise RankDeficientError(
-            f"columns are numerically dependent (Gram condition >= {COND_LIMIT:.0e})"
-        )
-    return herm(u @ u.conj().T)
+    k = c.shape[1]
+    q, r = np.linalg.qr(c, mode="complete" if complete else "reduced")
+    if k:
+        # C = Q R with Q orthonormal, so cond(C^H C) = (s_max / s_min)^2 of R.
+        s = np.linalg.svd(r[:k], compute_uv=False)
+        if s.size < k or s[-1] <= 0.0 or (s[0] / s[-1]) ** 2 >= COND_LIMIT:
+            raise RankDeficientError(
+                f"columns are numerically dependent (Gram condition >= {COND_LIMIT:.0e})"
+            )
+    return q
+
+
+def projector(c: np.ndarray) -> np.ndarray:
+    """Orthogonal projector Q Q^H onto the column span of ``c``.
+
+    ``c`` must have full column rank: the Gram matrix condition number must
+    stay below ``COND_LIMIT``.  An empty block projects onto nothing.
+    """
+    q = _orth(c)
+    return herm(q @ ctrans(q))
+
+
+def _fix_phase(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Rotate each vector along ``axis`` (the last axis, or -2 for the columns
+    of a matrix) so its largest-magnitude entry is real positive."""
+    piv = np.take_along_axis(v, np.argmax(np.abs(v), axis=axis, keepdims=True), axis)
+    return v * (piv.conj() / np.abs(piv))
+
+
+def _chol_logs(a: np.ndarray) -> np.ndarray:
+    """2 ln diag(L) for the Cholesky factor L of a Hermitian positive definite
+    matrix, or of every matrix of a stack; only the lower triangle is read.
+
+    Their sum is ln det A.  The leading block of L is the factor of A's
+    leading block, so the sum of the first k is the log-determinant of A's
+    leading k x k block.
+    """
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"Cholesky failed, matrix not PD: {exc}") from exc
+    return 2.0 * np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1)))
 
 
 def logdet(a: np.ndarray) -> float:
@@ -285,11 +320,7 @@ def logdet(a: np.ndarray) -> float:
     a = _check_hermitian(a)
     if a.size == 0:
         return 0.0
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"Cholesky failed, matrix not PD: {exc}") from exc
-    return float(2.0 * np.sum(np.log(np.real(np.diag(chol)))))
+    return float(np.sum(_chol_logs(a)))
 
 
 def rate_logdet(h: np.ndarray, k: np.ndarray) -> float:

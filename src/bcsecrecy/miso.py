@@ -23,7 +23,7 @@ import numpy as np
 
 from .avgpower import check_split, reduce_nullspace, split_grid
 from .errors import DimensionMismatchError
-from .linalg import LN2, _gevd_core, clamp_rate, ctrans, herm, psd_range
+from .linalg import LN2, _fix_phase, _gevd_core, clamp_rate, ctrans, herm, psd_range
 from .sdpc import Channel
 
 
@@ -68,12 +68,6 @@ class MisoRegionPoint:
     r1: float | None = None
     r2: float | None = None
     loss_bits: float | None = None
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate each unit vector (last axis) so its largest-magnitude entry is real positive."""
-    piv = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], -1)
-    return v * (piv.conj() / np.abs(piv))
 
 
 def _outer(v: np.ndarray) -> np.ndarray:

@@ -6,6 +6,14 @@ codebooks reaches the corner exactly.  When they are not, projecting the
 constraint onto the second block and its complement still works, at a price
 no larger than ln det(I + N^H N) per user for an explicit coupling matrix N;
 that guaranteed rate is met with equality whenever it is positive.
+
+The loss-bounded pair is evaluated in factored form and never formed.  Its
+covariances and the n_t x n_t projectors behind them are only a means to the
+rates, and forming them costs several n_t^3 products each.  N needs only
+orthonormal QR bases of the two blocks.  The exact rates need, per receiver
+X, W = X S^{1/2} Q for the complete QR basis Q of the second block: one
+Cholesky factor of I + W^H W gives the log-determinants of both the full
+constraint and one user's share.
 """
 
 from dataclasses import dataclass
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOrthogonalError
-from .linalg import LN2, clamp_rate, herm, logdet, projector, rate_logdet
+from .linalg import LN2, _chol_logs, _orth, clamp_rate, ctrans, herm, logdet, rate_logdet
 from .sdpc import Channel, CornerPoint, SdpcSolution, orthogonality_defect
 
 # Largest block coupling accepted for the exact factorization.
@@ -32,6 +40,21 @@ class LinearPrecoderPair:
         return herm(self.cov_v1 + self.cov_v2)
 
 
+def _layered(h_total: float, h_k2: float, g_total: float, g_k1: float) -> CornerPoint:
+    """Layered-encoding secrecy rates in bits from the four log-determinants
+    ln det(I + X K X^H), in nats, of receiver X in {H, G} and covariance K in
+    {K1 + K2, K2} for H and {K1 + K2, K1} for G."""
+    r1 = h_total - h_k2 - g_k1
+    r2 = g_total - g_k1 - h_k2
+    return CornerPoint(clamp_rate(r1) / LN2, clamp_rate(r2) / LN2, provenance="linear")
+
+
+def _gram_logs(w: np.ndarray) -> np.ndarray:
+    """``_chol_logs`` of I + W^H W: its sum is ln det(I + W W^H), and the
+    sum of its first k entries the same for the first k columns of W."""
+    return _chol_logs(np.eye(w.shape[1]) + ctrans(w) @ w)
+
+
 def rate_evaluate(ch: Channel, pair: LinearPrecoderPair) -> CornerPoint:
     """Secrecy rates of a linear pair under layered encoding, in bits.
 
@@ -39,11 +62,9 @@ def rate_evaluate(ch: Channel, pair: LinearPrecoderPair) -> CornerPoint:
     so user 1 sees a clean leakage term and user 2 a clean interference-free
     term at the opposite receiver.  Rates are clamped at zero.
     """
-    k1, k2 = pair.cov_v1, pair.cov_v2
     total = pair.total
-    r1 = rate_logdet(ch.H, total) - rate_logdet(ch.H, k2) - rate_logdet(ch.G, k1)
-    r2 = rate_logdet(ch.G, total) - rate_logdet(ch.G, k1) - rate_logdet(ch.H, k2)
-    return CornerPoint(clamp_rate(r1) / LN2, clamp_rate(r2) / LN2, provenance="linear")
+    return _layered(rate_logdet(ch.H, total), rate_logdet(ch.H, pair.cov_v2),
+                    rate_logdet(ch.G, total), rate_logdet(ch.G, pair.cov_v1))
 
 
 def optimal_precoders(sol: SdpcSolution) -> LinearPrecoderPair:
@@ -71,7 +92,7 @@ class LossReport:
     ``n_mat`` measures the coupling between the blocks; both users give up at
     most ``loss_bits`` relative to the corner.  ``exact`` holds the actually
     achieved rates of the constructed pair, ``guaranteed`` the lower bound
-    max(0, corner - loss).
+    max(0, corner - loss).  The pair's covariances are not kept.
     """
 
     n_mat: np.ndarray
@@ -83,44 +104,50 @@ class LossReport:
 def loss_bounded_precoders(sol: SdpcSolution) -> LossReport:
     """Linear precoders with a certified distance from the corner point.
 
-    The covariances are S^{1/2} P2c S^{1/2} and S^{1/2} P2 S^{1/2}, with P2
-    the projector onto the second eigenvector block and P2c its complement.
-    Degenerate splits (b = 0 or b = n) have nothing to couple: the corner
-    itself is returned with zero loss.
+    The covariances are K1 = S^{1/2} P2c S^{1/2} and K2 = S^{1/2} P2 S^{1/2},
+    with P2 the projector onto the second eigenvector block C2 and P2c its
+    complement, and the coupling is N = (C2^H P1c C2)^{-1} C2^H P1c P2c C1.
+    Neither projector nor covariance is formed: only the rates of the pair
+    are returned, and they need only orthonormal bases.
+
+    * N comes from the QR bases Q1 of C1 and Q2 of C2:
+      C2^H P1c C2 = C2^H C2 - A^H A with A = Q1^H C2, and C2^H P2c = 0.
+    * With Q = [Q2 | Q2c] the complete QR basis of C2 and W = X S^{1/2} Q,
+      ln det(I + X K2 X^H) is the log-determinant of the leading block of
+      I + W^H W and ln det(I + X S X^H) that of the whole, so one Cholesky
+      factor per receiver gives both (Q2c's columns first for G, whose
+      layered term is K1).
+
+    Degenerate splits (b = 0 or b = rank) have nothing to couple: the pair is
+    the corner's (K*, S - K*), with zero loss.
     """
     gevd = sol.gevd
-    n = gevd.eigvals.size
-    b = gevd.b
     ch = sol.channel
-
-    if b == 0 or b == n:
-        pair = LinearPrecoderPair(sol.kt_star, herm(sol.s - sol.kt_star))
-        exact = rate_evaluate(ch, pair)
-        guaranteed = CornerPoint(
-            sol.corner.R1, sol.corner.R2, provenance="linear-guaranteed"
-        )
-        return LossReport(np.zeros((n - b, b), dtype=complex), 0.0, guaranteed, exact)
-
-    c1 = gevd.upper_vecs
-    c2 = gevd.lower_vecs
-    p1c = np.eye(ch.n_t) - projector(c1)
-    p2 = projector(c2)
-    p2c = np.eye(ch.n_t) - p2
-
-    gram = herm(c2.conj().T @ p1c @ c2)
-    n_mat = np.linalg.solve(gram, c2.conj().T @ p1c @ p2c @ c1)
-    loss_nats = logdet(np.eye(b) + herm(n_mat.conj().T @ n_mat))
-
-    r1_nats, r2_nats = (sol.corner.R1 * LN2, sol.corner.R2 * LN2)
+    b = gevd.b
+    k = gevd.eigvals.size - b
+    n_mat = np.zeros((k, b), dtype=complex)
+    root = sol.s_sqrt
+    if b and k:
+        c1, c2 = gevd.upper_vecs, gevd.lower_vecs
+        q1 = _orth(c1)
+        q = _orth(c2, complete=True)
+        a = ctrans(q1) @ c2
+        gram = herm(ctrans(c2) @ c2 - ctrans(a) @ a)
+        p2c_c1 = c1 - q[:, :k] @ (ctrans(q[:, :k]) @ c1)
+        n_mat = np.linalg.solve(gram, -ctrans(a) @ (ctrans(q1) @ p2c_c1))
+        root = root @ q
+        lead = k
+    else:
+        # User 2's covariance K2 is all of S when b = 0, and zero when b = rank.
+        lead = ch.n_t if b == 0 else 0
+    loss_bits = logdet(np.eye(b) + herm(ctrans(n_mat) @ n_mat)) / LN2
     guaranteed = CornerPoint(
-        clamp_rate(r1_nats - loss_nats) / LN2,
-        clamp_rate(r2_nats - loss_nats) / LN2,
+        clamp_rate(sol.corner.R1 - loss_bits),
+        clamp_rate(sol.corner.R2 - loss_bits),
         provenance="linear-guaranteed",
     )
 
-    s_sqrt = sol.s_sqrt
-    pair = LinearPrecoderPair(
-        herm(s_sqrt @ p2c @ s_sqrt), herm(s_sqrt @ p2 @ s_sqrt)
-    )
-    exact = rate_evaluate(ch, pair)
-    return LossReport(n_mat, loss_nats / LN2, guaranteed, exact)
+    h_logs = _gram_logs(ch.H @ root)
+    g_logs = _gram_logs(np.roll(ch.G @ root, -lead, axis=1))
+    exact = _layered(h_logs.sum(), h_logs[:lead].sum(), g_logs.sum(), g_logs[: ch.n_t - lead].sum())
+    return LossReport(n_mat, loss_bits, guaranteed, exact)

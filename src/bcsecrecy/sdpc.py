@@ -28,13 +28,14 @@ from .linalg import (
     RANK_TOL,
     GevdResult,
     _checked_gevd,
+    _fix_phase,
     _gevd_core,
+    _orth,
     clamp_rate,
     ctrans,
     gevd_definite,
     herm,
     herm_eig,
-    projector,
     psd_range,
     psd_sqrt,
 )
@@ -98,7 +99,9 @@ class SdpcSolution:
     Every field is in the transmit space.  ``gevd`` holds one eigenpair per
     dimension of range(S), so ``gevd.eigvecs`` is n_t x ``rank``; its columns
     diagonalize the pencil of the Hermitian root ``s_sqrt`` = S^{1/2}, as
-    built by ``build_pencil``.
+    built by ``build_pencil``.  Each column is rotated so that its
+    largest-magnitude entry is real positive, so the columns do not carry
+    the eigensolver's arbitrary phases.
     """
 
     channel: Channel
@@ -165,10 +168,11 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
 
     ``s`` must be a Hermitian PSD matrix of the channel's transmit size.  The
     pencil is solved on range(S), through the first rank(S) columns V_r of
-    the eigenvectors, and its eigenvectors C come back as V_r C.  Both rates
-    come out non-negative; ``b = 0`` or ``b = rank`` collapse to (0, R2) and
-    (R1, 0) corners with covariance 0 and S respectively.  A zero constraint
-    gives an empty pencil, rates (0, 0) and covariance 0.
+    the eigenvectors, and its eigenvectors C come back as V_r C, phases
+    pinned as ``SdpcSolution`` describes.  Both rates come out non-negative;
+    ``b = 0`` or ``b = rank`` collapse to (0, R2) and (R1, 0) corners with
+    covariance 0 and S respectively.  A zero constraint gives an empty
+    pencil, rates (0, 0) and covariance 0.
     """
     s = _sized_constraint(s, ch.n_t)
     w, v, rank = psd_range(s, "constraint")
@@ -177,11 +181,10 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
 
     gevd = gevd_definite(*_pencil(f, ch.H, ch.G))
     r1, r2 = _rates_bits(gevd)
-    if gevd.b == rank:
-        kt_star = herm(f @ ctrans(f))
-    else:
-        kt_star = herm(f @ projector(gevd.upper_vecs) @ ctrans(f))
-    gevd.eigvecs = v_r @ gevd.eigvecs
+    # K* = F P(C1) F^H = Y Y^H for Y = F Q1, Q1 an orthonormal basis of C1.
+    y = f if gevd.b == rank else f @ _orth(gevd.upper_vecs)
+    kt_star = herm(y @ ctrans(y))
+    gevd.eigvecs = _fix_phase(v_r @ gevd.eigvecs, axis=-2)
     return SdpcSolution(
         ch, herm(s), gevd, kt_star, CornerPoint(r1, r2, provenance="sdpc"),
         rank, herm(f @ ctrans(v_r)),

@@ -1,5 +1,7 @@
 """Kernel-level tests: eigensolvers, square roots, projectors, log-determinants."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,6 +15,7 @@ from bcsecrecy.errors import (
     RankDeficientError,
 )
 from bcsecrecy.linalg import (
+    COND_LIMIT,
     clamp_rate,
     gevd_definite,
     herm,
@@ -218,6 +221,31 @@ class TestProjector:
         c = np.ones((3, 2), dtype=complex)
         with pytest.raises(RankDeficientError):
             projector(c)
+
+    def test_more_columns_than_rows_rejected(self):
+        c = cgauss(np.random.default_rng(12), (3, 4))
+        with pytest.raises(RankDeficientError):
+            projector(c)
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-3, 1.0 - 1e-3])
+    def test_condition_limit_boundary(self, factor):
+        # C = U diag(s) V^H with cond(C^H C) = (s_max / s_min)^2 = COND_LIMIT * factor.
+        rng = np.random.default_rng(11)
+        n, k = 7, 4
+        u = np.linalg.qr(cgauss(rng, (n, k)))[0]
+        v = np.linalg.qr(cgauss(rng, (k, k)))[0]
+        ratio = np.sqrt(COND_LIMIT * factor)
+        s = np.array([ratio, ratio**0.7, ratio**0.2, 1.0])
+        c = (u * s) @ v.conj().T
+        if factor > 1.0:
+            message = f"columns are numerically dependent (Gram condition >= {COND_LIMIT:.0e})"
+            with pytest.raises(RankDeficientError, match=re.escape(message)):
+                projector(c)
+            return
+        p = projector(c)
+        assert np.max(np.abs(p - p.conj().T)) == 0.0
+        assert np.linalg.norm(p @ p - p) <= 1e-12
+        assert np.linalg.norm(p - u @ u.conj().T) <= 1e-9
 
 
 class TestLogdet:

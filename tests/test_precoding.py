@@ -20,6 +20,55 @@ from bcsecrecy.sdpc import build_pencil
 from conftest import FIG_PT, cgauss, rand_channel, rand_psd
 
 
+def _svd_projector(c):
+    u = np.linalg.svd(c, full_matrices=False)[0]
+    return u @ u.conj().T
+
+
+def _explicit_loss(sol):
+    """(n_mat, loss_bits, guaranteed, exact) of the loss-bounded pair built
+    explicitly: SVD projectors, formed covariances and ``rate_evaluate``."""
+    gevd, ch = sol.gevd, sol.channel
+    b, rank = gevd.b, gevd.eigvals.size
+    r1, r2 = sol.corner.R1, sol.corner.R2
+    if b in (0, rank):
+        pair = LinearPrecoderPair(sol.kt_star, herm(sol.s - sol.kt_star))
+        return np.zeros((rank - b, b)), 0.0, (r1, r2), rate_evaluate(ch, pair)
+    c1, c2 = gevd.upper_vecs, gevd.lower_vecs
+    eye = np.eye(ch.n_t)
+    p1c = eye - _svd_projector(c1)
+    p2 = _svd_projector(c2)
+    p2c = eye - p2
+    n_mat = np.linalg.solve(c2.conj().T @ p1c @ c2, c2.conj().T @ p1c @ p2c @ c1)
+    loss = np.linalg.slogdet(np.eye(b) + n_mat.conj().T @ n_mat)[1] / LN2
+    rt = sol.s_sqrt
+    pair = LinearPrecoderPair(herm(rt @ p2c @ rt), herm(rt @ p2 @ rt))
+    return n_mat, loss, (max(r1 - loss, 0.0), max(r2 - loss, 0.0)), rate_evaluate(ch, pair)
+
+
+def _split_cases():
+    """(channel, constraint, b): every n_t from 2 to 12, every constraint
+    rank, and every split b from 0 to the rank; then n_t = 40, and near-ties:
+    H ~ G, and H ~ G on all but three rows, which leaves pencil eigenvalues
+    within 1e-6 of one and the exact rates unclamped.  H with b rows and G
+    with rank - b rows put exactly b pencil eigenvalues above one; a zero
+    row stands in for an empty channel."""
+    rng = np.random.default_rng(61)
+    for n in range(2, 13):
+        for rank in range(1, n + 1):
+            u = np.linalg.qr(cgauss(rng, (n, rank)))[0]
+            s = herm((u * rng.uniform(0.5, 2.0, rank)) @ u.conj().T)
+            for b in range(rank + 1):
+                h, g = (cgauss(rng, (m, n)) if m else np.zeros((1, n)) for m in (b, rank - b))
+                yield Channel(h, g), s, b
+    yield rand_channel(rng, 40, 40, 40), rand_psd(rng, 40, trace=40.0), None
+    h = cgauss(rng, (6, 6))
+    near = h + 1e-6 * cgauss(rng, (6, 6))
+    yield Channel(h, near), rand_psd(rng, 6, trace=6.0), None
+    ch = Channel(np.vstack([h, cgauss(rng, (2, 6))]), np.vstack([near, cgauss(rng, (1, 6))]))
+    yield ch, rand_psd(rng, 6, trace=6.0), None
+
+
 def _orthogonal_solution(rng, ch, scale=2.0):
     dc = diagonalize(ch)
     s_w = make_matrix_constraint(dc, rng.uniform(0.1, scale, dc.n))
@@ -169,6 +218,21 @@ class TestLossBounded:
             assert c.shape == (n, r)
             assert np.max(np.abs(c.conj().T @ a @ c - np.diag(gevd.eigvals))) <= 1e-10
             assert np.max(np.abs(c.conj().T @ b @ c - np.eye(r))) <= 1e-10
+
+
+def test_factored_loss_matches_explicit_construction():
+    for ch, s, b in _split_cases():
+        sol = solve_matrix_constraint(ch, s)
+        assert b is None or sol.gevd.b == b
+        report = loss_bounded_precoders(sol)
+        n_mat, loss, guaranteed, exact = _explicit_loss(sol)
+        assert report.n_mat.shape == n_mat.shape
+        assert np.max(np.abs(report.n_mat - n_mat), initial=0.0) <= 1e-9
+        assert abs(report.loss_bits - loss) <= 1e-10
+        assert abs(report.guaranteed.R1 - guaranteed[0]) <= 1e-10
+        assert abs(report.guaranteed.R2 - guaranteed[1]) <= 1e-10
+        assert abs(report.exact.R1 - exact.R1) <= 1e-10
+        assert abs(report.exact.R2 - exact.R2) <= 1e-10
 
 
 class TestDeterminantIdentities:

@@ -6,6 +6,7 @@ import pytest
 from bcsecrecy import (
     Channel,
     diagonalize,
+    loss_bounded_precoders,
     make_matrix_constraint,
     orthogonality_defect,
     solve_matrix_constraint,
@@ -15,7 +16,7 @@ from bcsecrecy.errors import (
     NotPositiveDefiniteError,
     NotPositiveSemidefiniteError,
 )
-from bcsecrecy.linalg import LN2, herm, rate_logdet
+from bcsecrecy.linalg import LN2, _fix_phase, herm, rate_logdet
 from bcsecrecy.sdpc import _stacked_corners, build_pencil, rank_bound_check
 from conftest import FIG_G, FIG_H, FIG_PT, cgauss, rand_channel, rand_psd
 
@@ -106,6 +107,24 @@ class TestSolveMatrixConstraint:
         reduced = solve_matrix_constraint(Channel(ch.H @ u, ch.G @ u), d)
         assert sol.corner.R1 == pytest.approx(reduced.corner.R1, abs=1e-8)
         assert sol.corner.R2 == pytest.approx(reduced.corner.R2, abs=1e-8)
+
+    def test_eigvec_phases_pinned(self):
+        rng = np.random.default_rng(13)
+        for n, rank in ((2, 2), (3, 1), (5, 5), (6, 3), (9, 7)):
+            ch = rand_channel(rng, n)
+            u = np.linalg.qr(cgauss(rng, (n, rank)))[0]
+            sol = solve_matrix_constraint(ch, herm((u * rng.uniform(0.5, 2.0, rank)) @ u.conj().T))
+            c = sol.gevd.eigvecs
+            piv = c[np.argmax(np.abs(c), axis=0), np.arange(rank)]
+            assert np.all(piv.real > 0.0)
+            assert np.all(np.abs(piv.imag) <= 1e-15 * piv.real)
+
+            want = loss_bounded_precoders(sol).n_mat
+            sol.gevd.eigvecs = _fix_phase(c * np.exp(2j * np.pi * rng.uniform(size=rank)), axis=-2)
+            assert np.max(np.abs(sol.gevd.eigvecs - c)) <= 1e-14
+            got = loss_bounded_precoders(sol).n_mat
+            scale = 1.0 + np.abs(want).max(initial=0.0)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
 
     def test_zero_constraint_trivial(self, fig_channel):
         sol = solve_matrix_constraint(fig_channel, np.zeros((2, 2), dtype=complex))
