@@ -7,13 +7,17 @@ itself.  The Pareto hull of everything found is a lower estimate of the true
 region that the fast algorithms must essentially match.
 
 Sampling is deterministic per seed and per sample index: sample i draws from
-its own spawned substream, so results do not depend on evaluation order and a
-longer run strictly extends a shorter one with the same seed.
+the i-th ``SeedSequence.spawn`` child of the seed, so results do not depend on
+evaluation order and a longer run strictly extends a shorter one with the same
+seed.  The children's PCG64 seed words are hashed for a whole chunk at once
+(``_child_states``, numpy's SeedSequence hash on uint32 arrays), which gives
+the same streams as spawning them one by one at a fraction of the cost.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .avgpower import _check_count, diagonalize, sweep_corners
 from .hull import RegionEstimate, estimate_region
@@ -36,16 +40,107 @@ class SearchConfig:
     pt: float
 
 
-def _factor(n: int, rng: np.random.Generator) -> np.ndarray:
-    """The complex Gaussian factor A of ``sample_constraint``, n x k."""
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+MASK32 = 0xFFFFFFFF
+
+
+def _pool_state(words: list[np.ndarray]) -> np.ndarray:
+    """generate_state(4, np.uint64) of a SeedSequence whose assembled entropy
+    is ``words``, one uint32 array per word (shape (1,) or (m,)), as (m, 4).
+
+    The hash constants depend only on the number of words, so every child
+    of one batch takes the same steps on its own lane.
+    """
+    const = INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * MULT_A & MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    # Assembled entropy is never shorter than the pool: the run words are
+    # padded to 4 before a spawn key is appended.
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const = INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * MULT_B & MASK32
+        value = value * np.uint32(const)
+        out.append(value ^ (value >> np.uint32(16)))
+    state = np.stack(out, axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _child_states(entropy: int, start: int, count: int) -> np.ndarray:
+    """The (count, 4) uint64 words ``generate_state(4, np.uint64)`` gives for
+    children start, ..., start + count - 1 of ``SeedSequence(entropy).spawn``.
+
+    ``entropy`` is a non-negative integer (a SeedSequence's ``entropy``).
+    A child's assembled entropy is the seed's uint32 words, zero-padded to
+    4, then its spawn key i as one word, or two from 2**32 on, so a range
+    straddling 2**32 is hashed in two groups.
+    """
+    e = int(entropy)
+    run = [np.array([(e >> s) & MASK32], dtype=np.uint32)
+           for s in range(0, max(e.bit_length(), 1), 32)]
+    run += [np.zeros(1, dtype=np.uint32)] * (4 - len(run))
+    parts = []
+    lo, stop = start, start + count
+    while lo < stop:
+        width = max(1, -(-lo.bit_length() // 32))
+        hi = min(stop, 1 << 32 * width)
+        keys = np.arange(lo, hi, dtype=np.uint64).astype("<u8").view("<u4")
+        key_words = [keys[j::2].astype(np.uint32) for j in range(width)]
+        parts.append(_pool_state(run + key_words))
+        lo = hi
+    return np.concatenate(parts)
+
+
+class _ChildSeed(ISeedSequence):
+    """One child's precomputed PCG64 seed words, for ``np.random.PCG64``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _draw(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Write sqrt(2) times the real and imaginary parts of the complex
+    Gaussian factor A of ``sample_constraint`` into ``out[0]`` and
+    ``out[1]``, zeroed (2, n, n): A fills the leading k columns.
+
+    One (2, n, k) draw consumes the stream exactly as separate real and
+    imaginary (n, k) draws would.
+    """
+    n = out.shape[-1]
     k = n
     if n > 1 and rng.random() < 1.0 / 3.0:
         k = int(rng.integers(1, n))
-    return (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2.0)
+    out[:, :, :k] = rng.standard_normal((2, n, k))
 
 
-def _normalized(a: np.ndarray, pt: float) -> np.ndarray:
-    """pt * A A^H / tr(A A^H), for one factor or a stack of them."""
+def _normalized(parts: np.ndarray, pt: float) -> np.ndarray:
+    """pt * A A^H / tr(A A^H) for the A of drawn ``parts``, (..., 2, n, n)."""
+    a = (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2.0)
     b = herm(a @ ctrans(a))
     return pt * b / np.real(np.trace(b, axis1=-2, axis2=-1))[..., None, None]
 
@@ -55,36 +150,41 @@ def sample_constraint(n: int, pt: float, rng: np.random.Generator) -> np.ndarray
 
     S = pt * A A^H / tr(A A^H) for a complex Gaussian A; with probability 1/3
     A gets fewer than n columns (rank chosen uniformly) so singular
-    constraints are exercised too.
+    constraints are exercised too.  A is zero-padded to n x n, as in
+    ``search_region``, so both give the same S for the same stream.
     """
-    return _normalized(_factor(n, rng), pt)
+    parts = np.zeros((2, n, n))
+    _draw(rng, parts)
+    return _normalized(parts, pt)
 
 
 def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
     """Collect corners for sampled constraints and for the structured family.
 
-    Sample i is drawn from the i-th spawned child of ``cfg.seed``; the
-    factors are padded with zero columns to n_t x n_t, which leaves A A^H
-    unchanged, and the constraints are solved in stacks of ``CHUNK``.
+    Sample i is drawn from the i-th ``SeedSequence(cfg.seed).spawn`` child,
+    exactly as ``sample_constraint(n_t, pt, np.random.default_rng(child))``.
+    The children's seed words are hashed in one batch per chunk of ``CHUNK``
+    samples; the factors are padded with zero columns to n_t x n_t, which
+    leaves A A^H unchanged, and each chunk's constraints are solved as one
+    stack.
 
     Raises ValueError, before drawing anything, unless ``cfg.samples`` is an
-    integer >= 0 and ``cfg.pt`` is finite and >= 0.
+    integer >= 0 and ``cfg.pt`` is finite and >= 0; ``SeedSequence`` then
+    raises ValueError, still before any draw, for a negative seed.
     """
     samples, pt = cfg.samples, cfg.pt
     _check_count(samples, "samples")
     if not 0.0 <= pt < np.inf:
         raise ValueError(f"total power must be finite and non-negative, got {pt}")
     n = ch.n_t
-    root = np.random.SeedSequence(cfg.seed)
+    entropy = np.random.SeedSequence(cfg.seed).entropy
     points = []
-    # Successive spawns continue the children's numbering, so chunking leaves every draw as is.
     for start in range(0, samples, CHUNK):
         size = min(CHUNK, samples - start)
-        stack = np.zeros((size, n, n), dtype=complex)
-        for i, child in enumerate(root.spawn(size)):
-            a = _factor(n, np.random.default_rng(child))
-            stack[i, :, : a.shape[1]] = a
-        rates = _stacked_corners(ch, _normalized(stack, pt))
+        parts = np.zeros((size, 2, n, n))
+        for out, words in zip(parts, _child_states(entropy, start, size)):
+            _draw(np.random.Generator(np.random.PCG64(_ChildSeed(words))), out)
+        rates = _stacked_corners(ch, _normalized(parts, pt))
         points.extend(CornerPoint(r1, r2, provenance="baseline-sample")
                       for r1, r2 in rates.tolist())
     corners = sweep_corners(diagonalize(ch), pt, SW_SPLITS)

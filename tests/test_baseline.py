@@ -50,6 +50,21 @@ class TestSampleConstraint:
         np.testing.assert_array_equal(s1, s2)
 
 
+class TestChildStates:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 7, 2**64 + 3, 2**130 + 99,
+                                      np.uint64(2**63 + 5)])
+    @pytest.mark.parametrize("start", [0, 255, 256, 2**32 - 3])
+    def test_equal_numpy_spawn(self, seed, start):
+        # Child i of SeedSequence(seed).spawn is SeedSequence(seed, spawn_key=(i,)),
+        # built directly here: from 2**32 - 3 the eight children cross into
+        # two-word spawn keys, beyond what spawn can reach.
+        children = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(start, start + 8)]
+        want = [child.generate_state(4, np.uint64) for child in children]
+        got = baseline._child_states(np.random.SeedSequence(seed).entropy, start, 8)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, want)
+
+
 class TestSearchRegion:
     def test_reproducible(self, fig_channel):
         cfg = SearchConfig(samples=40, seed=11, pt=12.0)
@@ -112,6 +127,38 @@ class TestSearchRegion:
                 s = sample_constraint(ch.n_t, cfg.pt, np.random.default_rng(child))
                 sol = solve_matrix_constraint(ch, s)
                 assert np.max(np.abs(np.subtract(rates, (sol.corner.R1, sol.corner.R2)))) <= 1e-12
+
+    @pytest.mark.parametrize("chunk", [baseline.CHUNK, 16])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_constraints_equal_single_draws(self, monkeypatch, n, chunk):
+        # Sample i is, bit for bit, sample_constraint on the stream of child i.
+        stacks = []
+
+        def recording(ch, s, _solve=baseline._stacked_corners):
+            stacks.append(s.copy())
+            return _solve(ch, s)
+
+        monkeypatch.setattr(baseline, "_stacked_corners", recording)
+        monkeypatch.setattr(baseline, "CHUNK", chunk)
+        ch = rand_channel(np.random.default_rng(20 + n), n)
+        cfg = SearchConfig(samples=300, seed=2**32 + n, pt=12.0)
+        search_region(ch, cfg)
+        children = np.random.SeedSequence(cfg.seed).spawn(cfg.samples)
+        want = [sample_constraint(n, cfg.pt, np.random.default_rng(c)) for c in children]
+        assert np.array_equal(np.concatenate(stacks), want)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_swapped_channel_mirrors_region(self, n):
+        # Exchanging the users mirrors every sampled corner and keeps the area.
+        ch = rand_channel(np.random.default_rng(30 + n), n)
+        cfg = SearchConfig(samples=300, seed=n, pt=12.0)
+        est, swapped = search_region(ch, cfg), search_region(ch.swapped(), cfg)
+
+        def sampled(e):
+            return np.array([(p.R1, p.R2) for p in e.points if p.provenance == "baseline-sample"])
+
+        assert np.max(np.abs(sampled(swapped) - sampled(est)[:, ::-1])) <= 1e-10
+        assert abs(swapped.area - est.area) <= 1e-9 * est.area
 
     def test_chunks_keep_every_draw(self, fig_channel, monkeypatch):
         # Chunks of 16 spawn the children in pieces; sample i still draws from child i.
