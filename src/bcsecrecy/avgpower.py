@@ -263,8 +263,8 @@ def waterfill_high_snr(sigma_strong: np.ndarray, sigma_weak: np.ndarray, a: np.n
     With y = mu^{-1/2} these entries spend A y.  Entries with sigma_weak = 0
     grow like 1/mu instead, so their exact p_j = max(0, y^2/a_j - 1/sigma_strong_j)
     is kept, and the piecewise quadratic total A y + sum_j max(0, y^2 - a_j/sigma_strong_j)
-    is solved per active set like ``waterfill_capacity``.  Inputs are checked as in
-    ``waterfill``.
+    is solved per active set: exactly, when every sigma_weak is zero, as in
+    ``waterfill_capacity``.  Inputs are checked as in ``waterfill``.
     """
     s, w, a, budget, active = _check_fill(sigma_strong, sigma_weak, a, budget)
     if budget <= 0:
@@ -390,20 +390,17 @@ def region_sweep(ch: Channel, pt: float, alpha_grid: int | np.ndarray = 101) -> 
 def waterfill_capacity(h: np.ndarray, pt: float) -> float:
     """Point-to-point MIMO capacity ln det(I + H Q H^H) under trace(Q) <= pt, in bits.
 
-    Classic single-channel water-filling over the eigenvalues of H^H H,
-    solved exactly with the active-set recursion.
+    Classic single-channel water-filling over the eigenvalues of H^H H, by
+    ``waterfill_high_snr`` with every sigma_weak zero, where it is exact.
     """
+    check_split(1.0, pt)
     h = np.atleast_2d(np.asarray(h, dtype=complex))
     lam, _, rank = psd_range(herm(h.conj().T @ h), "channel Gram")
-    lam = lam[:rank]
-    if lam.size == 0 or pt <= 0:
+    if rank == 0:
         return 0.0
-    for k in range(lam.size, 0, -1):
-        level = (pt + np.sum(1.0 / lam[:k])) / k
-        if level >= 1.0 / lam[k - 1]:
-            break
-    p = np.clip(level - 1.0 / lam[:k], 0.0, None)
-    return float(np.sum(np.log1p(lam[:k] * p))) / LN2
+    lam = lam[:rank]
+    p, _ = waterfill_high_snr(lam, np.zeros(rank), np.ones(rank), pt)
+    return float(np.sum(np.log1p(lam * p))) / LN2
 
 
 def p2p_limit_check(ch: Channel, pt: float) -> tuple[float, float]:

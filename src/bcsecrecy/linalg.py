@@ -3,9 +3,8 @@
 Everything downstream (corner points, precoders, power allocation) reduces to
 a handful of primitives on small complex matrices: Hermitian eigendecomposition,
 the range and rank of a PSD matrix, PSD square roots, a definite generalized
-eigendecomposition, orthonormal bases and projectors, and log-determinants.
-They are collected here with explicit tolerance contracts so the rest of the
-package never touches raw LAPACK calls.
+eigendecomposition, checked projectors, and log-determinants.
+They are collected here with explicit tolerance contracts.
 
 Conventions
 -----------
@@ -31,7 +30,9 @@ from .errors import (
 HERM_TOL = 1e-12     # Hermitian symmetry, scaled by 1 + max|entry|
 PSD_TOL = 1e-10      # admissible negative eigenvalue, scaled by spectral norm
 RANK_TOL = 1e-10     # eigenvalues below RANK_TOL * lambda_max count as zero
-COND_LIMIT = 1e12    # largest Gram-matrix condition number _orth() and projector() accept
+# Largest Gram condition projector() accepts.  A definite pencil's eigenvector
+# blocks skip it: independent by construction, their scale is set by C^H B C = I.
+COND_LIMIT = 1e12
 
 LN2 = float(np.log(2.0))
 
@@ -259,20 +260,19 @@ def _checked_gevd(
     return GevdResult(eigvecs, eigvals, _count(eigvals > 1.0 + eps))
 
 
-def _orth(c: np.ndarray, complete: bool = False) -> np.ndarray:
-    """Orthonormal basis of the column span of ``c`` (n x k), by Householder QR.
+def projector(c: np.ndarray) -> np.ndarray:
+    """Orthogonal projector Q Q^H onto the column span of ``c`` (n x k), with
+    Q from a reduced Householder QR.
 
-    Returns Q (n x k), or with ``complete`` a unitary n x n [Q | Q_c] whose
-    last n - k columns span the orthogonal complement.  ``c`` must have full
-    column rank: the Gram matrix condition number, read off the singular
-    values of the k x k factor R, must stay below ``COND_LIMIT``.  An empty
-    block has an empty basis.
+    ``c`` must have full column rank: the Gram matrix condition number, read
+    off the singular values of the k x k factor R, must stay below
+    ``COND_LIMIT``.  An empty block projects onto nothing.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix of columns, got shape {c.shape}")
     k = c.shape[1]
-    q, r = np.linalg.qr(c, mode="complete" if complete else "reduced")
+    q, r = np.linalg.qr(c)
     if k:
         # C = Q R with Q orthonormal, so cond(C^H C) = (s_max / s_min)^2 of R.
         s = np.linalg.svd(r[:k], compute_uv=False)
@@ -280,16 +280,6 @@ def _orth(c: np.ndarray, complete: bool = False) -> np.ndarray:
             raise RankDeficientError(
                 f"columns are numerically dependent (Gram condition >= {COND_LIMIT:.0e})"
             )
-    return q
-
-
-def projector(c: np.ndarray) -> np.ndarray:
-    """Orthogonal projector Q Q^H onto the column span of ``c``.
-
-    ``c`` must have full column rank: the Gram matrix condition number must
-    stay below ``COND_LIMIT``.  An empty block projects onto nothing.
-    """
-    q = _orth(c)
     return herm(q @ ctrans(q))
 
 

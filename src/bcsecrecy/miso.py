@@ -10,8 +10,9 @@ generalized eigenvectors of 2x2 pencils.  For a power split alpha:
   the log of the largest generalized eigenvalue gamma2 of the same pencil
   with each rank-one term shrunk by its interference-laden noise power;
 * the covariance S_Q = alpha Pt e1 e1^H + (1 - alpha) Pt e2 e2^H (e2 the
-  principal eigenvector of the shrunk pencil) attains the pair exactly, and
-  the corner pencil of S_Q has lambda_1 = gamma1 and lambda_2 = 1/gamma2.
+  principal eigenvector of the shrunk pencil) attains the pair exactly when
+  h and g span two dimensions; its corner pencil then has lambda_1 = gamma1
+  and lambda_2 = 1/gamma2.
 
 A beamforming pair (c1, c2) derived from S_Q achieves both rates up to the
 same scalar loss ln(1 + |N|^2) as the general loss-bounded construction.
@@ -119,7 +120,13 @@ def _capacity(mc: MisoChannel, pt: float, alphas: np.ndarray):
 
 
 def miso_capacity_point(mc: MisoChannel, pt: float, alpha: float) -> MisoRegionPoint:
-    """Capacity pair and attaining covariance for one power split."""
+    """Capacity pair and attaining covariance for one power split.
+
+    When h and g span one dimension (n_t = 1, or collinear channels), S_Q
+    puts all of pt on one direction, whose own corner dominates (C1, C2):
+    h = 0, g = 1, pt = 1, alpha = 1 gives (0, 0), S_Q's corner (0, 1 bit).
+    The region's hull is unaffected.
+    """
     c1, c2, e1, e2, s_q = _capacity(mc, pt, np.asarray(alpha, dtype=float))
     return MisoRegionPoint(alpha, pt, float(c1), float(c2), e1, e2, s_q)
 
@@ -144,11 +151,9 @@ def _loss_bits(mc: MisoChannel, pt: float, e1: np.ndarray, s_q: np.ndarray) -> n
 
     with np.errstate(divide="ignore", invalid="ignore"):  # on the dropped rows
         c1_vec, c2_vec = beam(e1), beam(f1)
-        p1c, p2c = (eye - _outer(c) / np.real(_dot(c, c))[..., None, None]
-                    for c in (c1_vec, c2_vec))
-        denom = np.real(_dot(c2_vec, (p1c @ c2_vec[..., None])[..., 0]))
-        coupling = _dot(c1_vec, (p2c @ p1c @ c2_vec[..., None])[..., 0])
-        return np.where(full, np.log1p(np.abs(coupling) ** 2 / denom**2) / LN2, 0.0)
+        # |N|^2 for the scalar N = -(c2^H c2)^{-1} c2^H c1, as in precoding.
+        coupling = np.abs(_dot(c2_vec, c1_vec)) ** 2 / np.real(_dot(c2_vec, c2_vec)) ** 2
+        return np.where(full, np.log1p(coupling) / LN2, 0.0)
 
 
 def miso_linear_point(mc: MisoChannel, point: MisoRegionPoint) -> MisoRegionPoint:

@@ -4,16 +4,14 @@ When the two eigenvector blocks of the corner-point pencil are orthogonal,
 splitting the transmit covariance as (K, S - K) with independent Gaussian
 codebooks reaches the corner exactly.  When they are not, projecting the
 constraint onto the second block and its complement still works, at a price
-no larger than ln det(I + N^H N) per user for an explicit coupling matrix N;
-that guaranteed rate is met with equality whenever it is positive.
+no larger than ln det(I + N^H N) per user, for N = -(C2^H C2)^{-1} C2^H C1
+the least-squares fit of C1 on span C2 (the projector form of N reduces to it
+since P1c C1 = 0 and C2^H P2c = 0); that guaranteed rate is met with equality
+whenever it is positive.
 
-The loss-bounded pair is evaluated in factored form and never formed.  Its
-covariances and the n_t x n_t projectors behind them are only a means to the
-rates, and forming them costs several n_t^3 products each.  N needs only
-orthonormal QR bases of the two blocks.  The exact rates need, per receiver
-X, W = X S^{1/2} Q for the complete QR basis Q of the second block: one
-Cholesky factor of I + W^H W gives the log-determinants of both the full
-constraint and one user's share.
+The loss-bounded pair is never formed: forming its covariances and the
+projectors behind them costs several n_t^3 products each, and N and the exact
+rates need only one complete QR basis of the second block.
 """
 
 from dataclasses import dataclass
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOrthogonalError
-from .linalg import LN2, _chol_logs, _orth, clamp_rate, ctrans, herm, logdet, rate_logdet
+from .linalg import LN2, _chol_logs, clamp_rate, ctrans, herm, logdet, rate_logdet
 from .sdpc import Channel, CornerPoint, SdpcSolution, orthogonality_defect
 
 # Largest block coupling accepted for the exact factorization.
@@ -89,10 +87,10 @@ def optimal_precoders(sol: SdpcSolution) -> LinearPrecoderPair:
 class LossReport:
     """Loss-bounded linear scheme built from the second eigenvector block.
 
-    ``n_mat`` measures the coupling between the blocks; both users give up at
-    most ``loss_bits`` relative to the corner.  ``exact`` holds the actually
-    achieved rates of the constructed pair, ``guaranteed`` the lower bound
-    max(0, corner - loss).  The pair's covariances are not kept.
+    ``n_mat`` = -(C2^H C2)^{-1} C2^H C1 couples the blocks; both users give up
+    at most ``loss_bits`` = log2 det(I + N^H N) relative to the corner.
+    ``exact`` holds the actually achieved rates of the constructed pair,
+    ``guaranteed`` the lower bound max(0, corner - loss).
     """
 
     n_mat: np.ndarray
@@ -107,47 +105,34 @@ def loss_bounded_precoders(sol: SdpcSolution) -> LossReport:
     The covariances are K1 = S^{1/2} P2c S^{1/2} and K2 = S^{1/2} P2 S^{1/2},
     with P2 the projector onto the second eigenvector block C2 and P2c its
     complement, and the coupling is N = (C2^H P1c C2)^{-1} C2^H P1c P2c C1.
-    Neither projector nor covariance is formed: only the rates of the pair
-    are returned, and they need only orthonormal bases.
+    Neither projector nor covariance is formed: everything comes from the
+    complete QR basis Q = [Q2 | Q2c] of C2 = Q2 R2.
 
-    * N comes from the QR bases Q1 of C1 and Q2 of C2:
-      C2^H P1c C2 = C2^H C2 - A^H A with A = Q1^H C2, and C2^H P2c = 0.
-    * With Q = [Q2 | Q2c] the complete QR basis of C2 and W = X S^{1/2} Q,
-      ln det(I + X K2 X^H) is the log-determinant of the leading block of
-      I + W^H W and ln det(I + X S X^H) that of the whole, so one Cholesky
-      factor per receiver gives both (Q2c's columns first for G, whose
-      layered term is K1).
+    * C2^H P2c = 0 makes P2c C1 = C1 + C2 N the residual of the least-squares
+      fit N = -(C2^H C2)^{-1} C2^H C1 = -R2^{-1} Q2^H C1, and P1c C1 = 0
+      leaves C2^H P1c P2c C1 = C2^H P1c C2 N.
+    * With W = X S^{1/2} Q, ln det(I + X K2 X^H) is the log-determinant of
+      the leading block of I + W^H W and ln det(I + X S X^H) that of the
+      whole, so one Cholesky factor per receiver gives both (Q2c's columns
+      first for G, whose layered term is K1).
 
-    Degenerate splits (b = 0 or b = rank) have nothing to couple: the pair is
-    the corner's (K*, S - K*), with zero loss.
+    Degenerate splits (b = 0 or b = rank) take the same path: N is empty and
+    the pair is the corner's (K*, S - K*).
     """
     gevd = sol.gevd
     ch = sol.channel
-    b = gevd.b
-    k = gevd.eigvals.size - b
-    n_mat = np.zeros((k, b), dtype=complex)
-    root = sol.s_sqrt
-    if b and k:
-        c1, c2 = gevd.upper_vecs, gevd.lower_vecs
-        q1 = _orth(c1)
-        q = _orth(c2, complete=True)
-        a = ctrans(q1) @ c2
-        gram = herm(ctrans(c2) @ c2 - ctrans(a) @ a)
-        p2c_c1 = c1 - q[:, :k] @ (ctrans(q[:, :k]) @ c1)
-        n_mat = np.linalg.solve(gram, -ctrans(a) @ (ctrans(q1) @ p2c_c1))
-        root = root @ q
-        lead = k
-    else:
-        # User 2's covariance K2 is all of S when b = 0, and zero when b = rank.
-        lead = ch.n_t if b == 0 else 0
-    loss_bits = logdet(np.eye(b) + herm(ctrans(n_mat) @ n_mat)) / LN2
+    k = gevd.eigvals.size - gevd.b
+    q, r = np.linalg.qr(gevd.lower_vecs, mode="complete")
+    n_mat = -np.linalg.solve(r[:k], ctrans(q[:, :k]) @ gevd.upper_vecs)
+    loss_bits = logdet(np.eye(gevd.b) + herm(ctrans(n_mat) @ n_mat)) / LN2
     guaranteed = CornerPoint(
         clamp_rate(sol.corner.R1 - loss_bits),
         clamp_rate(sol.corner.R2 - loss_bits),
         provenance="linear-guaranteed",
     )
 
+    root = sol.s_sqrt @ q
     h_logs = _gram_logs(ch.H @ root)
-    g_logs = _gram_logs(np.roll(ch.G @ root, -lead, axis=1))
-    exact = _layered(h_logs.sum(), h_logs[:lead].sum(), g_logs.sum(), g_logs[: ch.n_t - lead].sum())
+    g_logs = _gram_logs(np.roll(ch.G @ root, -k, axis=1))
+    exact = _layered(h_logs.sum(), h_logs[:k].sum(), g_logs.sum(), g_logs[: ch.n_t - k].sum())
     return LossReport(n_mat, loss_bits, guaranteed, exact)

@@ -30,7 +30,6 @@ from .linalg import (
     _checked_gevd,
     _fix_phase,
     _gevd_core,
-    _orth,
     clamp_rate,
     ctrans,
     gevd_definite,
@@ -182,7 +181,7 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
     gevd = gevd_definite(*_pencil(f, ch.H, ch.G))
     r1, r2 = _rates_bits(gevd)
     # K* = F P(C1) F^H = Y Y^H for Y = F Q1, Q1 an orthonormal basis of C1.
-    y = f if gevd.b == rank else f @ _orth(gevd.upper_vecs)
+    y = f if gevd.b == rank else f @ np.linalg.qr(gevd.upper_vecs)[0]
     kt_star = herm(y @ ctrans(y))
     gevd.eigvecs = _fix_phase(v_r @ gevd.eigvecs, axis=-2)
     return SdpcSolution(

@@ -9,6 +9,13 @@ FIG_H = np.array([[0.3, 2.5], [2.2, 1.8]], dtype=complex)
 FIG_G = np.array([[1.3, 1.2], [1.5, 3.9]], dtype=complex)
 FIG_PT = 12.0
 
+# Under S = I the pencil (I + H^H H, I + G^H G) has eigenvalues
+# (1.21, 1.105, 0.625).  Its two leading eigenvectors are orthogonal, but
+# C^H B C = I scales them to norms of about 1e-7 and 0.71, so their Gram
+# matrix has condition about 5e13, past linalg.COND_LIMIT.
+SCALED_H = np.diag([1.1e7, 1.1, 0.5]).astype(complex)
+SCALED_G = np.diag([1e7, 1.0, 1.0]).astype(complex)
+
 
 @pytest.fixture
 def fig_channel() -> Channel:

@@ -485,3 +485,9 @@ class TestPointToPointLimit:
 
     def test_capacity_zero_channel(self):
         assert waterfill_capacity(np.zeros((2, 2), dtype=complex), 5.0) == 0.0
+
+    @pytest.mark.parametrize("pt", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("gain", [0.0, 1.0])
+    def test_capacity_rejects_bad_budget(self, pt, gain):
+        with pytest.raises(ValueError, match="total power"):
+            waterfill_capacity(gain * np.eye(2, dtype=complex), pt)

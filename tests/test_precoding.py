@@ -17,7 +17,7 @@ from bcsecrecy import (
 from bcsecrecy.errors import NotOrthogonalError
 from bcsecrecy.linalg import LN2, herm, projector
 from bcsecrecy.sdpc import build_pencil
-from conftest import FIG_PT, cgauss, rand_channel, rand_psd
+from conftest import FIG_PT, SCALED_G, SCALED_H, cgauss, rand_channel, rand_psd
 
 
 def _svd_projector(c):
@@ -50,7 +50,8 @@ def _split_cases():
     """(channel, constraint, b): every n_t from 2 to 12, every constraint
     rank, and every split b from 0 to the rank; then n_t = 40, and near-ties:
     H ~ G, and H ~ G on all but three rows, which leaves pencil eigenvalues
-    within 1e-6 of one and the exact rates unclamped.  H with b rows and G
+    within 1e-6 of one and the exact rates unclamped; last, eigenvector
+    blocks whose column norms differ by seven orders.  H with b rows and G
     with rank - b rows put exactly b pencil eigenvalues above one; a zero
     row stands in for an empty channel."""
     rng = np.random.default_rng(61)
@@ -67,6 +68,7 @@ def _split_cases():
     yield Channel(h, near), rand_psd(rng, 6, trace=6.0), None
     ch = Channel(np.vstack([h, cgauss(rng, (2, 6))]), np.vstack([near, cgauss(rng, (1, 6))]))
     yield ch, rand_psd(rng, 6, trace=6.0), None
+    yield Channel(SCALED_H, SCALED_G), np.eye(3), 2
 
 
 def _orthogonal_solution(rng, ch, scale=2.0):
@@ -149,6 +151,13 @@ class TestLossBounded:
             if report.guaranteed.R2 > 0:
                 assert report.exact.R2 == pytest.approx(report.guaranteed.R2, abs=1e-8)
         assert seen_loss > 0.0
+
+    def test_badly_scaled_orthogonal_blocks(self):
+        sol = solve_matrix_constraint(Channel(SCALED_H, SCALED_G), np.eye(3))
+        report = loss_bounded_precoders(sol)
+        assert report.loss_bits == 0.0
+        assert abs(report.exact.R1 - sol.corner.R1) <= 1e-12
+        assert abs(report.exact.R2 - sol.corner.R2) <= 1e-12
 
     def test_scalar_blocks_loss_formula(self, fig_channel):
         rng = np.random.default_rng(6)

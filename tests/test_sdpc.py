@@ -18,7 +18,7 @@ from bcsecrecy.errors import (
 )
 from bcsecrecy.linalg import LN2, _fix_phase, herm, rate_logdet
 from bcsecrecy.sdpc import _stacked_corners, build_pencil, rank_bound_check
-from conftest import FIG_G, FIG_H, FIG_PT, cgauss, rand_channel, rand_psd
+from conftest import FIG_G, FIG_H, FIG_PT, SCALED_G, SCALED_H, cgauss, rand_channel, rand_psd
 
 
 class TestBuildPencil:
@@ -107,6 +107,13 @@ class TestSolveMatrixConstraint:
         reduced = solve_matrix_constraint(Channel(ch.H @ u, ch.G @ u), d)
         assert sol.corner.R1 == pytest.approx(reduced.corner.R1, abs=1e-8)
         assert sol.corner.R2 == pytest.approx(reduced.corner.R2, abs=1e-8)
+
+    def test_badly_scaled_eigvec_block(self):
+        # The leading block is orthogonal but far from orthonormal; its QR
+        # basis is still exact.
+        sol = solve_matrix_constraint(Channel(SCALED_H, SCALED_G), np.eye(3))
+        assert sol.gevd.b == 2
+        assert np.max(np.abs(sol.kt_star - np.diag([1.0, 1.0, 0.0]))) <= 1e-12
 
     def test_eigvec_phases_pinned(self):
         rng = np.random.default_rng(13)
