@@ -288,7 +288,13 @@ def waterfill_high_snr(sigma_strong: np.ndarray, sigma_weak: np.ndarray, a: np.n
         raise ValueError(f"budget {budget:.6g} is outside the supported range [0, {top:.6g}]: "
                          "its water level is below the float64 range")
     p = k * y
-    p[zero_w] = np.clip(y * y / a[zero_w] - 1.0 / s[zero_w], 0.0, None)
+    if root.any():
+        p[zero_w] = np.clip(y * y / a[zero_w] - 1.0 / s[zero_w], 0.0, None)
+    else:
+        # y^2 = (budget + sum_{k<m} tau_k) / m, so y^2/a_j - tau_j/a_j from
+        # differences of tau does not cancel at low SNR: one live subchannel gets budget/a.
+        spread = np.sum(tau[:m, None] - a[zero_w] / s[zero_w], axis=0)
+        p[zero_w] = np.clip((budget + spread) / (m * a[zero_w]), 0.0, None)
     return p, 1.0 / (y * y)
 
 

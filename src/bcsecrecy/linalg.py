@@ -191,10 +191,10 @@ def _gevd_core(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pencil (A, B), or of a stack of them, by congruence with the Cholesky
     factor of B, as in ``gevd_definite`` but without its check on A.
 
-    A caller whose A is positive definite by construction and that reads only
-    the principal pair uses this directly: an eigenvalue spread above
-    1 / ``RANK_TOL``, which ``gevd_definite`` rejects, costs that pair no
-    accuracy.
+    ``sdpc``'s stacked corners call it directly and check only the
+    eigenvalues their rank makes meaningful (see ``_checked_gevd``).  The
+    MISO pencils, rank-one terms plus the identity, do not come here: they
+    have a closed form in ``miso``.
     """
     a = _check_hermitian(a, "pencil component A")
     b = _check_hermitian(b, "pencil component B")

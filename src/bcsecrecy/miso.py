@@ -1,30 +1,28 @@
 """Closed-form secrecy capacity region for two single-antenna receivers.
 
-With channel vectors h and g the whole region is expressible through
-generalized eigenvectors of 2x2 pencils.  For a power split alpha:
+All of it happens on span{h, g}, reduced once by ``reduce_nullspace`` to
+r <= 2 coordinates, where every pencil is (I + a x x^H, I + b y y^H) with a
+closed-form principal pair (``_principal``).  For a power split alpha:
 
-* user 1 transmits along e1, the principal generalized eigenvector of
-  (I + Pt h h^H, I + Pt g g^H), giving C1 = ln gamma1(alpha) with
-  gamma1 = (1 + alpha Pt |h^H e1|^2) / (1 + alpha Pt |g^H e1|^2);
-* user 2 sees both receivers through the interference of that beam, so C2 is
-  the log of the largest generalized eigenvalue gamma2 of the same pencil
-  with each rank-one term shrunk by its interference-laden noise power;
-* the covariance S_Q = alpha Pt e1 e1^H + (1 - alpha) Pt e2 e2^H (e2 the
-  principal eigenvector of the shrunk pencil) attains the pair exactly when
-  h and g span two dimensions; its corner pencil then has lambda_1 = gamma1
-  and lambda_2 = 1/gamma2.
+* user 1 transmits along e1, the principal vector of (I + Pt h h^H, I + Pt g g^H):
+  C1 = log gamma1, gamma1 = (1 + alpha Pt |h^H e1|^2) / (1 + alpha Pt |g^H e1|^2);
+* C2 = log gamma2 and e2 are the principal pair of the swapped pencil, each
+  rank-one term shrunk by the noise that beam leaves at its receiver;
+* S_Q = alpha Pt e1 e1^H + (1 - alpha) Pt e2 e2^H attains the pair when r = 2.
 
-A beamforming pair (c1, c2) derived from S_Q achieves both rates up to the
-same scalar loss ln(1 + |N|^2) as the general loss-bounded construction.
+Beams read off S_Q reach both rates up to the scalar loss ln(1 + |N|^2) of the
+general loss-bounded construction, also in closed form.  No LAPACK call
+follows the reduction; e1, e2 and S_Q enter the antenna space only as output.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .avgpower import check_split, reduce_nullspace, split_grid
 from .errors import DimensionMismatchError
-from .linalg import LN2, _fix_phase, _gevd_core, clamp_rate, ctrans, herm, psd_range
+from .linalg import LN2, _fix_phase, clamp_rate
 from .sdpc import Channel
 
 
@@ -71,52 +69,102 @@ class MisoRegionPoint:
     loss_bits: float | None = None
 
 
-def _outer(v: np.ndarray) -> np.ndarray:
-    """v v^H of a vector, or of every vector of a stack (last axis)."""
-    return v[..., :, None] * v.conj()[..., None, :]
+_TINY = np.finfo(float).tiny
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x^H y of two vectors, or of every pair of a stack (last axis)."""
-    return np.sum(x.conj() * y, axis=-1)
+def _det(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """det[x, y] of two 2-vectors, or of every pair of a stack (last axis)."""
+    return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
 
 
-def _principal(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm principal generalized eigenvectors and eigenvalues of the
-    pencils (a, b), over a leading ``...`` axis.
+def _exact_det(x: np.ndarray, y: np.ndarray) -> complex:
+    """``_det`` of two 2-vectors, correctly rounded: the products are exact
+    as integer ratios, so near-collinear x and y lose nothing to cancellation."""
+    (x0, x1), (y0, y1) = map(complex, x), map(complex, y)
 
-    Each pencil is I plus PSD terms, so definite by construction, and only its
-    principal pair is read.  ``gevd_definite``'s check on the smallest
-    eigenvalue, which rejects any spread above 1 / RANK_TOL, is skipped.
+    def exact(*pairs: tuple[float, float]) -> float:
+        ratios = [(p.as_integer_ratio(), q.as_integer_ratio()) for p, q in pairs]
+        den = max(pd * qd for (_, pd), (_, qd) in ratios)  # all powers of two
+        return sum(pn * qn * (den // (pd * qd)) for (pn, pd), (qn, qd) in ratios) / den
+
+    re = ((x0.real, y1.real), (-x0.imag, y1.imag), (-x1.real, y0.real), (x1.imag, y0.imag))
+    im = ((x0.real, y1.imag), (x0.imag, y1.real), (-x1.real, y0.imag), (-x1.imag, y0.real))
+    return complex(exact(*re), exact(*im))
+
+
+def _principal(a, x: np.ndarray, b, y: np.ndarray, cross: complex):
+    """Principal pair of the pencil (I + a x x^H, I + b y y^H): the unit
+    eigenvector v, phase pinned; mu, the eigenvalue being 1 + mu; and the
+    gains (|x^H v|^2, |y^H v|^2).  x and y have length r <= 2 (independent
+    when r = 2, ``cross`` = det[y, x]); a and b broadcast over a ``...`` axis.
+
+    Khisti and Wornell (IEEE Trans. IT 2010): on the basis (u, u_perp), u along
+    y, (I + b y y^H)^{-1/2} = diag(1/s, 1), s^2 = 1 + b |y|^2, whitens the pencil
+    to I + x_w x_w^H - y_w y_w^H.  mu is the positive root of mu^2 - d mu - c,
+    d = |x_w|^2 - |y_w|^2, c = |y_w|^2 |u_perp^H x_w|^2, and v is mapped back from
+    (mu + |y_w|^2) x_w - (y_w^H x_w) y_w.  u_perp^H x = cross / |y| is exact,
+    and nothing after it cancels.
     """
-    eigvals, eigvecs = _gevd_core(a, b)
-    vec = eigvecs[..., 0]
-    return _fix_phase(vec / np.linalg.norm(vec, axis=-1, keepdims=True)), eigvals[..., 0]
+    if x.size == 1:  # one dimension: a ratio of scalars
+        wy = b * abs(y[0]) ** 2
+        mu = (a * abs(x[0]) ** 2 - wy) / (1.0 + wy)
+        return np.ones(np.shape(mu) + (1,), dtype=complex), mu, (abs(x[0]) ** 2, abs(y[0]) ** 2)
+    (x0, x1), (y0, y1) = map(complex, x), map(complex, y)
+    rho = math.hypot(abs(y0), abs(y1))
+    u0, u1, xp = y0 / rho, y1 / rho, cross / rho
+    xu = (y0.conjugate() * x0 + y1.conjugate() * x1) / rho
+    w = b * rho ** 2
+    s2, eta2 = 1.0 + w, w / (1.0 + w)
+    d = a * (abs(xu) ** 2 / s2 + abs(xp) ** 2) - eta2
+    c = eta2 * a * abs(xp) ** 2
+    # With big the larger root magnitude, c / big + max(d, 0) is the positive
+    # root for either sign of d, and nothing cancels.
+    big = 0.5 * (abs(d) + np.hypot(d, 2.0 * c ** 0.5))
+    mu = c / np.maximum(big, _TINY) + np.maximum(d, 0.0)
+    # v on (u, u_perp), over sqrt(a) (mu + |y_w|^2), so that nothing under- or overflows.
+    ident = mu + eta2 == 0.0  # the pencil (I, I): v is the first axis, as eigh gives
+    if ident.any():
+        v1 = np.where(ident, u0.conjugate(), mu / np.where(ident, 1.0, mu + eta2) * xu / s2)
+        v2 = np.where(ident, -u1, xp)
+    else:
+        v1, v2 = mu / (mu + eta2) * xu / s2, xp
+    norm = np.hypot(abs(v1), abs(v2))
+    v1, v2 = v1 / norm, v2 / norm
+    vec = np.multiply.outer(v1, [u0, u1]) + np.multiply.outer(v2, [-u1.conjugate(), u0.conjugate()])
+    # For the eigenvector x^H v is a sum of non-negative terms and y^H v = |y| v1.
+    gains = abs(xu.conjugate() * v1 + xp.conjugate() * v2) ** 2, rho ** 2 * abs(v1) ** 2
+    return _fix_phase(vec), mu, gains
 
 
-def _capacity(mc: MisoChannel, pt: float, alphas: np.ndarray):
-    """(C1, C2) in bits, e1, and e2 and S_Q per split, for every split of
-    ``alphas`` (a 1-D array, or 0-d for one split), in the full antenna
-    space.  The channel is reduced and e1 solved once; the shrunk pencils of
-    all splits are one stack."""
-    check_split(alphas, pt)
+def _span(mc: MisoChannel):
+    """The reduced channel (h, g, det[g, h]) on an orthonormal basis u_p of
+    span{h, g}, vectors of length r <= 2, and u_p (n_t x r)."""
     ch_r, u_p, _ = reduce_nullspace(mc.as_channel())
     h, g = ch_r.H[0].conj(), ch_r.G[0].conj()
-    eye = np.eye(h.size)
-    hh, gg = _outer(h), _outer(g)
+    return (h, g, _exact_det(g, h) if h.size == 2 else 0j), u_p
 
-    e1, _ = _principal(eye + pt * hh, eye + pt * gg)
-    gain_h, gain_g = (float(np.abs(v.conj() @ e1) ** 2) for v in (h, g))
+
+def _capacity(span, pt: float, alphas: np.ndarray):
+    """(C1, C2) in bits, e1, e2 and the noise 1 + alpha pt |g^H e1|^2 per
+    split of ``alphas`` (1-D, or 0-d for one split), on the reduced span."""
+    check_split(alphas, pt)
+    h, g, cross = span
+    e1, _, (gain_h, gain_g) = _principal(pt, h, pt, g, cross)
     first, rest = alphas * pt, (1.0 - alphas) * pt
     # The first user's beam appears as noise at both receivers: gamma1 is the
     # ratio of those noises, and the second user's pencil shrinks by them.
     noise_h, noise_g = 1.0 + first * gain_h, 1.0 + first * gain_g
-    e2, gamma2 = _principal(eye + (rest / noise_g)[..., None, None] * gg,
-                            eye + (rest / noise_h)[..., None, None] * hh)
+    e2, mu2, _ = _principal(rest / noise_g, g, rest / noise_h, h, -cross)
+    c1, c2 = clamp_rate(np.log(noise_h / noise_g)) / LN2, np.log1p(clamp_rate(mu2)) / LN2
+    return c1, c2, e1, e2, noise_g
 
-    s_q = herm(first[..., None, None] * _outer(e1) + rest[..., None, None] * _outer(e2))
-    c1, c2 = (clamp_rate(np.log(x)) / LN2 for x in (noise_h / noise_g, gamma2))
-    return c1, c2, u_p @ e1, e2 @ u_p.T, herm(u_p @ s_q @ ctrans(u_p))
+
+def _lift(u_p: np.ndarray, pt: float, alphas: np.ndarray, e1: np.ndarray, e2: np.ndarray):
+    """e1, e2 and S_Q = alpha pt e1 e1^H + (1 - alpha) pt e2 e2^H in the antenna space."""
+    e1, e2 = u_p @ e1, e2 @ u_p.T
+    first, rest = (x[..., None, None] for x in (alphas * pt, (1.0 - alphas) * pt))
+    s_q = first * (e1[:, None] * e1.conj()) + rest * (e2[..., :, None] * e2.conj()[..., None, :])
+    return e1, e2, s_q
 
 
 def miso_capacity_point(mc: MisoChannel, pt: float, alpha: float) -> MisoRegionPoint:
@@ -127,50 +175,45 @@ def miso_capacity_point(mc: MisoChannel, pt: float, alpha: float) -> MisoRegionP
     h = 0, g = 1, pt = 1, alpha = 1 gives (0, 0), S_Q's corner (0, 1 bit).
     The region's hull is unaffected.
     """
-    c1, c2, e1, e2, s_q = _capacity(mc, pt, np.asarray(alpha, dtype=float))
-    return MisoRegionPoint(alpha, pt, float(c1), float(c2), e1, e2, s_q)
+    span, u_p = _span(mc)
+    alphas = np.asarray(alpha, dtype=float)
+    c1, c2, e1, e2, _ = _capacity(span, pt, alphas)
+    return MisoRegionPoint(alpha, pt, float(c1), float(c2), *_lift(u_p, pt, alphas, e1, e2))
 
 
-def _loss_bits(mc: MisoChannel, pt: float, e1: np.ndarray, s_q: np.ndarray) -> np.ndarray:
-    """Beamforming loss in bits of each S_Q (leading ``...`` axis) with first
-    beam e1; zero where S_Q has rank below two."""
-    lam, v, rank = psd_range(s_q, "covariance")
-    full = np.asarray(rank >= 2)
-    if not full.any():
+def _loss_bits(span, pt: float, alphas: np.ndarray, e1: np.ndarray, e2: np.ndarray,
+               noise_g: np.ndarray) -> np.ndarray:
+    """Beamforming loss in bits per split from ``_capacity``'s output; zero
+    where S_Q has rank below two.  With S_Q = E diag(F, R) E^H, E = [e1, e2],
+    F = alpha pt, R = (1 - alpha) pt and f1 the principal vector of
+    (I + pt g g^H, I + pt h h^H), the coupling |c2^H c1|^2 / |c2|^4 is
+    (P / W) (1 + F |g^H f1|^2 |det E|^2 / W) / noise_g, with P = |det[f1, e2]|^2
+    and W = P + |det[e1, f1]|^2 F / R."""
+    h, g, cross = span
+    first, rest = alphas * pt, (1.0 - alphas) * pt
+    full = (first > 0.0) & (rest > 0.0)
+    if h.size < 2 or not full.any():
         return np.zeros(full.shape)
-    # Rows of rank below two run with unit eigenvalues, and their loss is dropped.
-    lam = np.where(full[..., None], lam[..., :2], 1.0)
-    u_h = ctrans(v[..., :2])
-    h, g, e1 = u_h @ mc.h, u_h @ mc.g, u_h @ e1
-    eye = np.eye(2)
-    f1, _ = _principal(eye + pt * _outer(g), eye + pt * _outer(h))
-
-    def beam(direction: np.ndarray) -> np.ndarray:
-        scale = np.sum(np.abs(direction) ** 2 / lam, axis=-1) + np.abs(_dot(g, direction)) ** 2
-        return direction / np.sqrt(lam) / np.sqrt(scale)[..., None]
-
-    with np.errstate(divide="ignore", invalid="ignore"):  # on the dropped rows
-        c1_vec, c2_vec = beam(e1), beam(f1)
-        # |N|^2 for the scalar N = -(c2^H c2)^{-1} c2^H c1, as in precoding.
-        coupling = np.abs(_dot(c2_vec, c1_vec)) ** 2 / np.real(_dot(c2_vec, c2_vec)) ** 2
-        return np.where(full, np.log1p(coupling) / LN2, 0.0)
+    f1, _, (gain_f, _) = _principal(pt, g, pt, h, -cross)
+    p = np.abs(_det(f1, e2)) ** 2
+    w = p + np.abs(_det(e1, f1)) ** 2 * first / np.where(full, rest, 1.0)
+    # P / W <= 1 and F / W <= R / |det[e1, f1]|^2 stay finite; P = 0 where W = 0.
+    share, extra = (np.divide(v, w, out=np.zeros(np.shape(w)), where=full & (w > 0.0))
+                    for v in (p, first * gain_f * np.abs(_det(e1, e2)) ** 2))
+    return np.log1p(share * (1.0 + extra) / noise_g) / LN2
 
 
 def miso_linear_point(mc: MisoChannel, point: MisoRegionPoint) -> MisoRegionPoint:
     """Complete a capacity point with its beamforming rates.
 
-    The two beams are read off the attaining covariance: c1 along
-    S_Q^{-1/2} e1 and c2 along S_Q^{-1/2} f1 (f1 the principal generalized
-    eigenvector with the receiver roles swapped), each normalized against the
-    second receiver's pencil component.  Both users then lose exactly
-    ln(1 + |N|^2) for a scalar coupling N, clamped at zero.
-
-    When S_Q collapses to rank one (alpha at 0 or 1, or collinear channels)
-    there is only one beam and nothing couples: loss is zero.  Otherwise its
-    range is span{h, g}, so its leading eigenvectors are the working basis
-    and S_Q^{-1/2} is diagonal there.
+    The beams c1 along S_Q^{-1/2} e1 and c2 along S_Q^{-1/2} f1 (f1 with the
+    receiver roles swapped), each normalized against the second receiver's
+    pencil component, both lose exactly ln(1 + |N|^2), clamped at zero.  When
+    S_Q has rank one (alpha at 0 or 1, or collinear channels) the loss is zero.
     """
-    loss = float(_loss_bits(mc, point.pt, point.e1, point.s_q))
+    span, _ = _span(mc)
+    alpha = np.asarray(point.alpha, dtype=float)
+    loss = float(_loss_bits(span, point.pt, alpha, *_capacity(span, point.pt, alpha)[2:]))
     return replace(point, r1=clamp_rate(point.c1 - loss), r2=clamp_rate(point.c2 - loss),
                    loss_bits=loss)
 
@@ -178,10 +221,12 @@ def miso_linear_point(mc: MisoChannel, point: MisoRegionPoint) -> MisoRegionPoin
 def miso_region(mc: MisoChannel, pt: float,
                 alpha_grid: int | np.ndarray = 101) -> list[MisoRegionPoint]:
     """Capacity and beamforming pairs over a sweep of power splits (see
-    ``split_grid``), all splits solved in one batch."""
+    ``split_grid``), all splits solved in one batch on the reduced span."""
     alphas = split_grid(alpha_grid)
-    c1, c2, e1, e2, s_q = _capacity(mc, pt, alphas)
-    loss = _loss_bits(mc, pt, e1, s_q)
+    span, u_p = _span(mc)
+    c1, c2, e1, e2, noise_g = _capacity(span, pt, alphas)
+    loss = _loss_bits(span, pt, alphas, e1, e2, noise_g)
+    e1, e2, s_q = _lift(u_p, pt, alphas, e1, e2)
     rates = zip(alphas.tolist(), c1.tolist(), c2.tolist(), e2, s_q,
                 clamp_rate(c1 - loss).tolist(), clamp_rate(c2 - loss).tolist(), loss.tolist())
     return [MisoRegionPoint(al, pt, x1, x2, e1.copy(), y2, s, z1, z2, bits)

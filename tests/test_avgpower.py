@@ -483,6 +483,14 @@ class TestPointToPointLimit:
         want = (np.log(2.125) + np.log(8.5)) / LN2
         assert waterfill_capacity(h, 3.0) == pytest.approx(want, rel=1e-10)
 
+    def test_capacity_exact_at_low_snr(self):
+        # One live subchannel gets the whole budget, so the capacity is
+        # log1p(lambda pt) to rounding.  Forming each power as y^2 - 1/lambda,
+        # a difference of two numbers near 1/lambda, was off by 5.3e-10 here.
+        h = np.array([[np.sqrt(3.3e-5)]], dtype=complex)
+        want = np.log1p(abs(h[0, 0]) ** 2 * 0.011) / LN2
+        assert abs(waterfill_capacity(h, 0.011) - want) <= 1e-15 * want
+
     def test_capacity_zero_channel(self):
         assert waterfill_capacity(np.zeros((2, 2), dtype=complex), 5.0) == 0.0
 

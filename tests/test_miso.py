@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bcsecrecy import (
     MisoChannel,
@@ -13,7 +14,8 @@ from bcsecrecy import (
     solve_matrix_constraint,
 )
 from bcsecrecy.errors import ZeroChannelError
-from bcsecrecy.linalg import LN2
+from bcsecrecy.linalg import LN2, _fix_phase
+from bcsecrecy.miso import _exact_det, _principal
 from conftest import cgauss
 
 
@@ -112,15 +114,15 @@ class TestCapacityPoint:
 
 
 class TestLinearPoint:
-    def test_covariance_decomposed_once(self, monkeypatch):
-        # One eigh of S_Q, one Cholesky and one eigh for the swapped-role 2x2
-        # pencil; the channel is not reduced again.
+    def test_one_decomposition(self, monkeypatch):
+        # One eigh of the channel's Gram sum to reduce it; the split's pencils,
+        # the swapped-role pencil and the coupling are closed form after it.
         rng = np.random.default_rng(5)
         mc = rand_miso(rng, n=4)
         point = miso_capacity_point(mc, 10.0, 0.5)
         calls = count_decompositions(monkeypatch)
         miso_linear_point(mc, point)
-        assert calls == {"eigh": [(4, 4), (2, 2)], "cholesky": [(2, 2)]}
+        assert calls == {"eigh": [(4, 4)], "cholesky": []}
 
     def test_endpoints_equal_capacity(self):
         rng = np.random.default_rng(4)
@@ -245,7 +247,7 @@ MPMATH_RATES = {
 class TestHighPower:
     # From about pt = 1e5 on, I + pt h h^H against I + pt g g^H has an
     # eigenvalue spread above 1/RANK_TOL, which gevd_definite rejects; the
-    # MISO principal pairs need no such check.
+    # closed-form MISO pairs never form the pencil.
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_orthogonal_channels_closed_form(self, n):
@@ -272,10 +274,119 @@ class TestHighPower:
         points = miso_region(MisoChannel(MPMATH_H, MPMATH_G), pt, MPMATH_SPLITS)
         c1, c2 = MPMATH_RATES[pt]
         assert [p.c1 for p in points] == pytest.approx(c1, abs=1e-12)
-        assert [p.c2 for p in points[1:]] == pytest.approx(c2[1:], abs=1e-12)
-        # At alpha = 0 both pencil components are I + pt v v^H.  Forming them
-        # rounds entries of size pt |v|^2 by eps times that, which moves the
-        # principal eigenvalue by up to about eps pt (|h|^2 + |g|^2) relative.
-        bound = np.finfo(float).eps * pt * (np.linalg.norm(MPMATH_H) ** 2
-                                            + np.linalg.norm(MPMATH_G) ** 2)
-        assert points[0].c2 == pytest.approx(c2[0], abs=bound)
+        assert [p.c2 for p in points] == pytest.approx(c2, abs=1e-12)
+
+
+# The kernel's inputs as miso._span supplies them: reduced channel vectors of
+# length r <= 2.  PENCIL_Y[k] = c x + delta x_perp (c = 0.7 - 0.4j, x_perp =
+# (-conj x1, conj x0)) for the near-collinear cases, rounded once to float64.
+PENCIL_X = MPMATH_H
+PENCIL_Y = {
+    "generic": MPMATH_G,
+    "collinear-1e-4": np.array([0.6800499999999999 - 0.10989000000000008j,
+                                0.09008000000000008 + 0.96997j]),
+    "collinear-1e-8": np.array([0.6800000049999999 - 0.10999998900000009j,
+                                0.09000000800000008 + 0.969999997j]),
+}
+# Principal pair of (I + pt x x^H, I + pt y y^H), and with x and y swapped:
+# log2 of the eigenvalue, and |x^H v|^2, |y^H v|^2 of its eigenvector, from the
+# larger root of det(A - lambda B) = 0 and its null vector in 60-digit mpmath.
+PENCIL_MPMATH = {
+    ("generic", False): {
+        1e4: (9.2527384165585734984, 0.060989965674542667, 1.4241850655732498e-7),
+        1e8: (22.536027689051265078, 0.060816343911701753, 1.4289818495887477e-15),
+        1e12: (35.823739625264915295, 0.060816326532350372, 1.4289823311393484e-23)},
+    ("generic", True): {
+        1e4: (9.4145823052882292648, 0.068253900321955433, 1.5938062012425137e-7),
+        1e8: (22.697878567753564633, 0.068036551433454754, 1.5986327170238087e-15),
+        1e12: (35.98559050466624234, 0.068036529682540617, 1.598633201508348e-23)},
+    ("collinear-1e-4", False): {
+        1e4: (0.62235427194578759064, 0.083079284482743769, 0.053934094304215305),
+        1e8: (2.4943277063402708373, 6.3753551417397117e-8, 3.0892715867507106e-9),
+        1e12: (15.040240294077961834, 3.369538407585604e-8, 4.565938946286285e-17)},
+    ("collinear-1e-4", True): {
+        1e4: (0.00090138729152196650121, 1.7836145419282001e-7, 1.1579015816717384e-7),
+        1e8: (1.872839355336503784, 3.2370088966245248e-8, 1.5685400088429592e-9),
+        1e12: (14.418751939527354283, 2.190129995992212e-8, 2.9677655027223825e-17)},
+    ("collinear-1e-8", False): {
+        1e4: (0.62145290685704173954, 2.1899994426228509, 1.4234996376870378),
+        1e8: (0.62148846347055082534, 0.082801848610460258, 0.053821194861461634),
+        1e12: (0.62238976407981263895, 8.636310768857649e-10, 5.6065916899739541e-10)},
+    ("collinear-1e-8", True): {
+        1e4: (9.0271489177090386364e-12, 1.787755091643325e-15, 1.1620408095536182e-15),
+        1e8: (9.0271475864302228149e-8, 1.7877546761961458e-15, 1.162040394106452e-15),
+        1e12: (0.00090138733389702418703, 1.7836148143140057e-15, 1.1579018244812503e-15)},
+}
+
+
+def principal(pt, x, y):
+    """The kernel on the pencil (I + pt x x^H, I + pt y y^H), as the MISO code calls it."""
+    cross = _exact_det(y, x) if x.size == 2 else 0j
+    return _principal(pt, x, pt, y, cross)
+
+
+class TestPrincipal:
+    """The closed-form principal pair against a generalized eigensolver."""
+
+    @pytest.mark.parametrize("pt", [1e-2, 1.0, 1e2])
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("kind", sorted(PENCIL_Y))
+    def test_matches_scipy(self, kind, swap, pt):
+        # cond(B) <= 1 + pt |y|^2 stays small, so eigh's pair is accurate.
+        x, y = (PENCIL_Y[kind], PENCIL_X) if swap else (PENCIL_X, PENCIL_Y[kind])
+        vec, mu, gains = principal(pt, x, y)
+        lam, vecs = scipy.linalg.eigh(np.eye(2) + pt * np.outer(x, x.conj()),
+                                      np.eye(2) + pt * np.outer(y, y.conj()))
+        want = _fix_phase(vecs[:, -1] / np.linalg.norm(vecs[:, -1]))
+        assert abs(np.log1p(mu) / LN2 - np.log2(lam[-1])) <= 1e-12
+        assert np.max(np.abs(vec - want)) <= 1e-12
+        # | |v^H vec| - |v^H want| | <= |v| |vec - want|, plus rounding.
+        slack = np.linalg.norm(vec - want) + 1e-15
+        for gain, v in zip(gains, (x, y)):
+            assert abs(np.sqrt(gain) - abs(np.vdot(v, want))) <= np.linalg.norm(v) * slack
+
+    @pytest.mark.parametrize("pt", [1e4, 1e8, 1e12])
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("kind", sorted(PENCIL_Y))
+    def test_matches_mpmath(self, kind, swap, pt):
+        x, y = (PENCIL_Y[kind], PENCIL_X) if swap else (PENCIL_X, PENCIL_Y[kind])
+        bits, gain_x, gain_y = PENCIL_MPMATH[kind, swap][pt]
+        vec, mu, gains = principal(pt, x, y)
+        assert abs(np.log1p(mu) / LN2 - bits) <= 1e-12
+        assert gains == pytest.approx([gain_x, gain_y], rel=1e-12, abs=0.0)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("pt", [1e-2, 1.0, 1e4, 1e8, 1e12])
+    def test_orthogonal_closed_form(self, pt):
+        # x orthogonal to y: v = x / |x| and 1 + mu = 1 + pt |x|^2, at any power.
+        x = PENCIL_X
+        y = 1.3 * np.array([-x[1].conj(), x[0].conj()])
+        vec, mu, gains = principal(pt, x, y)
+        assert abs(np.log1p(mu) - np.log1p(pt * np.vdot(x, x).real)) / LN2 <= 1e-12
+        assert np.max(np.abs(vec - _fix_phase(x / np.linalg.norm(x)))) <= 1e-15
+        assert gains[1] <= 1e-30
+
+    @pytest.mark.parametrize("pt", [1e-2, 1.0, 1e4, 1e8, 1e12])
+    @pytest.mark.parametrize("x, y", [(0.3 - 0.4j, 1.1j), (0.0, 1.1j), (0.3 - 0.4j, 0.0)])
+    def test_one_dimension(self, pt, x, y):
+        # n_t = 1, h = 0 or g = 0: the pencil is the ratio (1 + pt|x|^2) / (1 + pt|y|^2),
+        # whose log the rates floor at zero.
+        vec, mu, _ = principal(pt, np.array([x]), np.array([y]))
+        want = np.log1p(pt * abs(x) ** 2) - np.log1p(pt * abs(y) ** 2)
+        assert abs(np.log1p(max(mu, 0.0)) - max(want, 0.0)) / LN2 <= 1e-12
+        assert vec.tolist() == [1.0]
+
+    def test_identity_pencil_and_missing_x(self):
+        # (I, I): the first axis, as eigh gives.  a = 0: the axis orthogonal to y.
+        rest = np.array([0.0, 10.0])
+        vec, mu, _ = _principal(0.0 * rest, PENCIL_X, rest, PENCIL_Y["generic"],
+                                _exact_det(PENCIL_Y["generic"], PENCIL_X))
+        assert np.max(np.abs(vec[0] - [1.0, 0.0])) <= 1e-15 and mu.tolist() == [0.0, 0.0]
+        assert abs(np.vdot(PENCIL_Y["generic"], vec[1])) <= 1e-15
+
+    def test_exact_det(self):
+        # det[x, y] = delta |x|^2 plus the rounding of y, from 60-digit mpmath and
+        # rounded once.  The float products cancel to 1e-8 of their size, and
+        # the naive difference is off by 7e-10 relative and drops the imaginary part.
+        got = _exact_det(PENCIL_X, PENCIL_Y["collinear-1e-8"])
+        assert got == complex(2.1899999936569882e-08, 1.915134650865014e-17)
