@@ -1,18 +1,14 @@
 """Closed-form secrecy capacity region for two single-antenna receivers.
 
-All of it happens on span{h, g}, reduced once by ``reduce_nullspace`` to
-r <= 2 coordinates, where every pencil is (I + a x x^H, I + b y y^H) with a
-closed-form principal pair (``_principal``).  For a power split alpha:
-
-* user 1 transmits along e1, the principal vector of (I + Pt h h^H, I + Pt g g^H):
-  C1 = log gamma1, gamma1 = (1 + alpha Pt |h^H e1|^2) / (1 + alpha Pt |g^H e1|^2);
-* C2 = log gamma2 and e2 are the principal pair of the swapped pencil, each
-  rank-one term shrunk by the noise that beam leaves at its receiver;
-* S_Q = alpha Pt e1 e1^H + (1 - alpha) Pt e2 e2^H attains the pair when r = 2.
-
-Beams read off S_Q reach both rates up to the scalar loss ln(1 + |N|^2) of the
-general loss-bounded construction, also in closed form.  No LAPACK call
-follows the reduction; e1, e2 and S_Q enter the antenna space only as output.
+All of it happens on span{h, g}, reduced once to r <= 2 coordinates, where
+each pencil (I + a x x^H, I + b y y^H) has a closed-form principal pair.  For a
+power split alpha, user 1 beams along e1, the principal vector of
+(I + Pt h h^H, I + Pt g g^H), and C1 = log (1 + alpha Pt |h^H e1|^2) /
+(1 + alpha Pt |g^H e1|^2); C2 and e2 are the principal pair of the swapped
+pencil, each term shrunk by the noise e1 leaves at its receiver; and
+S_Q = alpha Pt e1 e1^H + (1 - alpha) Pt e2 e2^H attains the pair when r = 2.
+Beams read off S_Q lose ln(1 + |N|^2) from both rates, also in closed form.
+No LAPACK call follows the reduction.
 """
 
 import math
@@ -52,9 +48,8 @@ class MisoChannel:
 class MisoRegionPoint:
     """One power split: capacity pair (C1, C2), beamforming pair (R1, R2).
 
-    Rates are in bits; ``r1``/``r2`` stay None until the beamforming point is
-    computed.  ``e1``, ``e2`` and ``s_q`` are expressed in the full antenna
-    space, with trace(s_q) = pt.
+    Rates are in bits; ``r1``/``r2`` stay None until computed.  ``e1``, ``e2``
+    and ``s_q`` are in the antenna space, with trace(s_q) = pt.
     """
 
     alpha: float
@@ -69,46 +64,42 @@ class MisoRegionPoint:
     loss_bits: float | None = None
 
 
-_TINY = np.finfo(float).tiny
-
-
 def _det(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """det[x, y] of two 2-vectors, or of every pair of a stack (last axis)."""
     return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
 
 
 def _exact_det(x: np.ndarray, y: np.ndarray) -> complex:
-    """``_det`` of two 2-vectors, correctly rounded: the products are exact
-    as integer ratios, so near-collinear x and y lose nothing to cancellation."""
-    (x0, x1), (y0, y1) = map(complex, x), map(complex, y)
-
+    """``_det`` of two 2-vectors, correctly rounded: near-collinear x and y
+    lose nothing to cancellation, as the products are exact integer ratios."""
     def exact(*pairs: tuple[float, float]) -> float:
         ratios = [(p.as_integer_ratio(), q.as_integer_ratio()) for p, q in pairs]
         den = max(pd * qd for (_, pd), (_, qd) in ratios)  # all powers of two
         return sum(pn * qn * (den // (pd * qd)) for (pn, pd), (qn, qd) in ratios) / den
 
-    re = ((x0.real, y1.real), (-x0.imag, y1.imag), (-x1.real, y0.real), (x1.imag, y0.imag))
-    im = ((x0.real, y1.imag), (x0.imag, y1.real), (-x1.real, y0.imag), (-x1.imag, y0.real))
-    return complex(exact(*re), exact(*im))
+    (x0, x1), (y0, y1) = map(complex, x), map(complex, y)
+    re = exact((x0.real, y1.real), (-x0.imag, y1.imag), (-x1.real, y0.real), (x1.imag, y0.imag))
+    im = exact((x0.real, y1.imag), (x0.imag, y1.real), (-x1.real, y0.imag), (-x1.imag, y0.real))
+    return complex(re, im)
 
 
 def _principal(a, x: np.ndarray, b, y: np.ndarray, cross: complex):
-    """Principal pair of the pencil (I + a x x^H, I + b y y^H): the unit
-    eigenvector v, phase pinned; mu, the eigenvalue being 1 + mu; and the
-    gains (|x^H v|^2, |y^H v|^2).  x and y have length r <= 2 (independent
-    when r = 2, ``cross`` = det[y, x]); a and b broadcast over a ``...`` axis.
+    """Principal pair of the pencil (I + a x x^H, I + b y y^H), a and b over a
+    ``...`` axis, x and y of length r <= 2 (independent when r = 2, ``cross``
+    = det[y, x]): the unit eigenvector v, phase pinned; mu, the eigenvalue
+    being 1 + mu; and the gains (|x^H v|^2, |y^H v|^2).
 
-    Khisti and Wornell (IEEE Trans. IT 2010): on the basis (u, u_perp), u along
-    y, (I + b y y^H)^{-1/2} = diag(1/s, 1), s^2 = 1 + b |y|^2, whitens the pencil
-    to I + x_w x_w^H - y_w y_w^H.  mu is the positive root of mu^2 - d mu - c,
-    d = |x_w|^2 - |y_w|^2, c = |y_w|^2 |u_perp^H x_w|^2, and v is mapped back from
-    (mu + |y_w|^2) x_w - (y_w^H x_w) y_w.  u_perp^H x = cross / |y| is exact,
-    and nothing after it cancels.
+    Khisti and Wornell (IEEE Trans. IT 2010): on (u, u_perp), u along y,
+    diag(1/s, 1), s^2 = 1 + b |y|^2, whitens the pencil to I + x_w x_w^H - y_w y_w^H;
+    mu is the positive root of mu^2 - d mu - c, d = |x_w|^2 - |y_w|^2 and
+    c = |y_w|^2 |u_perp^H x_w|^2, and v is mapped back from
+    (mu + |y_w|^2) x_w - (y_w^H x_w) y_w.  With u_perp^H x = cross / |y| exact,
+    nothing cancels.
     """
     if x.size == 1:  # one dimension: a ratio of scalars
-        wy = b * abs(y[0]) ** 2
-        mu = (a * abs(x[0]) ** 2 - wy) / (1.0 + wy)
-        return np.ones(np.shape(mu) + (1,), dtype=complex), mu, (abs(x[0]) ** 2, abs(y[0]) ** 2)
+        gx, gy = abs(x[0]) ** 2, abs(y[0]) ** 2
+        mu = (a * gx - b * gy) / (1.0 + b * gy)
+        return np.ones(np.shape(mu) + (1,), dtype=complex), mu, (gx, gy)
     (x0, x1), (y0, y1) = map(complex, x), map(complex, y)
     rho = math.hypot(abs(y0), abs(y1))
     u0, u1, xp = y0 / rho, y1 / rho, cross / rho
@@ -120,65 +111,18 @@ def _principal(a, x: np.ndarray, b, y: np.ndarray, cross: complex):
     # With big the larger root magnitude, c / big + max(d, 0) is the positive
     # root for either sign of d, and nothing cancels.
     big = 0.5 * (abs(d) + np.hypot(d, 2.0 * c ** 0.5))
-    mu = c / np.maximum(big, _TINY) + np.maximum(d, 0.0)
-    # v on (u, u_perp), over sqrt(a) (mu + |y_w|^2), so that nothing under- or overflows.
-    ident = mu + eta2 == 0.0  # the pencil (I, I): v is the first axis, as eigh gives
-    if ident.any():
-        v1 = np.where(ident, u0.conjugate(), mu / np.where(ident, 1.0, mu + eta2) * xu / s2)
-        v2 = np.where(ident, -u1, xp)
-    else:
-        v1, v2 = mu / (mu + eta2) * xu / s2, xp
+    mu = c / np.maximum(big, np.finfo(float).tiny) + np.maximum(d, 0.0)
+    # v on (u, u_perp), over sqrt(a) (mu + |y_w|^2), so that nothing under- or
+    # overflows; for the pencil (I, I) the first axis, as eigh gives.
+    ident = mu + eta2 == 0.0
+    v1 = np.where(ident, u0.conjugate(), mu / np.where(ident, 1.0, mu + eta2) * xu / s2)
+    v2 = np.where(ident, -u1, xp)
     norm = np.hypot(abs(v1), abs(v2))
     v1, v2 = v1 / norm, v2 / norm
     vec = np.multiply.outer(v1, [u0, u1]) + np.multiply.outer(v2, [-u1.conjugate(), u0.conjugate()])
     # For the eigenvector x^H v is a sum of non-negative terms and y^H v = |y| v1.
     gains = abs(xu.conjugate() * v1 + xp.conjugate() * v2) ** 2, rho ** 2 * abs(v1) ** 2
     return _fix_phase(vec), mu, gains
-
-
-def _span(mc: MisoChannel):
-    """The reduced channel (h, g, det[g, h]) on an orthonormal basis u_p of
-    span{h, g}, vectors of length r <= 2, and u_p (n_t x r)."""
-    ch_r, u_p, _ = reduce_nullspace(mc.as_channel())
-    h, g = ch_r.H[0].conj(), ch_r.G[0].conj()
-    return (h, g, _exact_det(g, h) if h.size == 2 else 0j), u_p
-
-
-def _capacity(span, pt: float, alphas: np.ndarray):
-    """(C1, C2) in bits, e1, e2 and the noise 1 + alpha pt |g^H e1|^2 per
-    split of ``alphas`` (1-D, or 0-d for one split), on the reduced span."""
-    check_split(alphas, pt)
-    h, g, cross = span
-    e1, _, (gain_h, gain_g) = _principal(pt, h, pt, g, cross)
-    first, rest = alphas * pt, (1.0 - alphas) * pt
-    # The first user's beam appears as noise at both receivers: gamma1 is the
-    # ratio of those noises, and the second user's pencil shrinks by them.
-    noise_h, noise_g = 1.0 + first * gain_h, 1.0 + first * gain_g
-    e2, mu2, _ = _principal(rest / noise_g, g, rest / noise_h, h, -cross)
-    c1, c2 = clamp_rate(np.log(noise_h / noise_g)) / LN2, np.log1p(clamp_rate(mu2)) / LN2
-    return c1, c2, e1, e2, noise_g
-
-
-def _lift(u_p: np.ndarray, pt: float, alphas: np.ndarray, e1: np.ndarray, e2: np.ndarray):
-    """e1, e2 and S_Q = alpha pt e1 e1^H + (1 - alpha) pt e2 e2^H in the antenna space."""
-    e1, e2 = u_p @ e1, e2 @ u_p.T
-    first, rest = (x[..., None, None] for x in (alphas * pt, (1.0 - alphas) * pt))
-    s_q = first * (e1[:, None] * e1.conj()) + rest * (e2[..., :, None] * e2.conj()[..., None, :])
-    return e1, e2, s_q
-
-
-def miso_capacity_point(mc: MisoChannel, pt: float, alpha: float) -> MisoRegionPoint:
-    """Capacity pair and attaining covariance for one power split.
-
-    When h and g span one dimension (n_t = 1, or collinear channels), S_Q
-    puts all of pt on one direction, whose own corner dominates (C1, C2):
-    h = 0, g = 1, pt = 1, alpha = 1 gives (0, 0), S_Q's corner (0, 1 bit).
-    The region's hull is unaffected.
-    """
-    span, u_p = _span(mc)
-    alphas = np.asarray(alpha, dtype=float)
-    c1, c2, e1, e2, _ = _capacity(span, pt, alphas)
-    return MisoRegionPoint(alpha, pt, float(c1), float(c2), *_lift(u_p, pt, alphas, e1, e2))
 
 
 def _loss_bits(span, pt: float, alphas: np.ndarray, e1: np.ndarray, e2: np.ndarray,
@@ -203,17 +147,57 @@ def _loss_bits(span, pt: float, alphas: np.ndarray, e1: np.ndarray, e2: np.ndarr
     return np.log1p(share * (1.0 + extra) / noise_g) / LN2
 
 
+def _capacity(mc: MisoChannel, pt: float, alphas: np.ndarray):
+    """The reduced span (h, g, det[g, h]) and basis u_p, (C1, C2) in bits,
+    e1, e2 and the noise 1 + alpha pt |g^H e1|^2 per split of ``alphas``
+    (1-D, or 0-d for one split); e1 and e2 are on the span."""
+    check_split(alphas, pt)
+    ch_r, u_p, _ = reduce_nullspace(mc.as_channel())
+    h, g = ch_r.H[0].conj(), ch_r.G[0].conj()
+    cross = _exact_det(g, h) if h.size == 2 else 0j
+    e1, _, (gain_h, gain_g) = _principal(pt, h, pt, g, cross)
+    first, rest = alphas * pt, (1.0 - alphas) * pt
+    # The first user's beam appears as noise at both receivers: gamma1 is the
+    # ratio of those noises, and the second user's pencil shrinks by them.
+    noise_h, noise_g = 1.0 + first * gain_h, 1.0 + first * gain_g
+    e2, mu2, _ = _principal(rest / noise_g, g, rest / noise_h, h, -cross)
+    c1, c2 = clamp_rate(np.log(noise_h / noise_g)) / LN2, np.log1p(clamp_rate(mu2)) / LN2
+    return (h, g, cross), u_p, c1, c2, e1, e2, noise_g
+
+
+def _lift(u_p: np.ndarray, pt: float, alphas: np.ndarray, e1: np.ndarray, e2: np.ndarray):
+    """e1, e2 and S_Q = alpha pt e1 e1^H + (1 - alpha) pt e2 e2^H in the antenna space."""
+    e1, e2 = u_p @ e1, e2 @ u_p.T
+    first, rest = (x[..., None, None] for x in (alphas * pt, (1.0 - alphas) * pt))
+    s_q = first * (e1[:, None] * e1.conj()) + rest * (e2[..., :, None] * e2.conj()[..., None, :])
+    return e1, e2, s_q
+
+
+def miso_capacity_point(mc: MisoChannel, pt: float, alpha: float) -> MisoRegionPoint:
+    """Capacity pair and attaining covariance for one power split.
+
+    When h and g span one dimension (n_t = 1, or collinear channels), S_Q
+    puts all of pt on one direction, whose own corner dominates (C1, C2):
+    h = 0, g = 1, pt = 1, alpha = 1 gives (0, 0), S_Q's corner (0, 1 bit).
+    The region's hull is unaffected.
+    """
+    alphas = np.asarray(alpha, dtype=float)
+    _, u_p, c1, c2, e1, e2, _ = _capacity(mc, pt, alphas)
+    return MisoRegionPoint(alpha, pt, float(c1), float(c2), *_lift(u_p, pt, alphas, e1, e2))
+
+
 def miso_linear_point(mc: MisoChannel, point: MisoRegionPoint) -> MisoRegionPoint:
     """Complete a capacity point with its beamforming rates.
 
     The beams c1 along S_Q^{-1/2} e1 and c2 along S_Q^{-1/2} f1 (f1 with the
-    receiver roles swapped), each normalized against the second receiver's
-    pencil component, both lose exactly ln(1 + |N|^2), clamped at zero.  When
-    S_Q has rank one (alpha at 0 or 1, or collinear channels) the loss is zero.
+    receiver roles swapped) both lose exactly ln(1 + |N|^2), clamped at zero;
+    nothing when S_Q has rank one (alpha at 0 or 1, or collinear channels).
+    Of ``point`` only alpha, pt, c1 and c2 are read: e1, e2 and S_Q are solved
+    again from ``mc``, so the point must be ``mc``'s, unedited.
     """
-    span, _ = _span(mc)
     alpha = np.asarray(point.alpha, dtype=float)
-    loss = float(_loss_bits(span, point.pt, alpha, *_capacity(span, point.pt, alpha)[2:]))
+    span, _, _, _, e1, e2, noise_g = _capacity(mc, point.pt, alpha)
+    loss = float(_loss_bits(span, point.pt, alpha, e1, e2, noise_g))
     return replace(point, r1=clamp_rate(point.c1 - loss), r2=clamp_rate(point.c2 - loss),
                    loss_bits=loss)
 
@@ -223,8 +207,7 @@ def miso_region(mc: MisoChannel, pt: float,
     """Capacity and beamforming pairs over a sweep of power splits (see
     ``split_grid``), all splits solved in one batch on the reduced span."""
     alphas = split_grid(alpha_grid)
-    span, u_p = _span(mc)
-    c1, c2, e1, e2, noise_g = _capacity(span, pt, alphas)
+    span, u_p, c1, c2, e1, e2, noise_g = _capacity(mc, pt, alphas)
     loss = _loss_bits(span, pt, alphas, e1, e2, noise_g)
     e1, e2, s_q = _lift(u_p, pt, alphas, e1, e2)
     rates = zip(alphas.tolist(), c1.tolist(), c2.tolist(), e2, s_q,

@@ -277,7 +277,7 @@ class TestHighPower:
         assert [p.c2 for p in points] == pytest.approx(c2, abs=1e-12)
 
 
-# The kernel's inputs as miso._span supplies them: reduced channel vectors of
+# The kernel's inputs as miso._capacity supplies them: reduced channel vectors of
 # length r <= 2.  PENCIL_Y[k] = c x + delta x_perp (c = 0.7 - 0.4j, x_perp =
 # (-conj x1, conj x0)) for the near-collinear cases, rounded once to float64.
 PENCIL_X = MPMATH_H
