@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .avgpower import _check_count, diagonalize, sweep_corners
+from .avgpower import _check_count, check_split, diagonalize, sweep_corners
 from .hull import RegionEstimate, estimate_region
 from .linalg import ctrans, herm
 from .sdpc import Channel, CornerPoint, _stacked_corners
@@ -174,8 +174,7 @@ def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
     """
     samples, pt = cfg.samples, cfg.pt
     _check_count(samples, "samples")
-    if not 0.0 <= pt < np.inf:
-        raise ValueError(f"total power must be finite and non-negative, got {pt}")
+    check_split(0.0, pt)
     n = ch.n_t
     entropy = np.random.SeedSequence(cfg.seed).entropy
     points = []

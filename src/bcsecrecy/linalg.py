@@ -119,10 +119,10 @@ def herm_eig(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarra
 
 def _descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs from ``eigh`` reordered by descending eigenvalue; ties keep
-    the ascending-solver order.  Works on stacks."""
+    the ascending-solver order.  Works on stacks, and lays out a single
+    matrix's eigenvectors as those of a stack item, so that products with
+    them round alike and a stacked solve matches the single one bit for bit."""
     order = np.argsort(-w, axis=-1, kind="stable")
-    if w.ndim == 1:
-        return w[order], v[:, order]
     return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
 
 
@@ -186,15 +186,28 @@ class GevdResult:
         return self.eigvecs[:, self.b:]
 
 
-def _gevd_core(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and eigenvector matrix C of the Hermitian
-    pencil (A, B), or of a stack of them, by congruence with the Cholesky
-    factor of B, as in ``gevd_definite`` but without its check on A.
+def gevd_definite(a: np.ndarray, b: np.ndarray) -> GevdResult:
+    """Generalized eigendecomposition of a Hermitian positive definite pencil.
 
-    ``sdpc``'s stacked corners call it directly and check only the
-    eigenvalues their rank makes meaningful (see ``_checked_gevd``).  The
-    MISO pencils, rank-one terms plus the identity, do not come here: they
-    have a closed form in ``miso``.
+    Solves A c = lambda B c for Hermitian positive definite A and B by
+    congruence: with the Cholesky factor B = L L^H, the eigenvectors Phi of
+    L^{-1} A L^{-H} give C = L^{-H} Phi, which satisfies C^H A C = diag(lambda)
+    and C^H B C = I.  One Cholesky factorization and one ``eigh`` per pencil.
+
+    Parameters
+    ----------
+    a, b : ndarray
+        Hermitian positive definite matrices of equal size, or equal-shape
+        ``(..., n, n)`` stacks of them, solved in one batch.  A failed
+        Cholesky factorization of B, or an eigenvalue of A along the pencil
+        at or below ``RANK_TOL`` times the largest (in any pencil of a
+        stack), raises NotPositiveDefiniteError.
+
+    Returns
+    -------
+    GevdResult
+        Eigenvalues descending (all positive), eigenvector matrix C, and the
+        split index ``b`` = number of eigenvalues above 1 + 1e-9 * (1 + lambda_1).
     """
     a = _check_hermitian(a, "pencil component A")
     b = _check_hermitian(b, "pencil component B")
@@ -210,54 +223,15 @@ def _gevd_core(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
     # eigh reads one triangle only, so the product needs no symmetrizing.
     eigvals, vm = _descending(*_eigh(chol_inv @ a @ ctrans(chol_inv), "reduced pencil"))
-    return eigvals, ctrans(chol_inv) @ vm
-
-
-def gevd_definite(a: np.ndarray, b: np.ndarray) -> GevdResult:
-    """Generalized eigendecomposition of a Hermitian positive definite pencil.
-
-    Solves A c = lambda B c for Hermitian positive definite A and B by
-    congruence: with the Cholesky factor B = L L^H, the eigenvectors Phi of
-    L^{-1} A L^{-H} give C = L^{-H} Phi, which satisfies C^H A C = diag(lambda)
-    and C^H B C = I.  One Cholesky factorization and one ``eigh`` per pencil.
-
-    Parameters
-    ----------
-    a, b : ndarray
-        Hermitian positive definite matrices of equal size, or equal-shape
-        ``(..., n, n)`` stacks of them, solved in one batch.  A failed
-        Cholesky factorization of B, or an eigenvalue of A along the pencil
-        at or below ``RANK_TOL`` times the largest, raises
-        NotPositiveDefiniteError.
-
-    Returns
-    -------
-    GevdResult
-        Eigenvalues descending (all positive), eigenvector matrix C, and the
-        split index ``b`` = number of eigenvalues above 1 + 1e-9 * (1 + lambda_1).
-    """
-    return _checked_gevd(*_gevd_core(a, b))
-
-
-def _checked_gevd(
-    eigvals: np.ndarray, eigvecs: np.ndarray, tested: bool | np.ndarray = True
-) -> GevdResult:
-    """``gevd_definite``'s result from the output of ``_gevd_core``.
-
-    Raises NotPositiveDefiniteError when, in any pencil of a stack, the
-    smallest of the eigenvalues marked ``tested`` is at or below
-    ``RANK_TOL`` times the largest of them.  ``tested`` broadcasts against
-    ``eigvals``; by default every eigenvalue is tested.
-    """
-    low = np.min(eigvals, axis=-1, initial=np.inf, where=tested)
-    bad = low <= RANK_TOL * np.max(eigvals, axis=-1, initial=0.0, where=tested)
+    low = np.min(eigvals, axis=-1, initial=np.inf)
+    bad = low <= RANK_TOL * np.max(eigvals, axis=-1, initial=0.0)
     if _any(bad):
         raise NotPositiveDefiniteError(
             f"pencil component A has eigenvalue {_first(low, bad):.3e} along the pencil, "
             "not positive definite"
         )
     eps = 1e-9 * (1.0 + eigvals[..., :1])
-    return GevdResult(eigvecs, eigvals, _count(eigvals > 1.0 + eps))
+    return GevdResult(ctrans(chol_inv) @ vm, eigvals, _count(eigvals > 1.0 + eps))
 
 
 def projector(c: np.ndarray) -> np.ndarray:

@@ -69,20 +69,6 @@ def _det(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
 
 
-def _exact_det(x: np.ndarray, y: np.ndarray) -> complex:
-    """``_det`` of two 2-vectors, correctly rounded: near-collinear x and y
-    lose nothing to cancellation, as the products are exact integer ratios."""
-    def exact(*pairs: tuple[float, float]) -> float:
-        ratios = [(p.as_integer_ratio(), q.as_integer_ratio()) for p, q in pairs]
-        den = max(pd * qd for (_, pd), (_, qd) in ratios)  # all powers of two
-        return sum(pn * qn * (den // (pd * qd)) for (pn, pd), (qn, qd) in ratios) / den
-
-    (x0, x1), (y0, y1) = map(complex, x), map(complex, y)
-    re = exact((x0.real, y1.real), (-x0.imag, y1.imag), (-x1.real, y0.real), (x1.imag, y0.imag))
-    im = exact((x0.real, y1.imag), (x0.imag, y1.real), (-x1.real, y0.imag), (-x1.imag, y0.real))
-    return complex(re, im)
-
-
 def _principal(a, x: np.ndarray, b, y: np.ndarray, cross: complex):
     """Principal pair of the pencil (I + a x x^H, I + b y y^H), a and b over a
     ``...`` axis, x and y of length r <= 2 (independent when r = 2, ``cross``
@@ -93,8 +79,8 @@ def _principal(a, x: np.ndarray, b, y: np.ndarray, cross: complex):
     diag(1/s, 1), s^2 = 1 + b |y|^2, whitens the pencil to I + x_w x_w^H - y_w y_w^H;
     mu is the positive root of mu^2 - d mu - c, d = |x_w|^2 - |y_w|^2 and
     c = |y_w|^2 |u_perp^H x_w|^2, and v is mapped back from
-    (mu + |y_w|^2) x_w - (y_w^H x_w) y_w.  With u_perp^H x = cross / |y| exact,
-    nothing cancels.
+    (mu + |y_w|^2) x_w - (y_w^H x_w) y_w.  With u_perp^H x = cross / |y| as
+    accurate as ``cross``, nothing cancels.
     """
     if x.size == 1:  # one dimension: a ratio of scalars
         gx, gy = abs(x[0]) ** 2, abs(y[0]) ** 2
@@ -154,7 +140,9 @@ def _capacity(mc: MisoChannel, pt: float, alphas: np.ndarray):
     check_split(alphas, pt)
     ch_r, u_p, _ = reduce_nullspace(mc.as_channel())
     h, g = ch_r.H[0].conj(), ch_r.G[0].conj()
-    cross = _exact_det(g, h) if h.size == 2 else 0j
+    # The coordinates of [h, g] on the span are Sigma V^H for a unitary V, so
+    # the two products of det[g, h] never cancel.
+    cross = _det(g, h) if h.size == 2 else 0j
     e1, _, (gain_h, gain_g) = _principal(pt, h, pt, g, cross)
     first, rest = alphas * pt, (1.0 - alphas) * pt
     # The first user's beam appears as noise at both receivers: gamma1 is the

@@ -12,10 +12,10 @@ one, user 1's rate is sum(ln lambda_i, i <= b) and user 2's is
 K = S^{1/2} P S^{1/2} with P the projector onto the leading eigenvector block.
 
 Every solve uses the factor F = V diag(sqrt(w)) of S = V diag(w) V^H in place
-of S^{1/2}, with the columns past the rank of S set to zero, never
-regularized.  (F^H H^H H F + I, F^H G^H G F + I) has the eigenvalues above,
-and when C diagonalizes it, V C, with V cut to as many columns as F keeps,
-diagonalizes the pencil of S^{1/2}.
+of S^{1/2}, with V and w cut to the rank of S, never regularized.
+(F^H H^H H F + I, F^H G^H G F + I) has the eigenvalues above less the
+n_t - rank(S) that equal one and change neither b nor the rates, and when C
+diagonalizes it, V C diagonalizes the pencil of S^{1/2}.
 """
 
 from dataclasses import dataclass, field
@@ -27,9 +27,7 @@ from .linalg import (
     LN2,
     RANK_TOL,
     GevdResult,
-    _checked_gevd,
     _fix_phase,
-    _gevd_core,
     clamp_rate,
     ctrans,
     gevd_definite,
@@ -127,12 +125,11 @@ def _sized_constraint(s: np.ndarray, n_t: int) -> np.ndarray:
     return s
 
 
-def _factor(w: np.ndarray, v: np.ndarray, rank: int | np.ndarray) -> np.ndarray:
-    """Range factor F = V diag(sqrt(w)) of a constraint from its
-    ``psd_range`` decomposition, with the columns past ``rank`` set to zero,
-    so F F^H is the constraint less its rounding noise.  Works on stacks."""
-    kept = np.arange(w.shape[-1]) < np.expand_dims(rank, -1)
-    return v * np.where(kept, np.sqrt(np.clip(w, 0.0, None)), 0.0)[..., None, :]
+def _factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Range factor F = V diag(sqrt(w)) of a constraint from its ``psd_range``
+    eigenpairs cut to its rank, so F F^H is the constraint less its rounding
+    noise.  Works on stacks."""
+    return v * np.sqrt(w)[..., None, :]
 
 
 def _pencil(f: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +173,7 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
     s = _sized_constraint(s, ch.n_t)
     w, v, rank = psd_range(s, "constraint")
     v_r = v[:, :rank]
-    f = _factor(w, v, rank)[:, :rank]
+    f = _factor(w[:rank], v_r)
 
     gevd = gevd_definite(*_pencil(f, ch.H, ch.G))
     r1, r2 = _rates_bits(gevd)
@@ -192,15 +189,9 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
 
 def _stacked_corners(ch: Channel, s: np.ndarray) -> np.ndarray:
     """Corner rates in bits, shape (k, 2), of a ``(k, n_t, n_t)`` stack of
-    constraints, every item solved in one batch of the kernels above.
-
-    Each item keeps all n_t columns of its factor.  Those past its rank are
-    zero, so a rank-deficient item's pencil is the pencil of
-    ``solve_matrix_constraint`` plus an exact identity block.  The block's
-    n_t - rank eigenvalues of one change neither ``b`` nor the rates, so
-    every rank from 0 to n_t shares the stack.  They are left out of the
-    definiteness test, which then sees what ``solve_matrix_constraint``
-    sees: the rank eigenvalues farthest from one.
+    constraints.  The items of each rank are solved as one batch of the
+    kernels above, each on its range as ``solve_matrix_constraint`` solves
+    it, so both give the same rates and raise on the same inputs.
     """
     s = np.asarray(s, dtype=complex)
     if s.ndim != 3 or s.shape[1:] != (ch.n_t, ch.n_t):
@@ -208,10 +199,12 @@ def _stacked_corners(ch: Channel, s: np.ndarray) -> np.ndarray:
             f"constraints must form a (k, {ch.n_t}, {ch.n_t}) stack, got shape {s.shape}"
         )
     w, v, rank = psd_range(s, "constraint")
-    eigvals, eigvecs = _gevd_core(*_pencil(_factor(w, v, rank), ch.H, ch.G))
-    farthest = np.argsort(np.argsort(-np.abs(eigvals - 1.0), axis=-1), axis=-1)
-    gevd = _checked_gevd(eigvals, eigvecs, farthest < rank[:, None])
-    return np.stack(_rates_bits(gevd), axis=-1)
+    rates = np.empty((s.shape[0], 2))
+    for r in set(rank.tolist()):
+        at = np.flatnonzero(rank == r)
+        gevd = gevd_definite(*_pencil(_factor(w[at, :r], v[at, :, :r]), ch.H, ch.G))
+        rates[at, 0], rates[at, 1] = _rates_bits(gevd)
+    return rates
 
 
 def orthogonality_defect(sol: SdpcSolution) -> float:

@@ -205,7 +205,8 @@ class TestSearchRegion:
             search_region(fig_channel, SearchConfig(samples=samples, seed=1, pt=12.0))
             seen.append(dict(counts))
         assert seen[0] == seen[1]
-        assert seen[0]["cholesky"] == 1
+        # One batch per rank drawn: ranks one and two on the 2x2 channel.
+        assert seen[0]["cholesky"] == 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

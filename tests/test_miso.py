@@ -1,5 +1,7 @@
 """Single-antenna receivers: closed-form capacity region and beamforming region."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,9 +15,10 @@ from bcsecrecy import (
     region_sweep,
     solve_matrix_constraint,
 )
+from bcsecrecy.avgpower import reduce_nullspace
 from bcsecrecy.errors import ZeroChannelError
 from bcsecrecy.linalg import LN2, _fix_phase
-from bcsecrecy.miso import _exact_det, _principal
+from bcsecrecy.miso import _det, _principal
 from conftest import cgauss
 
 
@@ -319,9 +322,20 @@ PENCIL_MPMATH = {
 }
 
 
+def exact_det(x: np.ndarray, y: np.ndarray) -> complex:
+    """det[x, y] of two 2-vectors, each part rounded once from exact rational
+    arithmetic, so near-collinear x and y lose nothing to cancellation."""
+    (x0, x1), (y0, y1) = ([(Fraction(z.real), Fraction(z.imag)) for z in map(complex, v)]
+                          for v in (x, y))
+    re = x0[0] * y1[0] - x0[1] * y1[1] - x1[0] * y0[0] + x1[1] * y0[1]
+    im = x0[0] * y1[1] + x0[1] * y1[0] - x1[0] * y0[1] - x1[1] * y0[0]
+    return complex(float(re), float(im))
+
+
 def principal(pt, x, y):
-    """The kernel on the pencil (I + pt x x^H, I + pt y y^H), as the MISO code calls it."""
-    cross = _exact_det(y, x) if x.size == 2 else 0j
+    """The kernel on the pencil (I + pt x x^H, I + pt y y^H), fed the raw
+    vectors x and y with an exact cross term."""
+    cross = exact_det(y, x) if x.size == 2 else 0j
     return _principal(pt, x, pt, y, cross)
 
 
@@ -380,7 +394,7 @@ class TestPrincipal:
         # (I, I): the first axis, as eigh gives.  a = 0: the axis orthogonal to y.
         rest = np.array([0.0, 10.0])
         vec, mu, _ = _principal(0.0 * rest, PENCIL_X, rest, PENCIL_Y["generic"],
-                                _exact_det(PENCIL_Y["generic"], PENCIL_X))
+                                exact_det(PENCIL_Y["generic"], PENCIL_X))
         assert np.max(np.abs(vec[0] - [1.0, 0.0])) <= 1e-15 and mu.tolist() == [0.0, 0.0]
         assert abs(np.vdot(PENCIL_Y["generic"], vec[1])) <= 1e-15
 
@@ -388,5 +402,23 @@ class TestPrincipal:
         # det[x, y] = delta |x|^2 plus the rounding of y, from 60-digit mpmath and
         # rounded once.  The float products cancel to 1e-8 of their size, and
         # the naive difference is off by 7e-10 relative and drops the imaginary part.
-        got = _exact_det(PENCIL_X, PENCIL_Y["collinear-1e-8"])
+        got = exact_det(PENCIL_X, PENCIL_Y["collinear-1e-8"])
         assert got == complex(2.1899999936569882e-08, 1.915134650865014e-17)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("delta", [2e-5, 1e-4, 1e-3])
+    def test_plain_det_on_reduced_spans(self, n, delta):
+        # g = c h + delta |h| u_perp, just above the cut where the span falls to
+        # rank one.  On reduce_nullspace's coordinates the two products of the
+        # determinant do not cancel, so the plain one is within 2 eps relative
+        # of the correctly rounded one (1.1 eps at most over 18000 draws).
+        rng = np.random.default_rng(40 + n)
+        for _ in range(20):
+            h, u = cgauss(rng, n), cgauss(rng, n)
+            u -= h * (np.vdot(h, u) / np.vdot(h, h))
+            g = (0.7 - 0.4j) * h + delta * np.linalg.norm(h) / np.linalg.norm(u) * u
+            ch_r, _, _ = reduce_nullspace(MisoChannel(h, g).as_channel())
+            x, y = ch_r.G[0].conj(), ch_r.H[0].conj()
+            assert x.size == 2
+            want = exact_det(x, y)
+            assert abs(_det(x, y) - want) <= 2.0 * np.finfo(float).eps * abs(want)

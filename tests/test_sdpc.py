@@ -198,7 +198,7 @@ class TestStackedCorners:
         assert rates.shape == (stack.shape[0], 2)
         for s, got in zip(stack, rates):
             sol = solve_matrix_constraint(ch, s)
-            assert np.max(np.abs(got - [sol.corner.R1, sol.corner.R2])) <= 1e-12
+            assert np.array_equal(got, [sol.corner.R1, sol.corner.R2])
 
     def test_zero_constraint_is_origin(self, fig_channel):
         rates = _stacked_corners(fig_channel, np.zeros((3, 2, 2), dtype=complex))
@@ -213,8 +213,8 @@ class TestStackedCorners:
         # A silent second user and S = diag(1e11, weak) give the pencil an
         # eigenvalue of about 1e11 |h|^2.  With one receive antenna the other
         # is one, a spread past 1 / RANK_TOL, but it lies on range(S) only
-        # when S has full rank.  The stack pads a rank-one S with an
-        # eigenvalue of one as well, which must not count.
+        # when S has full rank: a rank-one S is solved on its range, in the
+        # stack as alone, and has a 1 x 1 pencil.
         ch = Channel(cgauss(np.random.default_rng(31), (m, 2)), np.zeros((2, 2), dtype=complex))
         s = np.diag([1e11, weak]).astype(complex)
         if weak > 0.0:
@@ -225,7 +225,7 @@ class TestStackedCorners:
         else:
             sol = solve_matrix_constraint(ch, s)
             rates = _stacked_corners(ch, s[None])
-            assert np.max(np.abs(rates[0] - [sol.corner.R1, sol.corner.R2])) <= 1e-12
+            assert np.array_equal(rates[0], [sol.corner.R1, sol.corner.R2])
 
     def test_rejects_bad_items(self, fig_channel):
         good = np.eye(2, dtype=complex)
