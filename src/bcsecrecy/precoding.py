@@ -11,10 +11,13 @@ whenever it is positive.
 
 The loss-bounded pair is never formed: forming its covariances and the
 projectors behind them costs several n_t^3 products each, and N and the exact
-rates need only one complete QR basis of the second block.
+rates need only one complete QR basis of the second block.  That block is
+read in the coordinates of the corner's factor F of S, where the layered
+rates and det(I + N^H N) are the same as in the transmit space.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,20 +86,35 @@ def optimal_precoders(sol: SdpcSolution) -> LinearPrecoderPair:
     return LinearPrecoderPair(sol.kt_star, herm(sol.s - sol.kt_star))
 
 
+def _coupling(c: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complete QR basis Q = [Q2 | Q2c] of the second block C2 = Q2 R2 of the
+    eigenvectors ``c``, split after column ``b``, and the least-squares
+    coupling N = -R2^{-1} Q2^H C1 of the first block on it."""
+    k = c.shape[1] - b
+    q, r = np.linalg.qr(c[:, b:], mode="complete")
+    return q, -np.linalg.solve(r[:k], ctrans(q[:, :k]) @ c[:, :b])
+
+
 @dataclass
 class LossReport:
     """Loss-bounded linear scheme built from the second eigenvector block.
 
-    ``n_mat`` = -(C2^H C2)^{-1} C2^H C1 couples the blocks; both users give up
-    at most ``loss_bits`` = log2 det(I + N^H N) relative to the corner.
-    ``exact`` holds the actually achieved rates of the constructed pair,
-    ``guaranteed`` the lower bound max(0, corner - loss).
+    Both users give up at most ``loss_bits`` = log2 det(I + N^H N) relative
+    to the corner.  ``exact`` holds the actually achieved rates of the
+    constructed pair, ``guaranteed`` the lower bound max(0, corner - loss).
+    ``n_mat`` = -(C2^H C2)^{-1} C2^H C1 couples the transmit-space blocks of
+    ``solution``, with their pinned phases; it is formed on first read.
     """
 
-    n_mat: np.ndarray
     loss_bits: float
     guaranteed: CornerPoint
     exact: CornerPoint
+    solution: SdpcSolution = field(repr=False)
+
+    @cached_property
+    def n_mat(self) -> np.ndarray:
+        gevd = self.solution.gevd
+        return _coupling(gevd.eigvecs, gevd.b)[1]
 
 
 def loss_bounded_precoders(sol: SdpcSolution) -> LossReport:
@@ -106,24 +124,25 @@ def loss_bounded_precoders(sol: SdpcSolution) -> LossReport:
     with P2 the projector onto the second eigenvector block C2 and P2c its
     complement, and the coupling is N = (C2^H P1c C2)^{-1} C2^H P1c P2c C1.
     Neither projector nor covariance is formed: everything comes from the
-    complete QR basis Q = [Q2 | Q2c] of C2 = Q2 R2.
+    complete QR basis Q = [Q2 | Q2c] of C2 = Q2 R2 in the coordinates of the
+    factor F = S^{1/2} U of the solution, where C2 is U^H times the transmit
+    block up to column phases.
 
     * C2^H P2c = 0 makes P2c C1 = C1 + C2 N the residual of the least-squares
       fit N = -(C2^H C2)^{-1} C2^H C1 = -R2^{-1} Q2^H C1, and P1c C1 = 0
       leaves C2^H P1c P2c C1 = C2^H P1c C2 N.
-    * With W = X S^{1/2} Q, ln det(I + X K2 X^H) is the log-determinant of
-      the leading block of I + W^H W and ln det(I + X S X^H) that of the
-      whole, so one Cholesky factor per receiver gives both (Q2c's columns
-      first for G, whose layered term is K1).
+    * With W = X F Q, ln det(I + X K2 X^H) is the log-determinant of the
+      leading block of I + W^H W and ln det(I + X S X^H) that of the whole,
+      so one Cholesky factor per receiver gives both (Q2c's columns first
+      for G, whose layered term is K1).
 
     Degenerate splits (b = 0 or b = rank) take the same path: N is empty and
     the pair is the corner's (K*, S - K*).
     """
     gevd = sol.gevd
     ch = sol.channel
-    k = gevd.eigvals.size - gevd.b
-    q, r = np.linalg.qr(gevd.lower_vecs, mode="complete")
-    n_mat = -np.linalg.solve(r[:k], ctrans(q[:, :k]) @ gevd.upper_vecs)
+    k = sol.rank - gevd.b
+    q, n_mat = _coupling(gevd.factor_vecs, gevd.b)
     loss_bits = logdet(np.eye(gevd.b) + herm(ctrans(n_mat) @ n_mat)) / LN2
     guaranteed = CornerPoint(
         clamp_rate(sol.corner.R1 - loss_bits),
@@ -131,8 +150,8 @@ def loss_bounded_precoders(sol: SdpcSolution) -> LossReport:
         provenance="linear-guaranteed",
     )
 
-    root = sol.s_sqrt @ q
+    root = gevd.factor @ q
     h_logs = _gram_logs(ch.H @ root)
     g_logs = _gram_logs(np.roll(ch.G @ root, -k, axis=1))
-    exact = _layered(h_logs.sum(), h_logs[:k].sum(), g_logs.sum(), g_logs[: ch.n_t - k].sum())
-    return LossReport(n_mat, loss_bits, guaranteed, exact)
+    exact = _layered(h_logs.sum(), h_logs[:k].sum(), g_logs.sum(), g_logs[: gevd.b].sum())
+    return LossReport(loss_bits, guaranteed, exact, sol)

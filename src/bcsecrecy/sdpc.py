@@ -11,14 +11,20 @@ one, user 1's rate is sum(ln lambda_i, i <= b) and user 2's is
 -sum(ln lambda_i, i > b).  The optimal input covariance for user 1 is
 K = S^{1/2} P S^{1/2} with P the projector onto the leading eigenvector block.
 
-Every solve uses the factor F = V diag(sqrt(w)) of S = V diag(w) V^H in place
-of S^{1/2}, with V and w cut to the rank of S, never regularized.
-(F^H H^H H F + I, F^H G^H G F + I) has the eigenvalues above less the
+Every solve uses a factor F of S = F F^H (n_t x rank(S)) in place of
+S^{1/2}, and any factor gives the same corner: F = S^{1/2} U for the isometry
+U = F (F^H F)^{-1/2}, so (F^H H^H H F + I, F^H G^H G F + I) is U^H times the
+pencil of S^{1/2} times U.  It has the eigenvalues above less the
 n_t - rank(S) that equal one and change neither b nor the rates, and when C
-diagonalizes it, V C diagonalizes the pencil of S^{1/2}.
+diagonalizes it, U C diagonalizes the pencil of S^{1/2}.  A constraint that
+``_certified`` proves full-rank takes its Cholesky factor; any other takes
+F = V diag(sqrt(w)) of S = V diag(w) V^H, cut to the rank of S and never
+regularized, and then U = V.  Only S^{1/2} and the transmit-space
+eigenvectors need U, so they are formed on first read.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +33,7 @@ from .linalg import (
     LN2,
     RANK_TOL,
     GevdResult,
+    _check_hermitian,
     _fix_phase,
     clamp_rate,
     ctrans,
@@ -89,30 +96,69 @@ class CornerPoint:
         return self.R1 * LN2, self.R2 * LN2
 
 
+class _CornerGevd(GevdResult):
+    """``GevdResult`` of the pencil of a factor F (``factor``) of the constraint,
+    whose eigenvectors are ``factor_vecs``; ``eigvecs`` = U ``factor_vecs``
+    with pinned phases, formed on first read."""
+
+    def __init__(self, gevd: GevdResult, factor: np.ndarray, basis: np.ndarray | None):
+        self.factor_vecs, self.eigvals, self.b = gevd.eigvecs, gevd.eigvals, gevd.b
+        self.factor, self._basis = factor, basis
+
+    @cached_property
+    def isometry(self) -> np.ndarray:
+        """U with F = S^{1/2} U: the range basis V when F = V diag(sqrt(w)),
+        else the polar factor of F, from one SVD."""
+        if self._basis is not None:
+            return self._basis
+        u, _, zh = np.linalg.svd(self.factor, full_matrices=False)
+        return u @ zh
+
+    @cached_property
+    def eigvecs(self) -> np.ndarray:
+        return _fix_phase(self.isometry @ self.factor_vecs, axis=-2)
+
+
 @dataclass
 class SdpcSolution:
     """Corner-point solution for one (channel, matrix constraint) pair.
 
-    Every field is in the transmit space.  ``gevd`` holds one eigenpair per
-    dimension of range(S), so ``gevd.eigvecs`` is n_t x ``rank``; its columns
-    diagonalize the pencil of the Hermitian root ``s_sqrt`` = S^{1/2}, as
-    built by ``build_pencil``.  Each column is rotated so that its
-    largest-magnitude entry is real positive, so the columns do not carry
-    the eigensolver's arbitrary phases.
+    ``gevd`` holds one eigenpair per dimension of range(S).  Stored when
+    solved: the factor F of S (``gevd.factor``, n_t x ``rank``), the
+    eigenvectors of F's pencil (``gevd.factor_vecs``), ``gevd.eigvals``,
+    ``gevd.b``, ``corner`` and ``rank``.  Formed on first read, then kept,
+    and the same whichever factor was taken: ``s_sqrt`` = S^{1/2};
+    ``kt_star``; and ``gevd.eigvecs``, n_t x ``rank``, whose columns
+    diagonalize the pencil of ``s_sqrt`` as built by ``build_pencil``, each
+    rotated so that its largest-magnitude entry is real positive, so they do
+    not carry the eigensolver's arbitrary phases.
     """
 
     channel: Channel
     s: np.ndarray
-    gevd: GevdResult
-    kt_star: np.ndarray
+    gevd: _CornerGevd
     corner: CornerPoint
     rank: int
-    s_sqrt: np.ndarray = field(repr=False)
 
     @property
     def s_reduced(self) -> bool:
         """Whether S was rank-deficient, so the pencil was solved on its range."""
         return self.rank < self.channel.n_t
+
+    @cached_property
+    def s_sqrt(self) -> np.ndarray:
+        """S^{1/2} = F U^H."""
+        return herm(self.gevd.factor @ ctrans(self.gevd.isometry))
+
+    @cached_property
+    def kt_star(self) -> np.ndarray:
+        """K* = F P(C1) F^H = Y Y^H for Y = F Q1, Q1 an orthonormal basis of
+        the leading block of ``factor_vecs``."""
+        gevd = self.gevd
+        y = gevd.factor
+        if gevd.b < self.rank:
+            y = y @ np.linalg.qr(gevd.factor_vecs[:, : gevd.b])[0]
+        return herm(y @ ctrans(y))
 
 
 def _sized_constraint(s: np.ndarray, n_t: int) -> np.ndarray:
@@ -159,38 +205,49 @@ def build_pencil(ch: Channel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _pencil(psd_sqrt(_sized_constraint(s, ch.n_t)), ch.H, ch.G)
 
 
+def _certified(s: np.ndarray) -> bool | np.ndarray:
+    """Whether a Cholesky factorization of S - 2 RANK_TOL tr(S) I completes,
+    for a Hermitian constraint or each of a ``(k, n, n)`` stack (a stack that
+    fails is decided item by item).  It then proves every eigenvalue of S
+    above RANK_TOL tr(S) >= RANK_TOL lambda_max, so S has full rank by
+    ``psd_range``'s rule: the factor is exact for the shifted matrix plus a
+    backward error of norm about (n + 1) eps tr(S) at most (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Thm 10.5).
+    """
+    shift = 2.0 * RANK_TOL * np.trace(s, axis1=-2, axis2=-1).real
+    try:
+        np.linalg.cholesky(s - shift[..., None, None] * np.eye(s.shape[-1]))
+    except np.linalg.LinAlgError:
+        return np.array([_certified(x) for x in s], dtype=bool) if s.ndim > 2 else False
+    return np.ones(s.shape[:-2], dtype=bool) if s.ndim > 2 else True
+
+
 def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
     """Corner point and optimal covariance under the matrix constraint ``s``.
 
     ``s`` must be a Hermitian PSD matrix of the channel's transmit size.  The
-    pencil is solved on range(S), through the first rank(S) columns V_r of
-    the eigenvectors, and its eigenvectors C come back as V_r C, phases
-    pinned as ``SdpcSolution`` describes.  Both rates come out non-negative;
-    ``b = 0`` or ``b = rank`` collapse to (0, R2) and (R1, 0) corners with
-    covariance 0 and S respectively.  A zero constraint gives an empty
-    pencil, rates (0, 0) and covariance 0.
+    pencil is solved on range(S), through the factor the module docstring
+    describes.  Both rates come out non-negative; ``b = 0`` or ``b = rank``
+    collapse to (0, R2) and (R1, 0) corners with covariance 0 and S
+    respectively.  A zero constraint gives an empty pencil, rates (0, 0) and
+    covariance 0.
     """
-    s = _sized_constraint(s, ch.n_t)
-    w, v, rank = psd_range(s, "constraint")
-    v_r = v[:, :rank]
-    f = _factor(w[:rank], v_r)
-
-    gevd = gevd_definite(*_pencil(f, ch.H, ch.G))
+    s = _check_hermitian(_sized_constraint(s, ch.n_t), "constraint")
+    if _certified(s):
+        f, basis = np.linalg.cholesky(s), None
+    else:
+        w, v, rank = psd_range(s, "constraint")
+        basis = v[:, :rank]
+        f = _factor(w[:rank], basis)
+    gevd = _CornerGevd(gevd_definite(*_pencil(f, ch.H, ch.G)), f, basis)
     r1, r2 = _rates_bits(gevd)
-    # K* = F P(C1) F^H = Y Y^H for Y = F Q1, Q1 an orthonormal basis of C1.
-    y = f if gevd.b == rank else f @ np.linalg.qr(gevd.upper_vecs)[0]
-    kt_star = herm(y @ ctrans(y))
-    gevd.eigvecs = _fix_phase(v_r @ gevd.eigvecs, axis=-2)
-    return SdpcSolution(
-        ch, herm(s), gevd, kt_star, CornerPoint(r1, r2, provenance="sdpc"),
-        rank, herm(f @ ctrans(v_r)),
-    )
+    return SdpcSolution(ch, herm(s), gevd, CornerPoint(r1, r2, provenance="sdpc"), f.shape[1])
 
 
 def _stacked_corners(ch: Channel, s: np.ndarray) -> np.ndarray:
     """Corner rates in bits, shape (k, 2), of a ``(k, n_t, n_t)`` stack of
     constraints.  The items of each rank are solved as one batch of the
-    kernels above, each on its range as ``solve_matrix_constraint`` solves
+    kernels above, each with the factor ``solve_matrix_constraint`` takes for
     it, so both give the same rates and raise on the same inputs.
     """
     s = np.asarray(s, dtype=complex)
@@ -202,7 +259,13 @@ def _stacked_corners(ch: Channel, s: np.ndarray) -> np.ndarray:
     rates = np.empty((s.shape[0], 2))
     for r in set(rank.tolist()):
         at = np.flatnonzero(rank == r)
-        gevd = gevd_definite(*_pencil(_factor(w[at, :r], v[at, :, :r]), ch.H, ch.G))
+        f = _factor(w[at, :r], v[at, :, :r])
+        if r == ch.n_t:
+            # The checked constraints as the single solve sees them.
+            full = herm(s[at])
+            ok = _certified(full)
+            f[ok] = np.linalg.cholesky(full[ok])
+        gevd = gevd_definite(*_pencil(f, ch.H, ch.G))
         rates[at, 0], rates[at, 1] = _rates_bits(gevd)
     return rates
 
@@ -211,10 +274,11 @@ def orthogonality_defect(sol: SdpcSolution) -> float:
     """Normalized coupling between the two eigenvector blocks.
 
     ||C1^H C2||_F / (||C1||_F ||C2||_F); zero exactly when linear precoding
-    achieves the corner, and zero by convention for degenerate splits.
+    achieves the corner, and zero by convention for degenerate splits.  The
+    blocks are read in F's coordinates, which leave the ratio unchanged.
     """
-    c1 = sol.gevd.upper_vecs
-    c2 = sol.gevd.lower_vecs
+    c, b = sol.gevd.factor_vecs, sol.gevd.b
+    c1, c2 = c[:, :b], c[:, b:]
     if c1.shape[1] == 0 or c2.shape[1] == 0:
         return 0.0
     num = np.linalg.norm(c1.conj().T @ c2)

@@ -17,6 +17,10 @@ SCALED_H = np.diag([1.1e7, 1.1, 0.5]).astype(complex)
 SCALED_G = np.diag([1e7, 1.0, 1.0]).astype(complex)
 
 
+# (n_t, rank) of the constraints whose transmit-space fields are checked.
+LAZY_GRID = ((2, 2), (3, 1), (5, 5), (6, 3), (9, 7), (32, 32), (32, 16))
+
+
 @pytest.fixture
 def fig_channel() -> Channel:
     return Channel(FIG_H.copy(), FIG_G.copy())
@@ -39,3 +43,11 @@ def rand_channel(rng: np.random.Generator, n: int, m1=None, m2=None) -> Channel:
     m1 = int(rng.integers(1, n + 1)) if m1 is None else m1
     m2 = int(rng.integers(1, n + 1)) if m2 is None else m2
     return Channel(cgauss(rng, (m1, n)), cgauss(rng, (m2, n)))
+
+
+def constraint_of_rank(rng: np.random.Generator, n: int, rank: int) -> np.ndarray:
+    """PSD constraint with a random range of dimension ``rank`` and its
+    nonzero eigenvalues uniform in [0.5, 2]."""
+    u = np.linalg.qr(cgauss(rng, (n, rank)))[0]
+    s = (u * rng.uniform(0.5, 2.0, rank)) @ u.conj().T
+    return 0.5 * (s + s.conj().T)

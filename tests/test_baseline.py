@@ -205,8 +205,10 @@ class TestSearchRegion:
             search_region(fig_channel, SearchConfig(samples=samples, seed=1, pt=12.0))
             seen.append(dict(counts))
         assert seen[0] == seen[1]
-        # One batch per rank drawn: ranks one and two on the 2x2 channel.
-        assert seen[0]["cholesky"] == 2
+        # One pencil batch per rank drawn, ranks one and two on the 2x2
+        # channel, and for the full-rank group one batch of rank certificates
+        # and one of Cholesky factors.
+        assert seen[0]["cholesky"] == 4
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

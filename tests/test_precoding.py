@@ -17,7 +17,16 @@ from bcsecrecy import (
 from bcsecrecy.errors import NotOrthogonalError
 from bcsecrecy.linalg import LN2, herm, projector
 from bcsecrecy.sdpc import build_pencil
-from conftest import FIG_PT, SCALED_G, SCALED_H, cgauss, rand_channel, rand_psd
+from conftest import (
+    FIG_PT,
+    LAZY_GRID,
+    SCALED_G,
+    SCALED_H,
+    cgauss,
+    constraint_of_rank,
+    rand_channel,
+    rand_psd,
+)
 
 
 def _svd_projector(c):
@@ -242,6 +251,19 @@ def test_factored_loss_matches_explicit_construction():
         assert abs(report.guaranteed.R2 - guaranteed[1]) <= 1e-10
         assert abs(report.exact.R1 - exact.R1) <= 1e-10
         assert abs(report.exact.R2 - exact.R2) <= 1e-10
+
+
+@pytest.mark.parametrize("n, rank", LAZY_GRID)
+def test_coupling_formed_once_from_transmit_blocks(n, rank):
+    rng = np.random.default_rng(200 + 10 * n + rank)
+    ch = rand_channel(rng, n)
+    sol = solve_matrix_constraint(ch, constraint_of_rank(rng, n, rank))
+    report = loss_bounded_precoders(sol)
+    assert report.n_mat is report.n_mat
+    want = _explicit_loss(sol)[0]
+    assert report.n_mat.shape == want.shape
+    scale = 1.0 + np.abs(want).max(initial=0.0)
+    assert np.max(np.abs(report.n_mat - want), initial=0.0) <= 1e-9 * scale
 
 
 class TestDeterminantIdentities:

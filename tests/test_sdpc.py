@@ -16,9 +16,42 @@ from bcsecrecy.errors import (
     NotPositiveDefiniteError,
     NotPositiveSemidefiniteError,
 )
-from bcsecrecy.linalg import LN2, _fix_phase, herm, rate_logdet
-from bcsecrecy.sdpc import _stacked_corners, build_pencil, rank_bound_check
-from conftest import FIG_G, FIG_H, FIG_PT, SCALED_G, SCALED_H, cgauss, rand_channel, rand_psd
+from bcsecrecy.checks import TOLERANCES
+from bcsecrecy.linalg import (
+    LN2,
+    RANK_TOL,
+    _fix_phase,
+    gevd_definite,
+    herm,
+    psd_range,
+    rate_logdet,
+)
+from bcsecrecy.sdpc import _certified, _pencil, _stacked_corners, build_pencil, rank_bound_check
+from conftest import (
+    FIG_G,
+    FIG_H,
+    FIG_PT,
+    LAZY_GRID,
+    SCALED_G,
+    SCALED_H,
+    cgauss,
+    constraint_of_rank,
+    rand_channel,
+    rand_psd,
+)
+
+
+def calls_on(monkeypatch, name: str, s: np.ndarray) -> list[bool]:
+    """Record, for each later call of ``np.linalg.<name>``, whether its input is S."""
+    calls = []
+    real = getattr(np.linalg, name)
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a) == s.shape and np.allclose(a, s, rtol=0.0, atol=1e-12))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
 
 class TestBuildPencil:
@@ -146,21 +179,35 @@ class TestSolveMatrixConstraint:
         with pytest.raises(DimensionMismatchError):
             solve_matrix_constraint(fig_channel, np.eye(3, dtype=complex))
 
-    def test_constraint_decomposed_once(self, monkeypatch):
+    def test_full_rank_constraint_not_decomposed(self, monkeypatch):
+        # Rates, b and the loss bound read only the factor's pencil, so the
+        # reduced pencil's eigh is the only one.
         rng = np.random.default_rng(14)
         ch = rand_channel(rng, 3)
         s = rand_psd(rng, 3)
-        eigh = np.linalg.eigh
-        on_s = []
+        eigh = calls_on(monkeypatch, "eigh", s)
+        svd = calls_on(monkeypatch, "svd", s)
+        sol = solve_matrix_constraint(ch, s)
+        report = loss_bounded_precoders(sol)
+        read = [sol.corner.R1, sol.corner.R2, sol.gevd.b, report.loss_bits,
+                report.exact.R1, report.exact.R2, report.guaranteed.R1, report.guaranteed.R2]
+        assert np.all(np.isfinite(read)) and sol.rank == 3
+        assert eigh == [False] and svd == []
 
-        def counting_eigh(a, *args, **kwargs):
-            if np.shape(a) == s.shape and np.allclose(a, s, rtol=0.0, atol=1e-12):
-                on_s.append(a)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        solve_matrix_constraint(ch, s)
-        assert len(on_s) == 1
+    def test_rank_deficient_constraint_decomposed_once(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        ch = rand_channel(rng, 4)
+        f = cgauss(rng, (4, 2))
+        s = herm(f @ f.conj().T)
+        eigh = calls_on(monkeypatch, "eigh", s)
+        svd = calls_on(monkeypatch, "svd", s)
+        sol = solve_matrix_constraint(ch, s)
+        report = loss_bounded_precoders(sol)
+        assert sol.rank == 2 and np.isfinite(report.loss_bits)
+        # Its range basis is the isometry the transmit-space fields need.
+        for lazy in (sol.s_sqrt, sol.gevd.eigvecs, sol.kt_star, report.n_mat):
+            assert np.all(np.isfinite(lazy))
+        assert eigh.count(True) == 1 and svd == []
 
     def test_nan_constraint_rejected(self, fig_channel):
         with pytest.raises(ValueError, match="constraint"):
@@ -172,6 +219,108 @@ class TestSolveMatrixConstraint:
         h[0, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             Channel(h, FIG_G.copy())
+
+
+class TestLazyFields:
+    @pytest.mark.parametrize("n, rank", LAZY_GRID)
+    def test_transmit_fields_formed_once(self, n, rank, monkeypatch):
+        rng = np.random.default_rng(100 * n + rank)
+        ch = rand_channel(rng, n)
+        s = constraint_of_rank(rng, n, rank)
+        sol = solve_matrix_constraint(ch, s)
+        svd = calls_on(monkeypatch, "svd", sol.gevd.factor)
+        for name in ("s_sqrt", "kt_star"):
+            assert getattr(sol, name) is getattr(sol, name)
+        assert sol.gevd.eigvecs is sol.gevd.eigvecs
+        # A Cholesky factor needs one SVD for its polar factor, a range factor none.
+        assert svd == [True] * (rank == n)
+
+        scale = np.linalg.norm(s, 2)
+        assert np.max(np.abs(sol.s_sqrt @ sol.s_sqrt - s)) <= 1e-12 * scale
+
+        a, b = build_pencil(ch, s)
+        c, lam = sol.gevd.eigvecs, sol.gevd.eigvals
+        assert c.shape == (n, rank)
+        diag = np.linalg.norm(c.conj().T @ a @ c - np.diag(lam)) / (1.0 + np.linalg.norm(a))
+        unit = np.linalg.norm(c.conj().T @ b @ c - np.eye(rank)) / (1.0 + np.linalg.norm(b))
+        assert max(diag, unit) <= TOLERANCES["gevd_diagonalizes"]
+        piv = c[np.argmax(np.abs(c), axis=0), np.arange(rank)]
+        assert np.all(piv.real > 0.0)
+        assert np.all(np.abs(piv.imag) <= 1e-15 * piv.real)
+
+        # K* from the range factor of psd_range, whatever factor the solve took.
+        w, v, r = psd_range(s)
+        f = v[:, :r] * np.sqrt(w[:r])
+        ref = gevd_definite(*_pencil(f, ch.H, ch.G))
+        assert (r, ref.b) == (sol.rank, sol.gevd.b)
+        y = f @ np.linalg.qr(ref.upper_vecs)[0]
+        assert np.max(np.abs(sol.kt_star - y @ y.conj().T)) <= 1e-12 * scale
+
+
+# lambda_min / (RANK_TOL tr S) of the constraints around the rank certificate,
+# which passes above 2.
+BOUNDARY_C = (0.5, 1.0, 1.5, 2.0, 2.5, 4.0, 100.0)
+
+
+def boundary_constraint(rng: np.random.Generator, n: int, c: float) -> np.ndarray:
+    """S = U diag(lam) U^H with lam_min = c RANK_TOL tr(S) and the other
+    eigenvalues uniform in [0.5, 2].  With one antenna the eigenvalue is the
+    trace, so only its scale, c RANK_TOL, is set."""
+    if n == 1:
+        return np.array([[c * RANK_TOL]], dtype=complex)
+    lam = rng.uniform(0.5, 2.0, n)
+    lam[0] = c * RANK_TOL * lam[1:].sum() / (1.0 - c * RANK_TOL)
+    u = np.linalg.qr(cgauss(rng, (n, n)))[0]
+    return herm((u * lam) @ u.conj().T)
+
+
+class TestRankCertificate:
+    @pytest.mark.parametrize("n", [1, 2, 5, 32])
+    @pytest.mark.parametrize("c", BOUNDARY_C)
+    def test_rank_matches_psd_range(self, n, c):
+        rng = np.random.default_rng(n)
+        ch = rand_channel(rng, n)
+        s = boundary_constraint(rng, n, c)
+        if c != 2.0:
+            assert _certified(s) == (n == 1 or c > 2.0)
+        assert solve_matrix_constraint(ch, s).rank == psd_range(s)[2]
+
+    @pytest.mark.parametrize("n", [2, 5, 32])
+    def test_mixed_stack_matches_single_solves(self, n):
+        rng = np.random.default_rng(40 + n)
+        ch = rand_channel(rng, n)
+        f = cgauss(rng, (n, n - 1))
+        stack = np.stack(
+            [boundary_constraint(rng, n, c) for c in BOUNDARY_C]
+            + [herm(f @ f.conj().T), np.zeros((n, n))]
+        )
+        rank, certified = psd_range(stack)[2], _certified(stack)
+        assert certified.any() and np.any(~certified & (rank == n)) and np.any(rank < n)
+        rates = _stacked_corners(ch, stack)
+        for s, got in zip(stack, rates):
+            sol = solve_matrix_constraint(ch, s)
+            assert np.array_equal(got, [sol.corner.R1, sol.corner.R2])
+
+    @pytest.mark.parametrize("n", [2, 5, 32])
+    def test_negative_eigenvalues(self, n):
+        # Rounding noise of -1e-12 ||S|| is accepted as a zero eigenvalue; a
+        # real negative eigenvalue of -1e-9 ||S|| is not.
+        rng = np.random.default_rng(50 + n)
+        ch = rand_channel(rng, n)
+        u = np.linalg.qr(cgauss(rng, (n, n)))[0]
+        lam = rng.uniform(0.5, 2.0, n)
+        for low, ok in ((-1e-12, True), (-1e-9, False)):
+            lam[0] = low * lam[1:].max()
+            s = herm((u * lam) @ u.conj().T)
+            if ok:
+                sol = solve_matrix_constraint(ch, s)
+                assert sol.rank == n - 1
+                assert np.array_equal(_stacked_corners(ch, s[None])[0], [sol.corner.R1, sol.corner.R2])
+                continue
+            with pytest.raises(NotPositiveSemidefiniteError):
+                solve_matrix_constraint(ch, s)
+            with pytest.raises(NotPositiveSemidefiniteError):
+                _stacked_corners(ch, s[None])
 
 
 def constraints_of_every_rank(rng: np.random.Generator, n: int, per_rank: int = 3) -> np.ndarray:
