@@ -123,10 +123,10 @@ class _ChildSeed(ISeedSequence):
         return self.words
 
 
-def _draw(rng: np.random.Generator, out: np.ndarray) -> None:
+def _draw(rng: np.random.Generator, out: np.ndarray) -> int:
     """Write sqrt(2) times the real and imaginary parts of the complex
     Gaussian factor A of ``sample_constraint`` into ``out[0]`` and
-    ``out[1]``, zeroed (2, n, n): A fills the leading k columns.
+    ``out[1]``, zeroed (2, n, n): A fills the leading k columns.  Returns k.
 
     One (2, n, k) draw consumes the stream exactly as separate real and
     imaginary (n, k) draws would.
@@ -136,6 +136,7 @@ def _draw(rng: np.random.Generator, out: np.ndarray) -> None:
     if n > 1 and rng.random() < 1.0 / 3.0:
         k = int(rng.integers(1, n))
     out[:, :, :k] = rng.standard_normal((2, n, k))
+    return k
 
 
 def _normalized(parts: np.ndarray, pt: float) -> np.ndarray:
@@ -166,7 +167,7 @@ def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
     The children's seed words are hashed in one batch per chunk of ``CHUNK``
     samples; the factors are padded with zero columns to n_t x n_t, which
     leaves A A^H unchanged, and each chunk's constraints are solved as one
-    stack.
+    stack, where only the draws with n_t columns take the rank certificate.
 
     Raises ValueError, before drawing anything, unless ``cfg.samples`` is an
     integer >= 0 and ``cfg.pt`` is finite and >= 0; ``SeedSequence`` then
@@ -181,9 +182,9 @@ def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
     for start in range(0, samples, CHUNK):
         size = min(CHUNK, samples - start)
         parts = np.zeros((size, 2, n, n))
-        for out, words in zip(parts, _child_states(entropy, start, size)):
-            _draw(np.random.Generator(np.random.PCG64(_ChildSeed(words))), out)
-        rates = _stacked_corners(ch, _normalized(parts, pt))
+        full = [_draw(np.random.Generator(np.random.PCG64(_ChildSeed(words))), out) == n
+                for out, words in zip(parts, _child_states(entropy, start, size))]
+        rates = _stacked_corners(ch, _normalized(parts, pt), candidates=full)
         points.extend(CornerPoint(r1, r2, provenance="baseline-sample")
                       for r1, r2 in rates.tolist())
     corners = sweep_corners(diagonalize(ch), pt, SW_SPLITS)

@@ -50,7 +50,8 @@ class RegionEstimate:
 
 
 def pareto_hull(points) -> Hull:
-    """Upper-right hull of corner points or of an (n, 2) array of finite rate pairs."""
+    """Upper-right hull of corner points or of an (n, 2) array of finite rate
+    pairs, from a monotone chain over the cloud's Pareto staircase."""
     if len(points) and isinstance(points[0], CornerPoint):
         xy = np.fromiter(((p.R1, p.R2) for p in points), np.dtype((float, 2)), len(points))
     else:
@@ -59,8 +60,7 @@ def pareto_hull(points) -> Hull:
         raise ValueError("rate points must be finite")
     xy = np.clip(xy, 0.0, None)
     if xy.size == 0:
-        verts = np.zeros((1, 2))
-        return Hull(verts, 0.0)
+        return Hull(np.zeros((1, 2)), 0.0)
 
     x_max = xy[:, 0].max()
     y_max = xy[:, 1].max()
@@ -68,14 +68,16 @@ def pareto_hull(points) -> Hull:
     del xy  # a large cloud is held once, not twice, through the sort below
 
     # Keep only the highest point at each abscissa, sorted left to right.
-    order = np.lexsort((-pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    keep = np.r_[True, np.diff(pts[:, 0]) > 0]
-    pts = pts[keep]
+    pts = pts[np.lexsort((-pts[:, 1], pts[:, 0]))]
+    pts = pts[np.r_[True, np.diff(pts[:, 0]) > 0]]
+    # Pareto staircase: any other point no higher than one to its right is
+    # under the chord from (0, y_max) to that one, so never a strict vertex.
+    right = np.maximum.accumulate(pts[::-1, 1])[::-1]
+    pts = pts[np.r_[True, pts[1:, 1] > np.r_[right[2:], -np.inf]]]
 
     # Monotone chain: pop while the turn is not strictly clockwise.
-    chain: list[np.ndarray] = []
-    for p in pts:
+    chain: list[list[float]] = []
+    for p in pts.tolist():
         while len(chain) >= 2:
             o, a = chain[-2], chain[-1]
             cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])

@@ -215,6 +215,13 @@ def gevd_definite(a: np.ndarray, b: np.ndarray) -> GevdResult:
         raise DimensionMismatchError(
             f"pencil components differ in shape: {a.shape} vs {b.shape}"
         )
+    chol_inv, w, phi, split = _reduced_eigh(a, b)
+    eigvals, phi = _descending(w, phi)
+    return GevdResult(ctrans(chol_inv) @ phi, eigvals, split)
+
+
+def _reduced_eigh(a: np.ndarray, b: np.ndarray) -> tuple:
+    """``gevd_definite`` on checked components, up to (L^{-1}, w ascending, Phi, b)."""
     try:
         chol_inv = np.linalg.inv(np.linalg.cholesky(b))
     except np.linalg.LinAlgError as exc:
@@ -222,16 +229,16 @@ def gevd_definite(a: np.ndarray, b: np.ndarray) -> GevdResult:
             f"pencil component B is not positive definite: {exc}"
         ) from exc
     # eigh reads one triangle only, so the product needs no symmetrizing.
-    eigvals, vm = _descending(*_eigh(chol_inv @ a @ ctrans(chol_inv), "reduced pencil"))
-    low = np.min(eigvals, axis=-1, initial=np.inf)
-    bad = low <= RANK_TOL * np.max(eigvals, axis=-1, initial=0.0)
+    w, phi = _eigh(chol_inv @ a @ ctrans(chol_inv), "reduced pencil")
+    low = np.min(w, axis=-1, initial=np.inf)
+    bad = low <= RANK_TOL * np.max(w, axis=-1, initial=0.0)
     if _any(bad):
         raise NotPositiveDefiniteError(
             f"pencil component A has eigenvalue {_first(low, bad):.3e} along the pencil, "
             "not positive definite"
         )
-    eps = 1e-9 * (1.0 + eigvals[..., :1])
-    return GevdResult(ctrans(chol_inv) @ vm, eigvals, _count(eigvals > 1.0 + eps))
+    eps = 1e-9 * (1.0 + w[..., -1:])
+    return chol_inv, w, phi, _count(w > 1.0 + eps)
 
 
 def projector(c: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .linalg import (
     GevdResult,
     _check_hermitian,
     _fix_phase,
+    _reduced_eigh,
     clamp_rate,
     ctrans,
     gevd_definite,
@@ -171,13 +172,6 @@ def _sized_constraint(s: np.ndarray, n_t: int) -> np.ndarray:
     return s
 
 
-def _factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Range factor F = V diag(sqrt(w)) of a constraint from its ``psd_range``
-    eigenpairs cut to its rank, so F F^H is the constraint less its rounding
-    noise.  Works on stacks."""
-    return v * np.sqrt(w)[..., None, :]
-
-
 def _pencil(f: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(F^H H^H H F + I, F^H G^H G F + I) for a factor F of the constraint
     (n_t x r), or for a ``(k, n_t, r)`` stack of factors."""
@@ -185,12 +179,12 @@ def _pencil(f: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np
     return tuple(herm(ctrans(xf) @ xf) + eye for xf in (h @ f, g @ f))
 
 
-def _rates_bits(gevd: GevdResult) -> tuple[np.ndarray, np.ndarray]:
-    """Corner rates in bits: R1 = sum of ln lambda_i over the ``b`` leading
-    eigenvalues, R2 = -sum over the rest, each floored at zero.  Works on
-    the result of a stack of pencils."""
-    logs = np.log(gevd.eigvals)
-    upper = np.arange(logs.shape[-1]) < np.expand_dims(gevd.b, -1)
+def _rates_bits(eigvals: np.ndarray, b: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corner rates in bits from descending pencil eigenvalues: R1 = sum of
+    ln lambda_i over the ``b`` leading ones, R2 = -sum over the rest, each
+    floored at zero.  Works on the eigenvalues of a stack of pencils."""
+    logs = np.log(eigvals)
+    upper = np.arange(logs.shape[-1]) < np.expand_dims(b, -1)
     r1 = np.sum(logs, axis=-1, where=upper)
     r2 = -np.sum(logs, axis=-1, where=~upper)
     return clamp_rate(r1) / LN2, clamp_rate(r2) / LN2
@@ -238,35 +232,47 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
     else:
         w, v, rank = psd_range(s, "constraint")
         basis = v[:, :rank]
-        f = _factor(w[:rank], basis)
+        f = basis * np.sqrt(w[:rank])
     gevd = _CornerGevd(gevd_definite(*_pencil(f, ch.H, ch.G)), f, basis)
-    r1, r2 = _rates_bits(gevd)
+    r1, r2 = _rates_bits(gevd.eigvals, gevd.b)
     return SdpcSolution(ch, herm(s), gevd, CornerPoint(r1, r2, provenance="sdpc"), f.shape[1])
 
 
-def _stacked_corners(ch: Channel, s: np.ndarray) -> np.ndarray:
+def _stacked_corners(ch: Channel, s: np.ndarray, candidates=None) -> np.ndarray:
     """Corner rates in bits, shape (k, 2), of a ``(k, n_t, n_t)`` stack of
-    constraints.  The items of each rank are solved as one batch of the
-    kernels above, each with the factor ``solve_matrix_constraint`` takes for
-    it, so both give the same rates and raise on the same inputs.
+    constraints, each item with the factor ``solve_matrix_constraint`` takes
+    for it, so both give the same rates and raise on the same inputs.
+
+    Only the ``candidates`` (a boolean mask, every item by default) go
+    through the rank certificate, as one batch; the rest go through
+    ``psd_range``.  A caller may leave out items of rank below n_t, as
+    pt A A^H / tr(A A^H) for an A of fewer columns: forming S rounds its zero
+    eigenvalues to about n_t eps tr(S), far below the 2 RANK_TOL tr(S) shift,
+    so ``_certified`` fails on them alone too.  Each rank is one
+    ``_reduced_eigh`` batch; ``_pencil`` makes the pencils exactly Hermitian.
     """
     s = np.asarray(s, dtype=complex)
-    if s.ndim != 3 or s.shape[1:] != (ch.n_t, ch.n_t):
-        raise DimensionMismatchError(
-            f"constraints must form a (k, {ch.n_t}, {ch.n_t}) stack, got shape {s.shape}"
-        )
-    w, v, rank = psd_range(s, "constraint")
-    rates = np.empty((s.shape[0], 2))
+    n = ch.n_t
+    if s.ndim != 3 or s.shape[1:] != (n, n):
+        raise DimensionMismatchError(f"constraints must form a (k, {n}, {n}) stack, got shape {s.shape}")
+    s = _check_hermitian(s, "constraint")
+    ok = np.ones(len(s), dtype=bool) if candidates is None else np.array(candidates, dtype=bool)
+    ok[ok] = _certified(s[ok])
+    # C order: with one receive antenna, H F rounds differently on a column-major F.
+    f, rank = np.empty(s.shape, dtype=complex), np.full(len(s), n)
+    f[ok] = np.linalg.cholesky(s[ok])
+    w, v, rank[~ok] = psd_range(s[~ok], "constraint")
+    # Range factors V diag(sqrt(w)); past the rank (cut below) w can be < 0.
+    f[~ok] = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    rates = np.empty((len(s), 2))
     for r in set(rank.tolist()):
-        at = np.flatnonzero(rank == r)
-        f = _factor(w[at, :r], v[at, :, :r])
-        if r == ch.n_t:
-            # The checked constraints as the single solve sees them.
-            full = herm(s[at])
-            ok = _certified(full)
-            f[ok] = np.linalg.cholesky(full[ok])
-        gevd = gevd_definite(*_pencil(f, ch.H, ch.G))
-        rates[at, 0], rates[at, 1] = _rates_bits(gevd)
+        at = rank == r
+        pencil = _pencil(f[at, :, :r], ch.H, ch.G)
+        for name, x in zip("AB", pencil):
+            if not np.isfinite(x).all():
+                raise ValueError(f"pencil component {name} has non-finite entries")
+        _, lam, _, b = _reduced_eigh(*pencil)
+        rates[at, 0], rates[at, 1] = _rates_bits(np.ascontiguousarray(lam[:, ::-1]), b)
     return rates
 
 

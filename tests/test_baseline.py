@@ -17,6 +17,8 @@ from bcsecrecy import (
 )
 from bcsecrecy.baseline import sample_constraint
 from bcsecrecy.hull import pareto_hull
+from bcsecrecy.linalg import psd_range
+from bcsecrecy.sdpc import _certified
 from conftest import rand_channel
 
 
@@ -134,9 +136,9 @@ class TestSearchRegion:
         # Sample i is, bit for bit, sample_constraint on the stream of child i.
         stacks = []
 
-        def recording(ch, s, _solve=baseline._stacked_corners):
+        def recording(ch, s, _solve=baseline._stacked_corners, **kwargs):
             stacks.append(s.copy())
-            return _solve(ch, s)
+            return _solve(ch, s, **kwargs)
 
         monkeypatch.setattr(baseline, "_stacked_corners", recording)
         monkeypatch.setattr(baseline, "CHUNK", chunk)
@@ -206,9 +208,26 @@ class TestSearchRegion:
             seen.append(dict(counts))
         assert seen[0] == seen[1]
         # One pencil batch per rank drawn, ranks one and two on the 2x2
-        # channel, and for the full-rank group one batch of rank certificates
-        # and one of Cholesky factors.
+        # channel, and for the full-column draws one batch of rank
+        # certificates and one of Cholesky factors.
         assert seen[0]["cholesky"] == 4
+
+
+class TestCertificateMask:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_fewer_columns_never_certified(self, n):
+        # search_region sends only the full-column draws to the rank
+        # certificate: a draw with k < n columns has rank k at most, and
+        # forming S rounds its zero eigenvalues far below the certificate's
+        # shift, so the single solve's certificate fails on it too.
+        parts = np.zeros((400, 2, n, n))
+        ks = np.array([baseline._draw(np.random.default_rng([n, seed]), out)
+                       for seed, out in enumerate(parts)])
+        assert np.any(ks < n) and np.any(ks == n)
+        for pt in (1e-6, 12.0, 1e6):
+            s = baseline._normalized(parts, pt)
+            assert not np.any(_certified(s[ks < n]))
+            assert np.all(psd_range(s[ks < n])[2] <= ks[ks < n])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -55,6 +55,76 @@ class TestParetoHull:
         assert hull.area == 0.0
 
 
+def unfiltered_hull(xy: np.ndarray) -> tuple[np.ndarray, float]:
+    """Vertices and area from the monotone chain over every deduplicated
+    point, with no staircase cut."""
+    xy = np.clip(np.asarray(xy, dtype=float).reshape(-1, 2), 0.0, None)
+    if xy.size == 0:
+        return np.zeros((1, 2)), 0.0
+    pts = np.vstack([xy, [0.0, xy[:, 1].max()], [xy[:, 0].max(), 0.0]])
+    pts = pts[np.lexsort((-pts[:, 1], pts[:, 0]))]
+    pts = pts[np.r_[True, np.diff(pts[:, 0]) > 0]]
+    chain = []
+    for p in pts:
+        while len(chain) >= 2:
+            o, a = chain[-2], chain[-1]
+            if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) >= 0.0:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    verts = np.array(chain)
+    area = float(np.trapezoid(verts[:, 1], verts[:, 0])) if len(verts) > 1 else 0.0
+    return verts, area
+
+
+def staircase_clouds():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        pts = rng.uniform(0.0, 3.0, (int(rng.integers(1, 300)), 2))
+        # Duplicates, and points sharing an R1 with another.
+        pts = np.vstack([pts, pts[: len(pts) // 3]])
+        pts[rng.integers(0, len(pts), 5), 0] = pts[0, 0]
+        yield pts
+    # Concave, convex and mixed clouds: most points on the envelope.
+    x = np.sort(rng.uniform(0.0, 4.0, 200))
+    yield np.c_[x, np.sqrt(16.0 - x**2)]
+    yield np.c_[x, (4.0 - x) ** 2]
+    yield np.c_[x, np.where(x < 2.0, 3.0 - x**2 / 4.0, (4.0 - x) ** 2 / 2.0)]
+    # Collinear runs, on and under the envelope, and flat steps.
+    k = np.arange(9.0)
+    yield np.c_[k, 8.0 - k]
+    yield np.c_[k / 4.0, 2.0 - k / 4.0]
+    yield np.vstack([np.c_[k, 8.0 - k], np.c_[k, 4.0 - k / 2.0]])
+    yield np.c_[k, np.repeat([3.0, 2.0, 1.0], 3)]
+    yield np.c_[k, np.full(9, 5.0)]
+    # All-zero R2, all-zero R1, the origin only, one point, the empty set.
+    yield np.c_[k, np.zeros(9)]
+    yield np.c_[np.zeros(9), k]
+    yield np.zeros((4, 2))
+    yield np.array([[1.5, 0.25]])
+    yield np.array([[0.0, 2.0]])
+    yield np.zeros((0, 2))
+
+
+class TestStaircase:
+    @pytest.mark.parametrize("case", range(len(list(staircase_clouds()))))
+    def test_matches_unfiltered_chain(self, case):
+        pts = list(staircase_clouds())[case]
+        want, area = unfiltered_hull(pts)
+        hull = pareto_hull(pts)
+        assert np.array_equal(hull.vertices, want)
+        assert hull.area == area
+
+    def test_keeps_leftmost_point_of_flat_cloud(self):
+        # Every point has R2 = y_max, so none is strictly above those to its
+        # right; the leftmost must stay.
+        hull = pareto_hull(np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]))
+        assert np.array_equal(hull.vertices, [[0.0, 1.0], [2.0, 1.0]])
+        hull = pareto_hull(np.array([[1.0, 0.0], [2.0, 0.0]]))
+        assert np.array_equal(hull.vertices, [[0.0, 0.0], [2.0, 0.0]])
+
+
 class TestContainment:
     def test_inside_outside(self):
         hull = pareto_hull(np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))

@@ -1,5 +1,7 @@
 """Corner points under matrix power constraints, and the structural tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -333,6 +335,15 @@ def constraints_of_every_rank(rng: np.random.Generator, n: int, per_rank: int = 
     return np.stack(out)
 
 
+def error_type(call) -> type | None:
+    """The type of the exception ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    return None
+
+
 class TestStackedCorners:
     @pytest.mark.parametrize("name", ["worked", "random4x4", "one_antenna"])
     def test_matches_single_solves(self, name):
@@ -376,6 +387,18 @@ class TestStackedCorners:
             rates = _stacked_corners(ch, s[None])
             assert np.array_equal(rates[0], [sol.corner.R1, sol.corner.R2])
 
+    @pytest.mark.parametrize("gain, power", [(1.0, 1e307), (1.0, 1.5e308), (1e200, 1e10)])
+    def test_overflowing_pencil_raises_like_single_solve(self, gain, power):
+        # The pencil overflows (at 1.5e308 tr(S) does too).  The stacked
+        # solve skips the pencil's Hermitian checks, so its finiteness guard
+        # must still raise, not return NaN rates.
+        ch = Channel(gain * FIG_H, FIG_G.copy())
+        s = power * np.eye(2, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = error_type(lambda: solve_matrix_constraint(ch, s))
+            assert want is ValueError
+            assert error_type(lambda: _stacked_corners(ch, s[None])) is want
+
     def test_rejects_bad_items(self, fig_channel):
         good = np.eye(2, dtype=complex)
         with pytest.raises(NotPositiveSemidefiniteError, match="constraint"):
@@ -384,6 +407,53 @@ class TestStackedCorners:
             _stacked_corners(fig_channel, np.stack([good, np.full((2, 2), np.nan)]))
         with pytest.raises(DimensionMismatchError):
             _stacked_corners(fig_channel, good)
+
+
+class TestCandidateMask:
+    @pytest.mark.parametrize("n, m1", [(2, None), (4, 1), (7, None), (7, 1)])
+    def test_mixed_chunk_matches_single_solves(self, n, m1):
+        # Certifiable full-column constraints, one full-column constraint
+        # with lambda_min = 1.5 RANK_TOL tr(S), which fails the certificate but
+        # has full rank, and constraints of every lower rank, shuffled.
+        rng = np.random.default_rng(60 + n)
+        ch = rand_channel(rng, n, m1=m1)
+        edge = boundary_constraint(rng, n, 1.5)
+        assert not _certified(edge) and psd_range(edge)[2] == n
+        short = [herm(f @ f.conj().T) for f in (cgauss(rng, (n, k)) for k in range(1, n))]
+        stack = np.stack([rand_psd(rng, n, 12.0) for _ in range(5)] + [edge] + short)
+        mask = np.arange(len(stack)) < 6
+        perm = rng.permutation(len(stack))
+        stack, mask = stack[perm], mask[perm]
+        want = [[sol.corner.R1, sol.corner.R2]
+                for sol in (solve_matrix_constraint(ch, s) for s in stack)]
+        # The same values with each matrix stored column-major, as numpy lays
+        # out some products of large stacks; with one receive antenna, H F
+        # rounds differently on such a layout of F.
+        transposed = np.ascontiguousarray(stack.swapaxes(1, 2)).swapaxes(1, 2)
+        for s, candidates in itertools.product((stack, transposed), (None, mask)):
+            assert np.array_equal(_stacked_corners(ch, s, candidates=candidates), want)
+
+    @pytest.mark.parametrize("bad", ["indefinite", "pencil"])
+    def test_masked_stack_raises_like_single_solves(self, bad):
+        # A full-column constraint with eigenvalue -1e-9 ||S||, or a pencil
+        # whose spread passes 1 / RANK_TOL (see test_raises_like_single_solves),
+        # among certifiable and rank-one constraints.
+        rng = np.random.default_rng(70)
+        if bad == "indefinite":
+            ch = rand_channel(rng, 2)
+            s = np.diag([2.0, -2e-9]).astype(complex)
+        else:
+            ch = Channel(cgauss(rng, (1, 2)), np.zeros((2, 2), dtype=complex))
+            s = np.diag([1e11, 100.0]).astype(complex)
+        f = cgauss(rng, (2, 1))
+        stack = np.stack([rand_psd(rng, 2, 12.0), s, herm(f @ f.conj().T)])
+        want = error_type(lambda: solve_matrix_constraint(ch, s))
+        assert want is {"indefinite": NotPositiveSemidefiniteError,
+                        "pencil": NotPositiveDefiniteError}[bad]
+        for candidates in (None, [True, True, False]):
+            assert error_type(lambda: _stacked_corners(ch, stack, candidates=candidates)) is want
+            assert error_type(lambda: _stacked_corners(ch, s[None], candidates=candidates and [True])) is want
+
 
 
 class TestOrthogonalityDefect:
