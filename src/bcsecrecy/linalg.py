@@ -237,8 +237,13 @@ def _reduced_eigh(a: np.ndarray, b: np.ndarray) -> tuple:
             f"pencil component A has eigenvalue {_first(low, bad):.3e} along the pencil, "
             "not positive definite"
         )
-    eps = 1e-9 * (1.0 + w[..., -1:])
-    return chol_inv, w, phi, _count(w > 1.0 + eps)
+    return chol_inv, w, phi, _count(w > 1.0 + _split_tie(w[..., -1:]))
+
+
+def _split_tie(lam_max: np.ndarray | float) -> np.ndarray | float:
+    """Half-width 1e-9 (1 + lambda_max) of the band around one whose pencil
+    eigenvalues count as ties: neither in the split ``b`` nor below one."""
+    return 1e-9 * (1.0 + lam_max)
 
 
 def projector(c: np.ndarray) -> np.ndarray:

@@ -40,7 +40,6 @@ from .linalg import (
     ctrans,
     gevd_definite,
     herm,
-    herm_eig,
     psd_range,
     psd_sqrt,
 )
@@ -290,39 +289,3 @@ def orthogonality_defect(sol: SdpcSolution) -> float:
     num = np.linalg.norm(c1.conj().T @ c2)
     den = np.linalg.norm(c1) * np.linalg.norm(c2)
     return float(num / den)
-
-
-@dataclass
-class RankBoundReport:
-    """Eigenvalue-count bounds tying the pencil split to the channel difference.
-
-    The split ``b`` can never exceed the number of positive eigenvalues of
-    H^H H - G^H G, and symmetrically the count of pencil eigenvalues below one
-    can never exceed the number of negative ones.
-    """
-
-    b: int
-    m: int
-    holds: bool
-    below_one: int
-    m_negative: int
-    lower_holds: bool
-
-
-def rank_bound_check(ch: Channel, sol: SdpcSolution) -> RankBoundReport:
-    """Verify both eigenvalue-count bounds for a solved instance."""
-    diff = herm(ch.gram_h() - ch.gram_g())
-    w, _ = herm_eig(diff)
-    scale = np.abs(w).max() if w.size else 0.0
-    m = int(np.count_nonzero(w > RANK_TOL * scale))
-    m_neg = int(np.count_nonzero(w < -RANK_TOL * scale))
-    lam = sol.gevd.eigvals
-    if lam.size:
-        eps = 1e-9 * (1.0 + lam[0])
-        below = int(np.count_nonzero(lam < 1.0 - eps))
-    else:
-        below = 0
-    return RankBoundReport(
-        b=sol.gevd.b, m=m, holds=sol.gevd.b <= m,
-        below_one=below, m_negative=m_neg, lower_holds=below <= m_neg,
-    )

@@ -1,4 +1,4 @@
-"""Randomized invariant battery: pass/fail wiring and fault injection."""
+"""Randomized invariant battery: pass/fail wiring, fault injection and the rank bound."""
 
 import math
 
@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import bcsecrecy.checks as checks_mod
-from bcsecrecy import run_battery
-from bcsecrecy.checks import FAULTS, TOLERANCES, InvariantResult
+from bcsecrecy import Channel, run_battery, solve_matrix_constraint
+from bcsecrecy.checks import FAULTS, TOLERANCES, InvariantResult, _rank_bound_counts
 from bcsecrecy.cli import main
+from conftest import SCALED_G, SCALED_H, cgauss, rand_channel, rand_psd
 
 
 class TestRunBattery:
@@ -66,6 +67,63 @@ class TestRunBattery:
 
     def test_faults_listed(self):
         assert "gevd" in FAULTS
+
+    def test_projector_on_scaled_eigenvectors(self, monkeypatch):
+        # C^H B C = I scales the two leading eigenvectors to norms of about
+        # 1e-7 and 0.71, a Gram condition past COND_LIMIT, though they are
+        # orthogonal; the invariant judges their span.
+        monkeypatch.setattr(checks_mod, "random_channel",
+                            lambda rng, dim: Channel(SCALED_H, SCALED_G))
+        monkeypatch.setattr(checks_mod, "random_constraint", lambda rng, dim, trace: np.eye(dim))
+        report = run_battery(trials=1, dim=3, seed=0)
+        assert {r.name: r.ok for r in report.results}["projector"]
+
+
+def bound_holds(counts: tuple[int, int, int, int]) -> bool:
+    b, below, m_pos, m_neg = counts
+    return b <= m_pos and below <= m_neg
+
+
+class TestRankBound:
+    def test_no_second_receiver_full_bound(self):
+        rng = np.random.default_rng(10)
+        h = cgauss(rng, (3, 3))
+        ch = Channel(h, np.zeros((1, 3), dtype=complex))
+        counts = _rank_bound_counts(ch, solve_matrix_constraint(ch, rand_psd(rng, 3)))
+        assert counts[2] == 3
+        assert bound_holds(counts)
+
+    def test_identical_channels(self):
+        rng = np.random.default_rng(11)
+        h = cgauss(rng, (3, 3))
+        ch = Channel(h, h.copy())
+        counts = _rank_bound_counts(ch, solve_matrix_constraint(ch, rand_psd(rng, 3)))
+        b, _, m_pos, _ = counts
+        assert m_pos == 0
+        assert b == 0
+        assert bound_holds(counts)
+
+    def test_random_sweep_holds(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            ch = rand_channel(rng, 4)
+            sol = solve_matrix_constraint(ch, rand_psd(rng, 4, trace=4.0))
+            assert bound_holds(_rank_bound_counts(ch, sol))
+
+    def test_eigenvalue_at_one_is_a_tie(self):
+        # With one-row H and G on three antennas, S = I puts one pencil
+        # eigenvalue at one (the direction orthogonal to h and g), and it
+        # rounds to either side.  Counted below one, it would break the bound.
+        rng = np.random.default_rng(7)
+        untied = 0
+        for _ in range(200):
+            ch = Channel(cgauss(rng, (1, 3)), cgauss(rng, (1, 3)))
+            sol = solve_matrix_constraint(ch, np.eye(3))
+            counts = _rank_bound_counts(ch, sol)
+            assert counts[2:] == (1, 1)
+            assert bound_holds(counts)
+            untied += np.count_nonzero(sol.gevd.eigvals < 1.0) > counts[3]
+        assert untied > 0
 
 
 class TestInvariantResult:

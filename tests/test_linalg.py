@@ -222,6 +222,11 @@ class TestProjector:
         with pytest.raises(RankDeficientError):
             projector(c)
 
+    def test_close_unit_columns_rejected(self):
+        c = np.array([[1.0, 1.0], [0.0, 1e-7], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(RankDeficientError):
+            projector(c / np.linalg.norm(c, axis=0))
+
     def test_more_columns_than_rows_rejected(self):
         c = cgauss(np.random.default_rng(12), (3, 4))
         with pytest.raises(RankDeficientError):

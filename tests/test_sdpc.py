@@ -28,7 +28,7 @@ from bcsecrecy.linalg import (
     psd_range,
     rate_logdet,
 )
-from bcsecrecy.sdpc import _certified, _pencil, _stacked_corners, build_pencil, rank_bound_check
+from bcsecrecy.sdpc import _certified, _pencil, _stacked_corners, build_pencil
 from conftest import (
     FIG_G,
     FIG_H,
@@ -335,6 +335,11 @@ def constraints_of_every_rank(rng: np.random.Generator, n: int, per_rank: int = 
     return np.stack(out)
 
 
+# Corner of ``test_wide_spread_corner`` in bits, from 60-digit mpmath.
+SPREAD_R1 = 20.432814122395955
+SPREAD_R2 = 23.076052554923923
+
+
 def error_type(call) -> type | None:
     """The type of the exception ``call()`` raises, or None."""
     try:
@@ -386,6 +391,27 @@ class TestStackedCorners:
             sol = solve_matrix_constraint(ch, s)
             rates = _stacked_corners(ch, s[None])
             assert np.array_equal(rates[0], [sol.corner.R1, sol.corner.R2])
+
+    @pytest.mark.xfail(strict=True, raises=NotPositiveDefiniteError,
+                       reason="ROADMAP item 1: the definiteness rejection of library-built "
+                              "pencils at an eigenvalue spread past 1 / RANK_TOL")
+    def test_wide_spread_corner(self):
+        # A rank-3 S of trace 1240 with channel entries of at most 9 spreads
+        # the pencil's eigenvalues over 1e10 (1.4e6 to 1.4e-4).  The corner is
+        # from 60-digit mpmath on the range of S.
+        h = np.full((3, 6), 9.0)
+        g = -np.ones((3, 6))
+        g[0, 0] = g[1, 0] = 5.0
+        g[2, 4] = 9.0
+        s = np.full((6, 6), 216.0)
+        s[0, :] = s[:, 0] = 180.0
+        s[4, :] = s[:, 4] = 156.0
+        s[0, 4] = s[4, 0] = 120.0
+        s[4, 4] = 196.0
+        ch = Channel(h, g)
+        corner = solve_matrix_constraint(ch, s).corner
+        for got in ([corner.R1, corner.R2], _stacked_corners(ch, s[None])[0]):
+            assert np.allclose(got, [SPREAD_R1, SPREAD_R2], rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("gain, power", [(1.0, 1e307), (1.0, 1.5e308), (1e200, 1e10)])
     def test_overflowing_pencil_raises_like_single_solve(self, gain, power):
@@ -477,31 +503,3 @@ class TestOrthogonalityDefect:
         assert np.isfinite(defect)
         assert defect > 1e-6
 
-
-class TestRankBound:
-    def test_no_second_receiver_full_bound(self):
-        rng = np.random.default_rng(10)
-        h = cgauss(rng, (3, 3))
-        ch = Channel(h, np.zeros((1, 3), dtype=complex))
-        sol = solve_matrix_constraint(ch, rand_psd(rng, 3))
-        report = rank_bound_check(ch, sol)
-        assert report.m == 3
-        assert report.holds and report.lower_holds
-
-    def test_identical_channels(self):
-        rng = np.random.default_rng(11)
-        h = cgauss(rng, (3, 3))
-        ch = Channel(h, h.copy())
-        sol = solve_matrix_constraint(ch, rand_psd(rng, 3))
-        report = rank_bound_check(ch, sol)
-        assert report.m == 0
-        assert sol.gevd.b == 0
-        assert report.holds
-
-    def test_random_sweep_holds(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            ch = rand_channel(rng, 4)
-            sol = solve_matrix_constraint(ch, rand_psd(rng, 4, trace=4.0))
-            report = rank_bound_check(ch, sol)
-            assert report.holds and report.lower_holds
