@@ -112,10 +112,8 @@ def diagonalize(ch: Channel) -> DiagonalizedChannel:
     a1 = herm(w @ ch_r.gram_h() @ w)
     sigma1, phi = herm_eig(a1)
     phi = _refine_ties(sigma1, phi, w)
-    sigma1 = np.real(np.diag(phi.conj().T @ a1 @ phi))
-    sigma2 = np.real(np.diag(phi.conj().T @ herm(w @ ch_r.gram_g() @ w) @ phi))
-    sigma1 = np.clip(sigma1, 0.0, None)
-    sigma2 = np.clip(sigma2, 0.0, None)
+    sigma1 = np.clip(np.real(np.diag(phi.conj().T @ a1 @ phi)), 0.0, None)
+    sigma2 = np.clip(np.real(np.diag(phi.conj().T @ herm(w @ ch_r.gram_g() @ w) @ phi)), 0.0, None)
 
     # Stable partition: user-1 subchannels first, original order inside blocks.
     strong1 = (sigma1 - sigma2) > SIGMA_TIE_TOL
@@ -347,20 +345,24 @@ def split_grid(alpha_grid: int | np.ndarray) -> np.ndarray:
     return alphas
 
 
-def _split_fills(dc: DiagonalizedChannel, alphas: np.ndarray, pt: float):
-    """(powers, levels) of user 1 and of user 2, one row per split.  Tie
-    subchannels carry no secrecy value and get p = 0."""
+def _blocks(dc: DiagonalizedChannel):
+    """(strong, weak, cost, live) of user 1, then of user 2.  A live subchannel has
+    a gain gap above ``SIGMA_TIE_TOL``, as all of user 1's do by construction."""
     rho, s1, s2, a = dc.rho, dc.sigma1, dc.sigma2, dc.a
-    return (_fill(s1[:rho], s2[:rho], a[:rho], alphas * pt, (s1 - s2)[:rho] > SIGMA_TIE_TOL),
-            _fill(s2[rho:], s1[rho:], a[rho:], (1 - alphas) * pt, (s2 - s1)[rho:] > SIGMA_TIE_TOL))
+    return ((s1[:rho], s2[:rho], a[:rho], np.ones(rho, dtype=bool)),
+            (s2[rho:], s1[rho:], a[rho:], (s2 - s1)[rho:] > SIGMA_TIE_TOL))
+
+
+def _split_fills(dc: DiagonalizedChannel, alphas: np.ndarray, pt: float):
+    """(powers, levels) of user 1 and of user 2, one row per split."""
+    budgets = (alphas * pt, (1 - alphas) * pt)
+    return tuple(_fill(s, w, a, b, live) for (s, w, a, live), b in zip(_blocks(dc), budgets))
 
 
 def _rates(dc: DiagonalizedChannel, p1: np.ndarray, p2: np.ndarray):
     """Both users' rates in bits, for powers with or without a leading batch axis."""
-    rho = dc.rho
-    r1 = np.sum(np.log1p(dc.sigma1[:rho] * p1) - np.log1p(dc.sigma2[:rho] * p1), axis=-1)
-    r2 = np.sum(np.log1p(dc.sigma2[rho:] * p2) - np.log1p(dc.sigma1[rho:] * p2), axis=-1)
-    return clamp_rate(r1) / LN2, clamp_rate(r2) / LN2
+    return tuple(clamp_rate(np.sum(np.log1p(s * p) - np.log1p(w * p), axis=-1)) / LN2
+                 for (s, w, _, _), p in zip(_blocks(dc), (p1, p2)))
 
 
 def allocate(dc: DiagonalizedChannel, alpha: float, pt: float) -> PowerAllocation:
@@ -400,12 +402,12 @@ def waterfill_capacity(h: np.ndarray, pt: float) -> float:
     ``waterfill_high_snr`` with every sigma_weak zero, where it is exact.
     """
     check_split(1.0, pt)
-    h = np.atleast_2d(np.asarray(h, dtype=complex))
-    lam, _, rank = psd_range(herm(h.conj().T @ h), "channel Gram")
-    if rank == 0:
+    h = np.atleast_2d(h)
+    try:
+        lam = reduce_nullspace(Channel(h, np.zeros((1, h.shape[1]))))[2]
+    except ZeroChannelError:
         return 0.0
-    lam = lam[:rank]
-    p, _ = waterfill_high_snr(lam, np.zeros(rank), np.ones(rank), pt)
+    p, _ = waterfill_high_snr(lam, np.zeros(lam.size), np.ones(lam.size), pt)
     return float(np.sum(np.log1p(lam * p))) / LN2
 
 

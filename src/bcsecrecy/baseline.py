@@ -9,9 +9,10 @@ region that the fast algorithms must essentially match.
 Sampling is deterministic per seed and per sample index: sample i draws from
 the i-th ``SeedSequence.spawn`` child of the seed, so results do not depend on
 evaluation order and a longer run strictly extends a shorter one with the same
-seed.  The children's PCG64 seed words are hashed for a whole chunk at once
-(``_child_states``, numpy's SeedSequence hash on uint32 arrays), which gives
-the same streams as spawning them one by one at a fraction of the cost.
+seed.  Before its spawn key every child holds the seed's own
+``SeedSequence.pool``, so ``_child_states`` hashes only the key and output
+words, for a whole chunk at once on uint32 arrays: the same streams as
+spawning the children one by one, at a fraction of the cost.
 """
 
 from dataclasses import dataclass, replace
@@ -47,68 +48,48 @@ MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 MASK32 = 0xFFFFFFFF
 
 
-def _pool_state(words: list[np.ndarray]) -> np.ndarray:
-    """generate_state(4, np.uint64) of a SeedSequence whose assembled entropy
-    is ``words``, one uint32 array per word (shape (1,) or (m,)), as (m, 4).
-
-    The hash constants depend only on the number of words, so every child
-    of one batch takes the same steps on its own lane.
-    """
-    const = INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * MULT_A & MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        r = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
-        return r ^ (r >> np.uint32(16))
-
-    # Assembled entropy is never shorter than the pool: the run words are
-    # padded to 4 before a spawn key is appended.
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    const = INIT_B
-    out = []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(const)
-        const = const * MULT_B & MASK32
-        value = value * np.uint32(const)
-        out.append(value ^ (value >> np.uint32(16)))
-    state = np.stack(out, axis=-1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """numpy's SeedSequence hash step: uint32 ``value`` hashed under
+    ``const``, and the next constant."""
+    value = value ^ np.uint32(const)
+    const = const * mult & MASK32
+    value = value * np.uint32(const)
+    return value ^ (value >> np.uint32(16)), const
 
 
 def _child_states(entropy: int, start: int, count: int) -> np.ndarray:
     """The (count, 4) uint64 words ``generate_state(4, np.uint64)`` gives for
     children start, ..., start + count - 1 of ``SeedSequence(entropy).spawn``.
 
-    ``entropy`` is a non-negative integer (a SeedSequence's ``entropy``).
-    A child's assembled entropy is the seed's uint32 words, zero-padded to
+    ``entropy`` is a non-negative integer (a SeedSequence's ``entropy``) of w
+    uint32 words.  A child's assembled entropy is those words, zero-padded to
     4, then its spawn key i as one word, or two from 2**32 on, so a range
-    straddling 2**32 is hashed in two groups.
+    straddling 2**32 is hashed in two groups.  numpy hashes a missing seed
+    word as a zero word, so before its key every child holds the seed's own
+    ``SeedSequence.pool`` and the hash constant INIT_A MULT_A^(4 max(4, w)).
+    Only the key words and the output words are hashed here, one lane per
+    child.
     """
     e = int(entropy)
-    run = [np.array([(e >> s) & MASK32], dtype=np.uint32)
-           for s in range(0, max(e.bit_length(), 1), 32)]
-    run += [np.zeros(1, dtype=np.uint32)] * (4 - len(run))
+    seed_pool = np.random.SeedSequence(e).pool
+    seed_const = INIT_A * pow(MULT_A, 4 * max(4, -(-e.bit_length() // 32)), MASK32 + 1) & MASK32
     parts = []
     lo, stop = start, start + count
     while lo < stop:
         width = max(1, -(-lo.bit_length() // 32))
         hi = min(stop, 1 << 32 * width)
         keys = np.arange(lo, hi, dtype=np.uint64).astype("<u8").view("<u4")
-        key_words = [keys[j::2].astype(np.uint32) for j in range(width)]
-        parts.append(_pool_state(run + key_words))
+        pool, const = np.repeat(seed_pool[:, None], hi - lo, axis=1), seed_const
+        for j in range(width):
+            for dst in range(4):
+                value, const = _hashmix(keys[j::2], const, MULT_A)
+                r = np.uint32(MIX_MULT_L) * pool[dst] - np.uint32(MIX_MULT_R) * value
+                pool[dst] = r ^ (r >> np.uint32(16))
+        const, out = INIT_B, []
+        for i in range(8):
+            value, const = _hashmix(pool[i % 4], const, MULT_B)
+            out.append(value)
+        parts.append(np.stack(out, axis=-1).astype("<u4").view("<u8").astype(np.uint64))
         lo = hi
     return np.concatenate(parts)
 

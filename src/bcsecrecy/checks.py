@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .avgpower import SIGMA_TIE_TOL, allocate, corner_rates, diagonalize, make_matrix_constraint
+from .avgpower import _blocks, allocate, corner_rates, diagonalize, make_matrix_constraint
 from .linalg import RANK_TOL, _split_tie, herm, projector, psd_sqrt, rate_logdet
 from .precoding import loss_bounded_precoders, optimal_precoders, rate_evaluate
 from .sdpc import Channel, SdpcSolution, build_pencil, orthogonality_defect, solve_matrix_constraint
@@ -143,14 +143,8 @@ def _rank_bound_counts(ch: Channel, sol: SdpcSolution) -> tuple[int, int, int, i
 
 def _waterfill_residuals(dc, alloc, pt):
     kkt = budget = 0.0
-    blocks = (
-        (alloc.p1, alloc.mu1, dc.sigma1[: dc.rho], dc.sigma2[: dc.rho],
-         dc.a[: dc.rho], alloc.alpha * pt),
-        (alloc.p2, alloc.mu2, dc.sigma2[dc.rho:], dc.sigma1[dc.rho:],
-         dc.a[dc.rho:], (1.0 - alloc.alpha) * pt),
-    )
-    for p, mu, strong, weak, cost, share in blocks:
-        live = (strong - weak) > SIGMA_TIE_TOL
+    fills = ((alloc.p1, alloc.mu1, alloc.alpha * pt), (alloc.p2, alloc.mu2, (1.0 - alloc.alpha) * pt))
+    for (strong, weak, cost, live), (p, mu, share) in zip(_blocks(dc), fills):
         if not np.any(live) or share <= 0 or np.isinf(mu):
             continue
         budget = np.maximum(budget, abs(float(p @ cost) - share) / share)

@@ -53,8 +53,10 @@ class TestSampleConstraint:
 
 
 class TestChildStates:
+    # Seeds of one to five uint32 words.  2**96 + 1 and 2**128 - 1 have four,
+    # the most the hash's 16 fixed steps take before 4 steps per extra word.
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 7, 2**64 + 3, 2**130 + 99,
-                                      np.uint64(2**63 + 5)])
+                                      np.uint64(2**63 + 5), 2**96 + 1, 2**128 - 1])
     @pytest.mark.parametrize("start", [0, 255, 256, 2**32 - 3])
     def test_equal_numpy_spawn(self, seed, start):
         # Child i of SeedSequence(seed).spawn is SeedSequence(seed, spawn_key=(i,)),
