@@ -61,15 +61,16 @@ def reduce_nullspace(ch: Channel) -> tuple[Channel, np.ndarray, np.ndarray]:
 class DiagonalizedChannel:
     """Common eigenbasis of the whitened channel Grams.
 
+    ``basis`` = U_p W Phi (n_t x n) is the range basis of ``reduce_nullspace``,
+    the whitening and the common eigenvectors in one product.
+
     Entries are ordered so the first ``rho`` subchannels have sigma1 > sigma2
     (by more than the tie tolerance), descending sigma1 within each block.
     ``a`` holds the per-subchannel power cost: spending p_i on subchannel i
     consumes a_i of the trace budget.
     """
 
-    u_p: np.ndarray
-    w: np.ndarray
-    phi: np.ndarray
+    basis: np.ndarray
     sigma1: np.ndarray
     sigma2: np.ndarray
     a: np.ndarray
@@ -119,20 +120,19 @@ def diagonalize(ch: Channel) -> DiagonalizedChannel:
     strong1 = (sigma1 - sigma2) > SIGMA_TIE_TOL
     order = np.r_[np.flatnonzero(strong1), np.flatnonzero(~strong1)]
     sigma1, sigma2, phi = sigma1[order], sigma2[order], phi[:, order]
-    a = np.sum(np.abs(w @ phi) ** 2, axis=0)
-    return DiagonalizedChannel(u_p, w, phi, sigma1, sigma2, a, int(strong1.sum()))
+    w_phi = w @ phi
+    a = np.sum(np.abs(w_phi) ** 2, axis=0)
+    return DiagonalizedChannel(u_p @ w_phi, sigma1, sigma2, a, int(strong1.sum()))
 
 
 def make_matrix_constraint(dc: DiagonalizedChannel, p: np.ndarray) -> np.ndarray:
-    """Transmit covariance W Phi diag(p) Phi^H W in the original antenna space."""
+    """Transmit covariance U_p W Phi diag(p) Phi^H W U_p^H, from ``dc.basis``."""
     p = np.asarray(p, dtype=float)
     if p.shape != (dc.n,):
         raise DimensionMismatchError(f"expected {dc.n} powers, got shape {p.shape}")
-    if np.any(p < 0):
-        raise ValueError("subchannel powers must be non-negative")
-    t = dc.w @ dc.phi
-    s = herm((t * p) @ t.conj().T)
-    return herm(dc.u_p @ s @ dc.u_p.conj().T)
+    if not np.all((0.0 <= p) & (p < np.inf)):
+        raise ValueError("subchannel powers must be finite and non-negative")
+    return herm((dc.basis * p) @ dc.basis.conj().T)
 
 
 def _check_fill(sigma_strong, sigma_weak, a, budget):
@@ -326,10 +326,10 @@ def check_split(alpha: float | np.ndarray, pt: float) -> None:
         raise ValueError(f"total power must be finite and non-negative, got {pt}")
 
 
-def _check_count(value, name: str) -> None:
-    """Reject a count that is not an integer >= 0 (a bool is not a count)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+def _check_count(value, name: str, minimum: int = 0) -> None:
+    """Reject a count that is not an integer >= ``minimum`` (a bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def split_grid(alpha_grid: int | np.ndarray) -> np.ndarray:

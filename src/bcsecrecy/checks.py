@@ -8,11 +8,11 @@ worst value and fails every tolerance.  ``inject_fault="gevd"`` corrupts the
 recovered pencil basis on purpose so the violation path itself stays tested.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .avgpower import _blocks, allocate, corner_rates, diagonalize, make_matrix_constraint
+from .avgpower import _blocks, _check_count, allocate, corner_rates, diagonalize, make_matrix_constraint
 from .linalg import RANK_TOL, _split_tie, herm, projector, psd_sqrt, rate_logdet
 from .precoding import loss_bounded_precoders, optimal_precoders, rate_evaluate
 from .sdpc import Channel, SdpcSolution, build_pencil, orthogonality_defect, solve_matrix_constraint
@@ -72,15 +72,7 @@ class CheckReport:
             "dim": self.dim,
             "seed": self.seed,
             "ok": self.ok,
-            "invariants": [
-                {
-                    "name": r.name,
-                    "max_residual": r.max_residual,
-                    "tolerance": r.tolerance,
-                    "ok": r.ok,
-                }
-                for r in self.results
-            ],
+            "invariants": [{**asdict(r), "ok": r.ok} for r in self.results],
         }
 
 
@@ -164,12 +156,10 @@ def run_battery(
     trials: int, dim: int, seed: int, inject_fault: str | None = None
 ) -> CheckReport:
     """Run every invariant on ``trials`` random instances of width ``dim``."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    for count, name in ((trials, "trials"), (dim, "dim")):
+        _check_count(count, name, minimum=1)
     if inject_fault is not None and inject_fault not in FAULTS:
         raise ValueError(f"unknown fault {inject_fault!r}, expected one of {FAULTS}")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
     rng = np.random.default_rng(seed)
     worst = dict.fromkeys(TOLERANCES, 0.0)
 
@@ -200,10 +190,7 @@ def run_battery(
 
         r1, r2 = sol.corner.nats()
         direct1 = _objective(ch, sol.kt_star)
-        direct2 = (
-            rate_logdet(ch.G, s) - rate_logdet(ch.G, sol.kt_star)
-            - rate_logdet(ch.H, s) + rate_logdet(ch.H, sol.kt_star)
-        )
+        direct2 = direct1 - _objective(ch, s)  # R2 = f(K*) - f(S) for f the H-over-G gap
         note("corner_identity", abs(r1 - direct1))
         note("corner_identity", abs(r2 - direct2))
 
@@ -225,8 +212,7 @@ def run_battery(
         dc = diagonalize(ch)
         note("sigma_sum", float(np.max(np.abs(dc.sigma1 + dc.sigma2 - 1.0))))
 
-        gh = herm(dc.w @ Channel(ch.H @ dc.u_p, ch.G @ dc.u_p).gram_h() @ dc.w)
-        gg = herm(dc.w @ Channel(ch.H @ dc.u_p, ch.G @ dc.u_p).gram_g() @ dc.w)
+        gh, gg = (herm(x.conj().T @ x) for x in (ch.H @ dc.basis, ch.G @ dc.basis))
         eye = np.eye(dc.n)
         lam = np.linalg.eigvals(np.linalg.solve(gg + eye, gh + eye)).real
         note("pencil_range", np.maximum(0.0, lam.max() - 2.0))

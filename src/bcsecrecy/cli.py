@@ -130,15 +130,15 @@ def cmd_region(args) -> int:
     if args.alpha_grid < 2:
         raise InputFileError("--alpha-grid must be at least 2")
     est = region_sweep(ch, power, args.alpha_grid)
+    if args.dump_sw is not None:
+        dc = diagonalize(ch)
+        s_w = make_matrix_constraint(dc, allocate(dc, args.dump_sw_alpha, power).full_vector())
     scale, unit = (LN2, "nats") if args.nats else (1.0, "bits")
     rows = sorted(
         (p.alpha, p.R1 * scale, p.R2 * scale, p.provenance) for p in est.points
     )
     _write_rows(args.out, ("alpha", f"R1_{unit}", f"R2_{unit}", "provenance"), rows)
     if args.dump_sw is not None:
-        dc = diagonalize(ch)
-        alloc = allocate(dc, args.dump_sw_alpha, power)
-        s_w = make_matrix_constraint(dc, alloc.full_vector())
         _write_json(args.dump_sw, {"S": matrix_pairs(s_w)})
     return 0
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .avgpower import check_split, reduce_nullspace, split_grid
-from .errors import DimensionMismatchError
 from .linalg import LN2, _fix_phase, clamp_rate
 from .sdpc import Channel
 
@@ -32,12 +31,7 @@ class MisoChannel:
     def __post_init__(self):
         self.h = np.asarray(self.h, dtype=complex).reshape(-1)
         self.g = np.asarray(self.g, dtype=complex).reshape(-1)
-        if self.h.shape != self.g.shape:
-            raise DimensionMismatchError(
-                f"channel vectors differ in length: {self.h.size} vs {self.g.size}"
-            )
-        if not (np.isfinite(self.h).all() and np.isfinite(self.g).all()):
-            raise ValueError("channel vectors have non-finite entries")
+        self.as_channel()  # Channel checks the lengths and finiteness
 
     def as_channel(self) -> Channel:
         """Equivalent two-user matrix channel (1 x n_t rows h^H and g^H)."""

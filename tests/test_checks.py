@@ -25,6 +25,9 @@ class TestRunBattery:
         doc = report.as_dict()
         assert doc["trials"] == 2 and doc["dim"] == 2 and doc["seed"] == 1
         assert doc["ok"] is True
+        assert list(doc) == ["trials", "dim", "seed", "ok", "invariants"]
+        for inv in doc["invariants"]:
+            assert list(inv) == ["name", "max_residual", "tolerance", "ok"]
         names = [inv["name"] for inv in doc["invariants"]]
         assert names == [r.name for r in report.results]
 
@@ -34,9 +37,12 @@ class TestRunBattery:
         assert [a.max_residual for a in r1.results] == [b.max_residual for b in r2.results]
 
     def test_zero_trials_rejected(self):
-        for trials in (0, -5):
-            with pytest.raises(ValueError):
+        for trials in (0, -5, 2.5, True):
+            with pytest.raises(ValueError, match="trials must be an integer >= 1"):
                 run_battery(trials=trials, dim=2, seed=0)
+        for dim in (0, 2.5, True):
+            with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+                run_battery(trials=1, dim=dim, seed=0)
 
     def test_nan_residual_fails(self, monkeypatch):
         monkeypatch.setattr(checks_mod, "_objective", lambda ch, k: np.nan)

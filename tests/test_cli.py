@@ -92,6 +92,15 @@ class TestRegion:
         assert doc["defect"] <= 1e-8
         assert doc["R1_bits"] > 0.0 and doc["R2_bits"] > 0.0
 
+    def test_bad_dump_alpha_writes_nothing(self, tmp_path, fig_file, capsys):
+        out, sw = tmp_path / "r.csv", tmp_path / "sw.json"
+        assert main(["region", "--channels", fig_file, "--out", str(out),
+                     "--dump-sw", str(sw), "--dump-sw-alpha", "1.5"]) == 2
+        assert not out.exists() and not sw.exists()
+        assert main(["region", "--channels", fig_file,
+                     "--dump-sw", str(sw), "--dump-sw-alpha", "1.5"]) == 2
+        assert capsys.readouterr().out == "" and not sw.exists()
+
 
 class TestCorner:
     def test_zero_constraint_zero_rates(self, tmp_path, fig_file, capsys):
