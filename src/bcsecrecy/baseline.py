@@ -150,12 +150,12 @@ def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
     leaves A A^H unchanged, and each chunk's constraints are solved as one
     stack, where only the draws with n_t columns take the rank certificate.
 
-    Raises ValueError, before drawing anything, unless ``cfg.samples`` is an
-    integer >= 0 and ``cfg.pt`` is finite and >= 0; ``SeedSequence`` then
-    raises ValueError, still before any draw, for a negative seed.
+    Raises ValueError, before drawing anything, unless ``cfg.samples`` and
+    ``cfg.seed`` are integers >= 0 and ``cfg.pt`` is finite and >= 0.
     """
     samples, pt = cfg.samples, cfg.pt
     _check_count(samples, "samples")
+    _check_count(cfg.seed, "seed")
     check_split(0.0, pt)
     n = ch.n_t
     entropy = np.random.SeedSequence(cfg.seed).entropy

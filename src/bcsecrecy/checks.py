@@ -158,6 +158,7 @@ def run_battery(
     """Run every invariant on ``trials`` random instances of width ``dim``."""
     for count, name in ((trials, "trials"), (dim, "dim")):
         _check_count(count, name, minimum=1)
+    _check_count(seed, "seed")
     if inject_fault is not None and inject_fault not in FAULTS:
         raise ValueError(f"unknown fault {inject_fault!r}, expected one of {FAULTS}")
     rng = np.random.default_rng(seed)

@@ -7,7 +7,9 @@ round-trip precision, and line endings are always LF.
 """
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -60,126 +62,113 @@ def matrix_pairs(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str, *keys: str) -> tuple[dict, list[np.ndarray]]:
+    """The JSON object in ``path`` and its matrices under ``keys``.  Every JSON number,
+    integers included, reads as a float, so one beyond the float range reads as inf."""
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+        doc = json.load(f, parse_int=float)
     if not isinstance(doc, dict):
         raise InputFileError(f"{path} must hold a JSON object")
-    return doc
+    if not all(key in doc for key in keys):
+        raise InputFileError(f"{path} must define {' and '.join(map(repr, keys))}")
+    return doc, [complex_matrix(doc[key], key) for key in keys]
 
 
 def load_channel(path: str) -> tuple[Channel, float | None]:
     """Read a channel file; returns the pair and the optional power hint."""
-    doc = _load_json(path)
-    if "H" not in doc or "G" not in doc:
-        raise InputFileError(f"{path} must define both 'H' and 'G'")
-    h = complex_matrix(doc["H"], "H")
-    g = complex_matrix(doc["G"], "G")
-    pt = doc.get("Pt")
-    if pt is not None:
-        pt = float(pt)
-        if not pt > 0:
-            raise InputFileError("Pt must be positive when present")
+    doc, (h, g) = _read(path, "H", "G")
+    pt = doc.get("Pt")  # a float exactly when the file gives a number
+    if pt is not None and not (isinstance(pt, float) and pt > 0):
+        raise InputFileError("Pt must be a positive number when present")
     return Channel(h, g), pt
 
 
-def load_constraint(path: str) -> np.ndarray:
-    doc = _load_json(path)
-    if "S" not in doc:
-        raise InputFileError(f"{path} must define 'S'")
-    return complex_matrix(doc["S"], "S")
-
-
-def _resolve_power(flag: float | None, hint: float | None) -> float:
-    power = flag if flag is not None else hint
+def _channel_and_power(args) -> tuple[Channel, float]:
+    """The ``--channels`` pair and ``--power``, else ``Pt``."""
+    ch, hint = load_channel(args.channels)
+    power = args.power if args.power is not None else hint
     if power is None:
         raise InputFileError("no --power given and the channel file has no Pt")
     if not power > 0:
         raise InputFileError("power must be positive")
-    return float(power)
+    return ch, power
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
+def _grid(args) -> int:
+    if args.alpha_grid < 2:
+        raise InputFileError("--alpha-grid must be at least 2")
+    return args.alpha_grid
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write ``text`` to ``path`` with LF line endings, or to stdout."""
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+def _csv(header: tuple, rows: list) -> str:
+    cells = ([v if isinstance(v, str) else repr(float(v)) for v in row] for row in rows)
+    return "".join(",".join(row) + "\n" for row in [header, *cells])
 
 
-def _write_rows(path: str | None, header: tuple, rows: list) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write(path, "\n".join(lines) + "\n")
-
-
-def _write_json(path: str | None, obj) -> None:
-    _write(path, json.dumps(obj) + "\n")
+def _write(*outputs: tuple[str | None, str]) -> None:
+    """Write each ``(path, text)``, to stdout for a None path.  Every file is opened
+    before any is written; if one cannot be, the files this call created are removed."""
+    # As if written in turn: every spelling of one file shares a handle and its last text.
+    texts = {path and os.path.realpath(path): (path, text) for path, text in outputs}
+    with contextlib.ExitStack() as undo, contextlib.ExitStack() as stack:
+        files = {None: sys.stdout}
+        for key, (path, _) in texts.items():
+            if key is not None:
+                if not os.path.lexists(path):  # never remove a file this call did not create
+                    undo.callback(os.remove, path)
+                files[key] = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+        undo.pop_all()
+        for key, (_, text) in texts.items():
+            files[key].write(text)
 
 
 def cmd_region(args) -> int:
-    ch, hint = load_channel(args.channels)
-    power = _resolve_power(args.power, hint)
-    if args.alpha_grid < 2:
-        raise InputFileError("--alpha-grid must be at least 2")
-    est = region_sweep(ch, power, args.alpha_grid)
-    if args.dump_sw is not None:
-        dc = diagonalize(ch)
-        s_w = make_matrix_constraint(dc, allocate(dc, args.dump_sw_alpha, power).full_vector())
+    ch, power = _channel_and_power(args)
+    est = region_sweep(ch, power, _grid(args))
     scale, unit = (LN2, "nats") if args.nats else (1.0, "bits")
     rows = sorted(
         (p.alpha, p.R1 * scale, p.R2 * scale, p.provenance) for p in est.points
     )
-    _write_rows(args.out, ("alpha", f"R1_{unit}", f"R2_{unit}", "provenance"), rows)
+    outputs = [(args.out, _csv(("alpha", f"R1_{unit}", f"R2_{unit}", "provenance"), rows))]
     if args.dump_sw is not None:
-        _write_json(args.dump_sw, {"S": matrix_pairs(s_w)})
+        dc = diagonalize(ch)
+        s_w = make_matrix_constraint(dc, allocate(dc, args.dump_sw_alpha, power).full_vector())
+        outputs.append((args.dump_sw, json.dumps({"S": matrix_pairs(s_w)}) + "\n"))
+    _write(*outputs)
     return 0
 
 
 def cmd_corner(args) -> int:
     ch, _ = load_channel(args.channels)
-    s = load_constraint(args.constraint)
+    _, (s,) = _read(args.constraint, "S")
     sol = solve_matrix_constraint(ch, s)
-    _write_json(
-        None,
-        {
-            "R1_bits": sol.corner.R1,
-            "R2_bits": sol.corner.R2,
-            "b": sol.gevd.b,
-            "defect": orthogonality_defect(sol),
-        },
-    )
+    doc = {
+        "R1_bits": sol.corner.R1,
+        "R2_bits": sol.corner.R2,
+        "b": sol.gevd.b,
+        "defect": orthogonality_defect(sol),
+    }
+    _write((None, json.dumps(doc) + "\n"))
     return 0
 
 
 def cmd_miso(args) -> int:
-    ch, hint = load_channel(args.channels)
-    power = _resolve_power(args.power, hint)
+    ch, power = _channel_and_power(args)
     if ch.H.shape[0] != 1 or ch.G.shape[0] != 1:
         raise InputFileError("miso needs single-row H and G")
-    if args.alpha_grid < 2:
-        raise InputFileError("--alpha-grid must be at least 2")
-    points = miso_region(MisoChannel(ch.H[0], ch.G[0]), power, args.alpha_grid)
+    points = miso_region(MisoChannel(ch.H[0], ch.G[0]), power, _grid(args))
     rows = [(p.alpha, p.c1, p.c2, p.r1, p.r2) for p in points]
-    _write_rows(args.out, ("alpha", "C1", "C2", "R1", "R2"), rows)
+    _write((args.out, _csv(("alpha", "C1", "C2", "R1", "R2"), rows)))
     return 0
 
 
 def cmd_baseline(args) -> int:
-    ch, hint = load_channel(args.channels)
-    power = _resolve_power(args.power, hint)
+    ch, power = _channel_and_power(args)
     cfg = SearchConfig(samples=args.samples, seed=args.seed, pt=power)
     est = search_region(ch, cfg)
     # Hull vertices carry no single alpha; the row order is R1 ascending.
     rows = [(float("nan"), x, y, "baseline-hull") for x, y in est.hull.vertices]
-    _write_rows(args.out, ("alpha", "R1_bits", "R2_bits", "provenance"), rows)
+    _write((args.out, _csv(("alpha", "R1_bits", "R2_bits", "provenance"), rows)))
     return 0
 
 
@@ -200,43 +189,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    region = sub.add_parser("region", help="sweep the power split and emit corner points")
-    region.add_argument("--channels", required=True, help="channel JSON file")
-    region.add_argument("--power", type=float, help="total transmit power (overrides Pt)")
-    region.add_argument("--alpha-grid", type=int, default=101, help="sweep resolution")
-    region.add_argument("--out", help="CSV path (stdout when omitted)")
+    def command(name, func, summary, parents=()):
+        cmd = sub.add_parser(name, parents=parents, help=summary)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    channels = argparse.ArgumentParser(add_help=False)
+    channels.add_argument("--channels", required=True, help="channel JSON file")
+    powered = argparse.ArgumentParser(add_help=False, parents=[channels])
+    powered.add_argument("--power", type=float, help="total transmit power (overrides Pt)")
+    powered.add_argument("--out", help="CSV path (stdout when omitted)")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[powered])
+    sweep.add_argument("--alpha-grid", type=int, default=101, help="sweep resolution")
+
+    region = command("region", cmd_region, "sweep the power split and emit corner points", [sweep])
     region.add_argument("--nats", action="store_true", help="emit nats instead of bits")
     region.add_argument("--dump-sw", help="also write the sweep covariance as a constraint JSON")
     region.add_argument("--dump-sw-alpha", type=float, default=0.5,
                         help="power split for --dump-sw")
-    region.set_defaults(func=cmd_region)
 
-    corner = sub.add_parser("corner", help="corner point under a matrix constraint")
-    corner.add_argument("--channels", required=True, help="channel JSON file")
+    corner = command("corner", cmd_corner, "corner point under a matrix constraint", [channels])
     corner.add_argument("--constraint", required=True, help="constraint JSON file")
-    corner.set_defaults(func=cmd_corner)
 
-    miso = sub.add_parser("miso", help="single-antenna receivers: capacity and beamforming")
-    miso.add_argument("--channels", required=True, help="channel JSON file (single-row H, G)")
-    miso.add_argument("--power", type=float, help="total transmit power (overrides Pt)")
-    miso.add_argument("--alpha-grid", type=int, default=101, help="sweep resolution")
-    miso.add_argument("--out", help="CSV path (stdout when omitted)")
-    miso.set_defaults(func=cmd_miso)
+    command("miso", cmd_miso, "single-antenna receivers: capacity and beamforming", [sweep])
 
-    baseline = sub.add_parser("baseline", help="randomized search over matrix constraints")
-    baseline.add_argument("--channels", required=True, help="channel JSON file")
-    baseline.add_argument("--power", type=float, help="total transmit power (overrides Pt)")
+    baseline = command("baseline", cmd_baseline, "randomized search over matrix constraints",
+                       [powered])
     baseline.add_argument("--samples", type=int, default=1000, help="random constraints to try")
     baseline.add_argument("--seed", type=int, default=0, help="search seed")
-    baseline.add_argument("--out", help="CSV path (stdout when omitted)")
-    baseline.set_defaults(func=cmd_baseline)
 
-    check = sub.add_parser("check", help="run the randomized invariant battery")
+    check = command("check", cmd_check, "run the randomized invariant battery")
     check.add_argument("--trials", type=int, default=20, help="random instances per invariant")
     check.add_argument("--dim", type=int, default=4, help="transmit antenna count")
     check.add_argument("--seed", type=int, default=0, help="instance seed")
     check.add_argument("--inject-fault", choices=FAULTS, help="test hook: corrupt one stage")
-    check.set_defaults(func=cmd_check)
 
     return parser
 

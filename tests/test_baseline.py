@@ -239,6 +239,7 @@ class TestCertificateMask:
     (10, -1.0, "power"),
     (10, float("nan"), "power"),
     (10, float("inf"), "power"),
+    (10, 12.0, "seed"),
 ])
 def test_search_inputs_checked(fig_channel, monkeypatch, samples, pt, what):
     # Each raised something else, or only after sampling, before the check.
@@ -246,5 +247,7 @@ def test_search_inputs_checked(fig_channel, monkeypatch, samples, pt, what):
         raise AssertionError("sampled before checking the inputs")
 
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
-    with pytest.raises(ValueError, match=what):
-        search_region(fig_channel, SearchConfig(samples=samples, seed=0, pt=pt))
+    # The "seed" row runs each bad seed; every other row a good one.
+    for seed in (-1, 2.5, True) if what == "seed" else (0,):
+        with pytest.raises(ValueError, match=what):
+            search_region(fig_channel, SearchConfig(samples=samples, seed=seed, pt=pt))

@@ -43,6 +43,9 @@ class TestRunBattery:
         for dim in (0, 2.5, True):
             with pytest.raises(ValueError, match="dim must be an integer >= 1"):
                 run_battery(trials=1, dim=dim, seed=0)
+        for seed in (-1, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                run_battery(trials=1, dim=2, seed=seed)
 
     def test_nan_residual_fails(self, monkeypatch):
         monkeypatch.setattr(checks_mod, "_objective", lambda ch, k: np.nan)

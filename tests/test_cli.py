@@ -1,12 +1,13 @@
 """End-to-end command-line tests: file schemas, units, exit codes."""
 
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from bcsecrecy.cli import main, matrix_pairs
+from bcsecrecy.cli import _build_parser, main, matrix_pairs
 from conftest import FIG_G, FIG_H
 
 
@@ -92,14 +93,37 @@ class TestRegion:
         assert doc["defect"] <= 1e-8
         assert doc["R1_bits"] > 0.0 and doc["R2_bits"] > 0.0
 
+    def test_same_out_and_dump_path_keeps_the_dump(self, tmp_path, fig_file):
+        # As when the two are written in turn, the later output wins, however
+        # the second path spells the same file.
+        both = tmp_path / "both.json"
+        for dump in (str(both), f"{tmp_path}/./both.json"):
+            assert main(["region", "--channels", fig_file, "--alpha-grid", "3",
+                         "--out", str(both), "--dump-sw", dump]) == 0
+            assert set(json.loads(both.read_text(encoding="utf-8"))) == {"S"}
+
     def test_bad_dump_alpha_writes_nothing(self, tmp_path, fig_file, capsys):
-        out, sw = tmp_path / "r.csv", tmp_path / "sw.json"
-        assert main(["region", "--channels", fig_file, "--out", str(out),
-                     "--dump-sw", str(sw), "--dump-sw-alpha", "1.5"]) == 2
-        assert not out.exists() and not sw.exists()
-        assert main(["region", "--channels", fig_file,
-                     "--dump-sw", str(sw), "--dump-sw-alpha", "1.5"]) == 2
-        assert capsys.readouterr().out == "" and not sw.exists()
+        # A bad split, or an output that cannot be opened, leaves no output at
+        # all; without --out, the CSV does not reach stdout either.
+        for out, sw, alpha in (("r.csv", "sw.json", "1.5"), (None, "sw.json", "1.5"),
+                               ("r.csv", "nodir/sw.json", "0.5"),
+                               (None, "nodir/sw.json", "0.5"),
+                               ("nodir/r.csv", "sw.json", "0.5")):
+            paths = [tmp_path / name for name in (out, sw) if name is not None]
+            argv = ["region", "--channels", fig_file, "--dump-sw", str(paths[-1]),
+                    "--dump-sw-alpha", alpha]
+            assert main(argv + (["--out", str(paths[0])] if out else [])) == 2
+            assert capsys.readouterr().out == ""
+            assert not any(path.exists() for path in paths)
+        # An --out that existed before the run, a file or a link to one, is kept.
+        kept, link = tmp_path / "kept.csv", tmp_path / "link.csv"
+        kept.write_text("old\n", encoding="utf-8")
+        link.symlink_to(kept)
+        for out in (kept, link):
+            assert main(["region", "--channels", fig_file, "--out", str(out),
+                         "--dump-sw", str(tmp_path / "nodir" / "sw.json")]) == 2
+            assert out.exists()
+        assert link.is_symlink()
 
 
 class TestCorner:
@@ -113,6 +137,7 @@ class TestCorner:
         c = write_constraint(tmp_path / "s.json", 6.0 * np.eye(2))
         assert main(["corner", "--channels", fig_file, "--constraint", c]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["R1_bits", "R2_bits", "b", "defect"]
         assert doc["R1_bits"] >= 0.0 and doc["R2_bits"] >= 0.0
         assert doc["b"] in (0, 1, 2)
 
@@ -240,9 +265,12 @@ class TestInputErrors:
         assert main(["region", "--channels", fig_file, "--power", "1e300"]) == 2
         assert "supported range" in capsys.readouterr().err
 
-    def test_nonpositive_pt_in_file(self, tmp_path):
-        ch = write_channel(tmp_path / "p0.json", FIG_H, FIG_G, pt=0.0)
-        assert main(["region", "--channels", ch]) == 2
+    def test_nonpositive_pt_in_file(self, tmp_path, capsys):
+        # Pt must be a positive JSON number; a bool is not a number.
+        for pt in (0.0, [1], {"a": 1}, "12", True):
+            ch = write_channel(tmp_path / "p0.json", FIG_H, FIG_G, pt=pt)
+            assert main(["region", "--channels", ch]) == 2
+            assert "Pt must be a positive number" in capsys.readouterr().err
 
     def test_alpha_grid_too_small(self, fig_file):
         assert main(["region", "--channels", fig_file, "--alpha-grid", "1"]) == 2
@@ -257,6 +285,12 @@ class TestNumericalFailure:
                            np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2), pt=1.0)
         assert main(["region", "--channels", ch]) == 2
         assert "non-finite" in capsys.readouterr().err
+        # An integer beyond the float range reads as inf, not as an overflow.
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"H": [[[10**400, 0]]], "G": [[[1, 0]]], "Pt": 1}),
+                       encoding="utf-8")
+        assert main(["region", "--channels", str(big)]) == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_library_failure_exits_3(self, fig_file, capsys, monkeypatch):
         import bcsecrecy.cli as cli_mod
@@ -268,3 +302,52 @@ class TestNumericalFailure:
         monkeypatch.setattr(cli_mod, "region_sweep", boom)
         assert main(["region", "--channels", fig_file]) == 3
         assert "region: eigh failed to converge" in capsys.readouterr().err
+
+
+# Every flag of every subcommand: option strings -> (dest, default, type,
+# choices, required, nargs).  nargs 0 is a switch.
+SURFACE = {
+    "region": {
+        ("--channels",): ("channels", None, None, None, True, None),
+        ("--power",): ("power", None, float, None, False, None),
+        ("--alpha-grid",): ("alpha_grid", 101, int, None, False, None),
+        ("--out",): ("out", None, None, None, False, None),
+        ("--nats",): ("nats", False, None, None, False, 0),
+        ("--dump-sw",): ("dump_sw", None, None, None, False, None),
+        ("--dump-sw-alpha",): ("dump_sw_alpha", 0.5, float, None, False, None),
+    },
+    "corner": {
+        ("--channels",): ("channels", None, None, None, True, None),
+        ("--constraint",): ("constraint", None, None, None, True, None),
+    },
+    "miso": {
+        ("--channels",): ("channels", None, None, None, True, None),
+        ("--power",): ("power", None, float, None, False, None),
+        ("--alpha-grid",): ("alpha_grid", 101, int, None, False, None),
+        ("--out",): ("out", None, None, None, False, None),
+    },
+    "baseline": {
+        ("--channels",): ("channels", None, None, None, True, None),
+        ("--power",): ("power", None, float, None, False, None),
+        ("--samples",): ("samples", 1000, int, None, False, None),
+        ("--seed",): ("seed", 0, int, None, False, None),
+        ("--out",): ("out", None, None, None, False, None),
+    },
+    "check": {
+        ("--trials",): ("trials", 20, int, None, False, None),
+        ("--dim",): ("dim", 4, int, None, False, None),
+        ("--seed",): ("seed", 0, int, None, False, None),
+        ("--inject-fault",): ("inject_fault", None, None, ("gevd",), False, None),
+    },
+}
+
+
+def test_cli_surface():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(SURFACE)
+    for name, command in sub.choices.items():
+        got = {tuple(a.option_strings): (a.dest, a.default, a.type, a.choices,
+                                         a.required, a.nargs)
+               for a in command._actions if a.dest != "help"}
+        assert got == SURFACE[name], name
