@@ -160,13 +160,13 @@ def _fill(strong: np.ndarray, weak: np.ndarray, a: np.ndarray, budgets: np.ndarr
     At mu = mu_max exp(t), t <= 0, and c = d/(mu a) the optimum is
     p = 2 (c - 1) / (ssum + sqrt(d^2 + 4 sprod c)), with c - 1 from expm1(-t).
     The spent power T is convex and decreasing in t, and
-    dT/dt = -sum a c / (ssum + 2 sprod p) over open subchannels.  Each row
-    takes a Newton step on log T against t (exact for T a power of mu), else
-    against log(-t) (exact for T a power of -t, as subchannels open), else
-    bisects, whichever stays in the bracket, until T meets the budget to
-    ``LEVEL_REL_TOL`` or the bracket cannot be split.  A block with one live
-    subchannel spends p = b/a at mu = mu_max / ((1 + s p)(1 + w p)), so its
-    search starts at that level and the first tolerance check ends it.
+    dT/dt = -sum a c / (ssum + 2 sprod p) over open subchannels.  Subchannel i
+    alone spends b at t_i = ln(d_i / (a_i mu_max)) - ln((1 + s_i b/a_i)(1 + w_i b/a_i)),
+    and each p_i falls as t rises, so T(max_i t_i) is b to (live count) b.
+    Every row starts there, at the exact level when one subchannel is live,
+    and takes a Newton step on log T against log(-t) (exact for T a power of
+    -t, as subchannels open), else bisects, whichever stays in the bracket,
+    until T meets the budget to ``LEVEL_REL_TOL`` or the bracket cannot be split.
     """
     p = np.zeros((budgets.size, a.size))
     if not np.any(live):
@@ -186,17 +186,14 @@ def _fill(strong: np.ndarray, weak: np.ndarray, a: np.ndarray, budgets: np.ndarr
         return q, q @ a, -(np.where(x > 0, c / (ssum + 2.0 * sprod * q), 0.0) @ a)
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # a p >= (a/s)(sqrt(c) - 1): T >= 2 b once sqrt(c) = 2 + 2 b s/a.  Below
-        # floor, mu < tiny * max(1, mu_max) or c > 1/tiny overflows float64.
+        # Below floor, mu < tiny * max(1, mu_max) or c > 1/tiny overflows
+        # float64.  t_i comes from logs, so b/a cannot overflow.  The start
+        # may spend a rounding error under the budget, so the bracket starts
+        # at the floor, and only the floor can be short.
         floor = np.log(np.finfo(float).tiny) + max(0.0, -np.log(mu_max))
-        start = np.log(ratio) - 2.0 * (LN2 + np.logaddexp(0.0, np.log(b)[:, None] + np.log(s / a)))
-        lo = np.maximum(floor, start.max(axis=1))
-        t, hi = lo, np.zeros_like(lo)
-        if s.size == 1:
-            # The exact level may spend a rounding error under the budget, so
-            # the bracket starts at the floor, and only the floor can be short.
-            t = np.maximum(floor, -(np.log1p(s * b / a) + np.log1p(w * b / a)))
-            lo = np.full_like(t, floor)
+        alone = np.log(ratio) - np.logaddexp(0.0, np.log(b)[:, None, None]
+                                             + np.log([s / a, w / a])).sum(axis=1)
+        t, lo, hi = np.maximum(floor, alone.max(axis=1)), np.full(b.size, floor), np.zeros(b.size)
         q, total, slope = spent(t)
         short = spend & ~(total >= b) & (t <= lo)
         if np.any(short):
@@ -209,12 +206,10 @@ def _fill(strong: np.ndarray, weak: np.ndarray, a: np.ndarray, budgets: np.ndarr
                 break
             over = ~(total < b)
             lo, hi = np.where(over, t, lo), np.where(over, hi, t)
-            step = mid = 0.5 * (lo + hi)
-            for newton in (t * (b / total) ** (total / (t * slope)),
-                           t - np.log(total / b) * total / slope):
-                step = np.where((lo < newton) & (newton < hi), newton, step)
+            mid = 0.5 * (lo + hi)
+            newton = t * (b / total) ** (total / (t * slope))
             todo &= (lo < mid) & (mid < hi)
-            t = np.where(todo, step, t)
+            t = np.where(todo, np.where((lo < newton) & (newton < hi), newton, mid), t)
             q, total, slope = spent(t)
         else:
             raise NoConvergenceError(f"water level not found in {LEVEL_MAX_ITER} steps")

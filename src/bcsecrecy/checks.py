@@ -142,9 +142,7 @@ def _waterfill_residuals(dc, alloc, pt):
         budget = np.maximum(budget, abs(float(p @ cost) - share) / share)
         on = live & (p > 0)
         if np.any(on):
-            slope = strong[on] / (1.0 + strong[on] * p[on]) - weak[on] / (
-                1.0 + weak[on] * p[on]
-            )
+            slope = (strong - weak)[on] / ((1.0 + strong[on] * p[on]) * (1.0 + weak[on] * p[on]))
             kkt = np.maximum(kkt, np.max(np.abs(slope - mu * cost[on]) / (mu * cost[on])))
         off = live & (p == 0)
         if np.any(off):

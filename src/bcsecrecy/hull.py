@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .sdpc import CornerPoint
 
 
@@ -55,7 +56,9 @@ def pareto_hull(points) -> Hull:
     if len(points) and isinstance(points[0], CornerPoint):
         xy = np.fromiter(((p.R1, p.R2) for p in points), np.dtype((float, 2)), len(points))
     else:
-        xy = np.asarray(points, dtype=float).reshape(-1, 2)
+        xy = np.asarray(points, dtype=float)
+        if xy.shape[1:] != (2,) and xy.shape != (0,):
+            raise DimensionMismatchError(f"rate points must form an (n, 2) array, got {xy.shape}")
     if not np.isfinite(xy).all():
         raise ValueError("rate points must be finite")
     xy = np.clip(xy, 0.0, None)

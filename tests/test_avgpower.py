@@ -231,6 +231,50 @@ class TestWaterfill:
         p1, _ = waterfill(strong, np.array([1e-14, 1e-14]), a, 4.0)
         assert np.max(np.abs(p0 - p1)) <= 1e-6
 
+    def test_matches_bisection_oracle(self):
+        # An independent level search: plain bisection on ln mu over padded
+        # blocks (padding has s = w, so it never opens) and every budget at once.
+        rng = np.random.default_rng(20)
+        blocks, width, budgets = 100, 8, np.logspace(-6.0, 9.0, 11)
+        n = rng.integers(1, width + 1, blocks)
+        weak = rng.uniform(0.0, 1.0, (blocks, width))
+        weak[rng.random((blocks, width)) < 0.25] = 0.0
+        tie = 10.0 ** rng.uniform(-9.0, np.log10(0.5), (blocks, width))  # (s - w) / s
+        strong = np.where(weak > 0, weak / (1.0 - tie), rng.uniform(0.05, 1.0, (blocks, width)))
+        pad = np.arange(width) >= n[:, None]
+        strong[pad] = weak[pad] = 1.0
+        cost = np.where(pad, 1.0, 10.0 ** rng.uniform(-3.0, 3.0, (blocks, width)))
+        d, ssum, sprod = (v[:, None, :] for v in (strong - weak, strong + weak, strong * weak))
+
+        def powers(log_mu):
+            # Positive root of mu a s w p^2 + mu a (s + w) p + (mu a - d) = 0,
+            # as 2 (d - mu a) / (mu a (s + w) + sqrt(discriminant)).
+            mu_a = np.exp(log_mu)[..., None] * cost[:, None, :]
+            c = np.maximum(d - mu_a, 0.0)
+            lin = mu_a * ssum
+            root = 2.0 * c / (lin + np.sqrt(lin * lin + 4.0 * mu_a * sprod * c))
+            return root, np.sum(root * cost[:, None, :], axis=-1)
+
+        hi = np.log(np.max((strong - weak) / cost, axis=1))[:, None] + np.zeros(budgets.size)
+        lo = hi - 120.0
+        assert np.all(powers(lo)[1] >= budgets)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            over = powers(mid)[1] >= budgets
+            lo, hi = np.where(over, mid, lo), np.where(over, hi, mid)
+        p_ref = powers(lo)[0]
+        rate_ref = np.sum(np.log1p(strong[:, None] * p_ref) - np.log1p(weak[:, None] * p_ref), axis=-1)
+
+        rate, spend = np.empty_like(rate_ref), np.empty_like(rate_ref)
+        for k, m in enumerate(n):
+            s, w, a = strong[k, :m], weak[k, :m], cost[k, :m]
+            for j, budget in enumerate(budgets):
+                p, _ = waterfill(s, w, a, budget)
+                rate[k, j] = np.sum(np.log1p(s * p) - np.log1p(w * p))
+                spend[k, j] = p @ a
+        assert np.max(np.abs(rate - rate_ref) / (1.0 + rate_ref)) <= 1e-12
+        assert np.max(np.abs(spend - budgets) / budgets) <= 1e-10
+
 
 @pytest.mark.parametrize("fill", [waterfill, waterfill_high_snr])
 def test_fill_inputs_checked(fill):

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 import bcsecrecy.checks as checks_mod
-from bcsecrecy import Channel, run_battery, solve_matrix_constraint
-from bcsecrecy.checks import FAULTS, TOLERANCES, InvariantResult, _rank_bound_counts
+from bcsecrecy import Channel, allocate, diagonalize, run_battery, solve_matrix_constraint
+from bcsecrecy.checks import (
+    FAULTS,
+    TOLERANCES,
+    InvariantResult,
+    _rank_bound_counts,
+    _waterfill_residuals,
+)
 from bcsecrecy.cli import main
 from conftest import SCALED_G, SCALED_H, cgauss, rand_channel, rand_psd
 
@@ -86,6 +92,17 @@ class TestRunBattery:
         monkeypatch.setattr(checks_mod, "random_constraint", lambda rng, dim, trace: np.eye(dim))
         report = run_battery(trials=1, dim=3, seed=0)
         assert {r.name: r.ok for r in report.results}["projector"]
+
+    def test_kkt_residual_at_huge_powers(self):
+        # The rank cut leaves user 1 one subchannel of cost 4.5e-15, so its
+        # power is 3e13 to 6e14, where s/(1 + s p) - w/(1 + w p) cancels to
+        # a residual of up to 0.24 although the allocation is exact.
+        dc = diagonalize(Channel(SCALED_H, SCALED_G))
+        assert dc.a[: dc.rho].max() < 1e-14
+        for alpha in np.linspace(0.05, 0.95, 19):
+            kkt, budget = _waterfill_residuals(dc, allocate(dc, alpha, 3.0), 3.0)
+            assert kkt <= TOLERANCES["kkt_stationarity"]
+            assert budget <= TOLERANCES["budget_equality"]
 
 
 def bound_holds(counts: tuple[int, int, int, int]) -> bool:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bcsecrecy import CornerPoint
+from bcsecrecy.errors import DimensionMismatchError
 from bcsecrecy.hull import estimate_region, pareto_hull
 
 
@@ -51,8 +52,14 @@ class TestParetoHull:
             pareto_hull([[bad, 1.0], [1.0, 1.0]])
 
     def test_empty_input(self):
-        hull = pareto_hull(np.zeros((0, 2)))
-        assert hull.area == 0.0
+        for empty in (np.zeros((0, 2)), []):
+            assert pareto_hull(empty).area == 0.0
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.arange(4.0)])
+    def test_malformed_points_rejected(self, bad):
+        # Read as pairs, these would give a plausible area (1.0 for the first).
+        with pytest.raises(DimensionMismatchError):
+            pareto_hull(bad)
 
 
 def unfiltered_hull(xy: np.ndarray) -> tuple[np.ndarray, float]:
