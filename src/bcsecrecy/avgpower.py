@@ -3,10 +3,10 @@
 The channel pair is rotated into a basis where both Gram matrices are
 diagonal: with W = (H^H H + G^H G)^{-1/2}, the whitened Grams W H^H H W and
 W G^H G W commute, share eigenvectors Phi, and have eigenvalue profiles
-sigma1, sigma2 with sigma1 + sigma2 = 1.  Subchannels with sigma1 > sigma2
-serve user 1, the rest serve user 2, and the transmit covariance
-S = W Phi diag(p) Phi^H W decouples the problem into two independent scalar
-water-filling allocations, one per user, tied by a power split alpha.
+sigma1, sigma2 with sigma1 + sigma2 = 1; all of them come from SVDs of the
+channels, not from Gram matrices.  Subchannels with sigma1 > sigma2 serve
+user 1, the rest user 2, and S = W Phi diag(p) Phi^H W decouples the problem
+into two scalar water-filling allocations, one per user, tied by a split alpha.
 
 Each split yields one rectangle corner; sweeping alpha and convexifying
 traces out the full region.
@@ -24,7 +24,7 @@ from .errors import (
     ZeroChannelError,
 )
 from .hull import RegionEstimate, estimate_region
-from .linalg import LN2, clamp_rate, herm, herm_eig, psd_range
+from .linalg import LN2, RANK_TOL, _lapack, clamp_rate, herm
 from .sdpc import Channel, CornerPoint
 
 # Subchannels whose eigenvalue gap is below this carry no secrecy value.
@@ -35,26 +35,28 @@ SIGMA_TIE_TOL = 1e-9
 # generic spectra, so degenerate limits are resolved without ever disturbing
 # well-separated subchannels.
 CLUSTER_TOL = 1e-6
-# Water-level search: stop when the spent power is within LEVEL_REL_TOL of the
-# budget; failing to stop within LEVEL_MAX_ITER steps raises NoConvergenceError.
+# Water-level search: each row meets its budget to LEVEL_REL_TOL within LEVEL_MAX_ITER
+# steps, if need be by a mix of its bracket's ends, or raises NoConvergenceError.
 LEVEL_REL_TOL = 1e-13
 LEVEL_MAX_ITER = 200
 
 
 def reduce_nullspace(ch: Channel) -> tuple[Channel, np.ndarray, np.ndarray]:
-    """Restrict the channel to the range of H^H H + G^H G.
+    """Restrict the channel to the row space of [H; G] = U S V^H, the range of H^H H + G^H G.
 
-    Directions in the common null space can never carry rate, so dropping
-    them loses nothing and makes the whitening matrix well defined.  Returns
-    the reduced channel, the orthonormal eigenbasis used, and the matching
-    eigenvalues of the Gram sum (descending, all above the rank tolerance),
-    so the reduced Gram sum is diag of those eigenvalues.
+    Directions in the common null space can never carry rate, so dropping them
+    loses nothing and makes the whitening well defined.  Returns the reduced
+    channel, the right singular vectors V_r kept, and their sigma^2 (descending,
+    each above ``RANK_TOL`` times the largest), the reduced Gram sum's diagonal.
     """
-    lam, v, rank = psd_range(herm(ch.gram_h() + ch.gram_g()), "channel Gram sum")
+    _, sv, vh = _lapack("svd", np.vstack([ch.H, ch.G]), "stacked channel", full_matrices=False)
+    if not np.all(sv[:1] ** 2 < np.inf):
+        raise ValueError(f"the stacked channel's singular value {sv[0]:.6g} squares past float64")
+    rank = np.count_nonzero(sv * sv > RANK_TOL * sv[:1] ** 2)
     if rank == 0:
         raise ZeroChannelError("both channel matrices are numerically zero")
-    u_p = v[:, :rank]
-    return Channel(ch.H @ u_p, ch.G @ u_p), u_p, lam[:rank]
+    u_p = vh[:rank].conj().T
+    return Channel(ch.H @ u_p, ch.G @ u_p), u_p, sv[:rank] ** 2
 
 
 @dataclass
@@ -86,35 +88,32 @@ def _refine_ties(sigma1: np.ndarray, phi: np.ndarray, w: np.ndarray) -> np.ndarr
 
     Within a cluster both whitened Grams are scaled identities (sigma2 is
     pinned to 1 - sigma1), so any rotation of its columns preserves the
-    joint diagonalization.  Rotating to the eigenbasis of the restricted
-    power-cost matrix (W Phi_c)^H (W Phi_c) makes the costs extremal, which
-    is what lets the allocation collapse to plain water-filling capacity
-    when one channel vanishes.
+    joint diagonalization.  Rotating to the right singular vectors of W Phi_c,
+    the eigenbasis of the restricted power-cost matrix (W Phi_c)^H (W Phi_c),
+    makes the costs extremal, which is what lets the allocation collapse to
+    plain water-filling capacity when one channel vanishes.
     """
     gaps = -np.diff(sigma1)
     cuts = np.r_[0, np.flatnonzero(gaps > CLUSTER_TOL) + 1, sigma1.size]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 2:
             continue
-        t = w @ phi[:, lo:hi]
-        _, u = herm_eig(herm(t.conj().T @ t))
-        phi[:, lo:hi] = phi[:, lo:hi] @ u
+        vh = _lapack("svd", w @ phi[:, lo:hi], "whitened cluster", full_matrices=False)[2]
+        phi[:, lo:hi] = phi[:, lo:hi] @ vh.conj().T
     return phi
 
 
 def diagonalize(ch: Channel) -> DiagonalizedChannel:
     """Whiten and jointly diagonalize a channel pair.
 
-    The reduced Gram sum is diagonal in the basis ``reduce_nullspace``
-    returns, so its inverse square root is diag(lambda^{-1/2}) there.
+    W = diag(1/sigma) in the basis of ``reduce_nullspace``, Phi holds the right
+    singular vectors of H_r W, and sigma1, sigma2 are squared column norms.
     """
     ch_r, u_p, lam = reduce_nullspace(ch)
     w = np.diag(1.0 / np.sqrt(lam))
-    a1 = herm(w @ ch_r.gram_h() @ w)
-    sigma1, phi = herm_eig(a1)
-    phi = _refine_ties(sigma1, phi, w)
-    sigma1 = np.clip(np.real(np.diag(phi.conj().T @ a1 @ phi)), 0.0, None)
-    sigma2 = np.clip(np.real(np.diag(phi.conj().T @ herm(w @ ch_r.gram_g() @ w) @ phi)), 0.0, None)
+    phi = _lapack("svd", ch_r.H @ w, "whitened H")[2].conj().T
+    phi = _refine_ties(np.sum(np.abs(ch_r.H @ w @ phi) ** 2, axis=0), phi, w)
+    sigma1, sigma2 = (np.sum(np.abs(x @ w @ phi) ** 2, axis=0) for x in (ch_r.H, ch_r.G))
 
     # Stable partition: user-1 subchannels first, original order inside blocks.
     strong1 = (sigma1 - sigma2) > SIGMA_TIE_TOL
@@ -163,10 +162,10 @@ def _fill(strong: np.ndarray, weak: np.ndarray, a: np.ndarray, budgets: np.ndarr
     dT/dt = -sum a c / (ssum + 2 sprod p) over open subchannels.  Subchannel i
     alone spends b at t_i = ln(d_i / (a_i mu_max)) - ln((1 + s_i b/a_i)(1 + w_i b/a_i)),
     and each p_i falls as t rises, so T(max_i t_i) is b to (live count) b.
-    Every row starts there, at the exact level when one subchannel is live,
-    and takes a Newton step on log T against log(-t) (exact for T a power of
-    -t, as subchannels open), else bisects, whichever stays in the bracket,
-    until T meets the budget to ``LEVEL_REL_TOL`` or the bracket cannot be split.
+    Every row starts there, exact when one subchannel is live, and takes a
+    Newton step on log T against log(-t) (exact for T a power of -t) or bisects,
+    whichever stays in the bracket, until T meets the budget to ``LEVEL_REL_TOL``
+    or the bracket cannot be split; then a mix of its ends' powers spends b.
     """
     p = np.zeros((budgets.size, a.size))
     if not np.any(live):
@@ -211,8 +210,14 @@ def _fill(strong: np.ndarray, weak: np.ndarray, a: np.ndarray, budgets: np.ndarr
             todo &= (lo < mid) & (mid < hi)
             t = np.where(todo, np.where((lo < newton) & (newton < hi), newton, mid), t)
             q, total, slope = spent(t)
-        else:
-            raise NoConvergenceError(f"water level not found in {LEVEL_MAX_ITER} steps")
+        off = spend & ~(np.abs(total - b) <= LEVEL_REL_TOL * b)
+        if np.any(off):
+            (q_lo, total_lo, _), (q_hi, total_hi, _) = spent(lo[off]), spent(hi[off])
+            theta = np.clip((b[off] - total_hi) / (total_lo - total_hi), 0.0, 1.0)[:, None]
+            q[off] = theta * q_lo + (1.0 - theta) * q_hi
+            off &= todo | ~(np.abs(q @ a - b) <= LEVEL_REL_TOL * b)
+            if np.any(off):
+                raise NoConvergenceError(f"no water level in t = [{lo[off][0]}, {hi[off][0]}]")
     p[:, live] = np.where(spend[:, None], q, 0.0)
     return p, np.where(spend, mu_max * np.exp(t), mu_max)
 
@@ -243,6 +248,8 @@ def waterfill(sigma_strong: np.ndarray, sigma_weak: np.ndarray, a: np.ndarray,
         the budget is negative or above the supported range the message gives.
     NoStrongChannelsError
         If the budget is positive but no subchannel has positive value.
+    NoConvergenceError
+        If the level search, or the mix of its final bracket's ends, misses the budget.
     """
     s, w, a, budget, live = _check_fill(sigma_strong, sigma_weak, a, budget)
     p, mu = _fill(s, w, a, np.array([budget]), live)

@@ -85,13 +85,13 @@ def _check_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return herm(a) if _any(dev > 0.0) else a
 
 
-def _eigh(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` (eigenvalues ascending); a LAPACK failure becomes
-    NoConvergenceError naming ``name``."""
+def _lapack(func: str, a: np.ndarray, name: str, **kwargs) -> tuple:
+    """``np.linalg.<func>(a, **kwargs)``, looked up at call time; a LAPACK
+    failure becomes NoConvergenceError naming ``name``."""
     try:
-        return np.linalg.eigh(a)
+        return getattr(np.linalg, func)(a, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigh failed on {name}: {exc}") from exc
+        raise NoConvergenceError(f"{func} failed on {name}: {exc}") from exc
 
 
 def herm_eig(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +113,7 @@ def herm_eig(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarra
         Unitary matrix whose columns are the matching eigenvectors (one per
         stack item).
     """
-    w, v = _eigh(_check_hermitian(a, name), name)
+    w, v = _lapack("eigh", _check_hermitian(a, name), name)
     return _descending(w, v)
 
 
@@ -229,7 +229,7 @@ def _reduced_eigh(a: np.ndarray, b: np.ndarray) -> tuple:
             f"pencil component B is not positive definite: {exc}"
         ) from exc
     # eigh reads one triangle only, so the product needs no symmetrizing.
-    w, phi = _eigh(chol_inv @ a @ ctrans(chol_inv), "reduced pencil")
+    w, phi = _lapack("eigh", chol_inv @ a @ ctrans(chol_inv), "reduced pencil")
     low = np.min(w, axis=-1, initial=np.inf)
     bad = low <= RANK_TOL * np.max(w, axis=-1, initial=0.0)
     if _any(bad):

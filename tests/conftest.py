@@ -51,3 +51,15 @@ def constraint_of_rank(rng: np.random.Generator, n: int, rank: int) -> np.ndarra
     u = np.linalg.qr(cgauss(rng, (n, rank)))[0]
     s = (u * rng.uniform(0.5, 2.0, rank)) @ u.conj().T
     return 0.5 * (s + s.conj().T)
+
+
+def count_decompositions(monkeypatch) -> dict[str, list]:
+    """Record the argument shape of every np.linalg.eigh, cholesky and svd call."""
+    calls = {"eigh": [], "cholesky": [], "svd": []}
+    for name, shapes in calls.items():
+        def counting(a, *args, _f=getattr(np.linalg, name), _shapes=shapes, **kwargs):
+            _shapes.append(np.shape(a))
+            return _f(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls

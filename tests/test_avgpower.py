@@ -26,11 +26,12 @@ from bcsecrecy.avgpower import (
 )
 from bcsecrecy.errors import (
     DimensionMismatchError,
+    NoConvergenceError,
     NoStrongChannelsError,
     ZeroChannelError,
 )
 from bcsecrecy.linalg import LN2, herm
-from conftest import FIG_G, FIG_H, FIG_PT, cgauss, rand_channel
+from conftest import FIG_G, FIG_H, FIG_PT, cgauss, count_decompositions, rand_channel
 
 # An underflow or NaN in the water-level search shows up as a RuntimeWarning.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -60,6 +61,21 @@ class TestReduceNullspace:
         ch = Channel(np.zeros((2, 3), dtype=complex), np.zeros((2, 3), dtype=complex))
         with pytest.raises(ZeroChannelError):
             reduce_nullspace(ch)
+
+    def test_squared_singular_value_overflow_rejected(self):
+        # sigma_1^2 = 4e308 is past float64: an input error, not a zero channel.
+        ch = Channel(np.diag([2e154, 1.0]), np.zeros((1, 2)))
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            reduce_nullspace(ch)
+
+    def test_rank_rule_at_its_cut(self):
+        # sigma_i^2 > RANK_TOL sigma_1^2 of the stacked channel: sigma_2^2 / sigma_1^2
+        # is 0.99992e-10 for g = [2, 2.0001], under the cut, and 1.21e-10 for
+        # g = [2, 2.00011].  A change of the rank rule has to restate this test.
+        h = np.array([1.0, 1.0])
+        for g, rank in (([2.0, 2.0001], 1), ([2.0, 2.00011], 2)):
+            _, u_p, lam = reduce_nullspace(MisoChannel(h, np.array(g)).as_channel())
+            assert u_p.shape == (2, rank) and lam.shape == (rank,)
 
 
 class TestDiagonalize:
@@ -96,20 +112,23 @@ class TestDiagonalize:
         assert np.linalg.norm(a1 @ a2 - a2 @ a1) <= 1e-8
 
     def test_gram_sum_decomposed_once(self, monkeypatch):
-        # One eigh for the Gram sum, one for the whitened Gram of H, and one
-        # for the sigma1 = 0 cluster that the null space of the 2-row H leaves.
+        # No Gram matrix and no eigh: one SVD of the stacked 6 x 4 channel for
+        # the range and the whitening, one of the whitened 2 x 4 H for Phi, and
+        # one of the 4 x 2 whitened cluster basis for the sigma1 = 0 cluster
+        # that the null space of the 2-row H leaves.
         rng = np.random.default_rng(4)
         ch = rand_channel(rng, 4, m1=2, m2=4)
-        eigh = np.linalg.eigh
-        calls = []
-
-        def counting_eigh(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        calls = count_decompositions(monkeypatch)
         diagonalize(ch)
-        assert calls == [(4, 4), (4, 4), (2, 2)]
+        assert calls == {"eigh": [], "cholesky": [], "svd": [(6, 4), (2, 4), (4, 2)]}
+
+    def test_failed_svd_is_typed(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(NoConvergenceError, match="svd failed on stacked channel"):
+            diagonalize(rand_channel(np.random.default_rng(4), 4))
 
     def test_partition_blocks_ordered(self):
         rng = np.random.default_rng(5)
@@ -275,6 +294,43 @@ class TestWaterfill:
         assert np.max(np.abs(rate - rate_ref) / (1.0 + rate_ref)) <= 1e-12
         assert np.max(np.abs(spend - budgets) / budgets) <= 1e-10
 
+    def test_budget_met_across_a_jump_in_spent_power(self):
+        # The first subchannel opens so steeply that the spent power jumps
+        # across one float step of the level: no level spends the budget, and
+        # the powers at the two ends of the final bracket are mixed.  The
+        # search used to stop there and spend 0.77 of the budget.
+        strong = np.array([1.5262087415006265e-10, 0.73647315407714486])
+        weak = np.array([1.525190814329909e-10, 0.7362589642472426])
+        a = np.array([4.30014629953123e9, 1.0088168451395275e-9])
+        budget = 221074.0742743119
+        p, mu = waterfill(strong, weak, a, budget)
+        assert abs(p @ a - budget) <= LEVEL_REL_TOL * budget
+        # Both subchannels are open, each at its KKT slope (in a form that
+        # does not cancel at p = 1.3e14).
+        slope = (strong - weak) / ((1.0 + strong * p) * (1.0 + weak * p))
+        assert np.all(p > 0) and np.max(np.abs(slope - mu * a) / (mu * a)) <= 1e-8
+
+    def test_budget_met_on_wide_stress(self):
+        # Strong gains log-uniform over 12 decades, weak gains a uniform
+        # fraction of them (20% zero), costs over 18 decades and budgets over
+        # 15: every row spends its budget.
+        rng = np.random.default_rng(22)
+        for _ in range(600):
+            k = int(rng.integers(1, 6))
+            strong = 10.0 ** rng.uniform(-10.0, 2.0, k)
+            weak = strong * rng.uniform(0.0, 1.0, k) * (rng.random(k) >= 0.2)
+            a = 10.0 ** rng.uniform(-9.0, 9.0, k)
+            budgets = 10.0 ** rng.uniform(-6.0, 9.0, 8)
+            p, _ = avgpower._fill(strong, weak, a, budgets, strong > weak)
+            assert np.all(np.abs(p @ a - budgets) <= LEVEL_REL_TOL * budgets)
+
+    def test_level_search_out_of_steps_raises(self, monkeypatch):
+        # Two live subchannels: the start is not the level, and one step does
+        # not reach it.
+        monkeypatch.setattr(avgpower, "LEVEL_MAX_ITER", 1)
+        with pytest.raises(NoConvergenceError, match="water level"):
+            waterfill(np.array([3.0, 2.0]), np.array([1.0, 0.5]), np.ones(2), 5.0)
+
 
 @pytest.mark.parametrize("fill", [waterfill, waterfill_high_snr])
 def test_fill_inputs_checked(fill):
@@ -319,6 +375,10 @@ class TestWaterfillHighSnr:
     def test_single_subchannel_budget_determined(self):
         p, _ = waterfill_high_snr(np.array([0.9]), np.array([0.3]), np.array([2.0]), 50.0)
         assert p[0] == pytest.approx(25.0, rel=1e-9)
+
+    def test_zero_budget(self):
+        p, mu = waterfill_high_snr(np.array([0.9, 0.6]), np.array([0.2, 0.0]), np.ones(2), 0.0)
+        assert np.all(p == 0.0) and mu == np.inf
 
     def test_zero_weak_entries_use_exact_branch(self):
         strong = np.array([0.9, 0.7])
@@ -371,8 +431,11 @@ class TestAllocateAndRates:
     def test_one_live_subchannel_exact_level(self, monkeypatch):
         # Each block of this channel has one live subchannel, so its level is
         # known in closed form and the search must end at its first tolerance
-        # check: one allowed iteration is then enough.  Rates from the bracketed
-        # search that started from a bound instead.
+        # check: one allowed iteration is then enough.  Each block's one
+        # subchannel has sigma = 1 against 0 (user 1 beams off g, user 2 off h),
+        # so R1 = log2(1 + alpha pt (|h|^2 - |g^H h|^2 / |g|^2)) and R2 alike.
+        # R1 at (0.5, 1e8) is that formula in mpmath at 60 digits,
+        # 21.536027720114385462; the other rates match it to 7e-15.
         monkeypatch.setattr(avgpower, "LEVEL_MAX_ITER", 1)
         h = np.array([0.8 + 0.3j, -0.5 + 1.1j])
         g = np.array([0.4 - 0.9j, 1.2 + 0.2j])
@@ -381,7 +444,7 @@ class TestAllocateAndRates:
         searched = {
             (0.3, 10.0): (0.2417779353804732, 0.5619426376375498),
             (1.0, 10.0): (0.6854138804538125, 0.0),
-            (0.5, 1e8): (21.536027719967468, 21.69787854916671),
+            (0.5, 1e8): (21.536027720114385, 21.69787854916671),
             (0.7, 1e-6): (6.141758757624224e-08, 2.944678889022875e-08),
         }
         for (alpha, pt), (r1, r2) in searched.items():

@@ -124,6 +124,10 @@ class TestGevd:
             assert np.linalg.norm(c.conj().T @ a @ c - lam) <= 1e-8 * np.linalg.norm(lam)
             assert np.linalg.norm(c.conj().T @ b @ c - np.eye(n)) <= 1e-8
 
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="differ in shape"):
+            gevd_definite(np.eye(2), np.eye(3))
+
     def test_rejects_semidefinite_component(self):
         good = np.eye(2, dtype=complex)
         with pytest.raises(NotPositiveDefiniteError):
@@ -216,6 +220,10 @@ class TestProjector:
 
     def test_empty_input(self):
         assert np.allclose(projector(np.zeros((4, 0), dtype=complex)), np.zeros((4, 4)))
+
+    def test_non_matrix_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="matrix of columns"):
+            projector(np.ones(3))
 
     def test_rank_deficient_rejected(self):
         c = np.ones((3, 2), dtype=complex)

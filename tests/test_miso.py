@@ -19,7 +19,7 @@ from bcsecrecy.avgpower import reduce_nullspace
 from bcsecrecy.errors import ZeroChannelError
 from bcsecrecy.linalg import LN2, _fix_phase
 from bcsecrecy.miso import _det, _principal
-from conftest import cgauss
+from conftest import cgauss, count_decompositions
 
 
 def rand_miso(rng, n=2):
@@ -31,18 +31,6 @@ def orthogonal_miso(rng, n):
     h = cgauss(rng, n)
     g = cgauss(rng, n) if n > 1 else np.zeros(1, dtype=complex)
     return MisoChannel(h, g - h * (np.vdot(h, g) / np.vdot(h, h)))
-
-
-def count_decompositions(monkeypatch) -> dict[str, list]:
-    """Record the argument shape of every np.linalg.eigh and cholesky call."""
-    calls = {"eigh": [], "cholesky": []}
-    for name, shapes in calls.items():
-        def counting(a, *args, _f=getattr(np.linalg, name), _shapes=shapes, **kwargs):
-            _shapes.append(np.shape(a))
-            return _f(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return calls
 
 
 class TestCapacityPoint:
@@ -118,14 +106,15 @@ class TestCapacityPoint:
 
 class TestLinearPoint:
     def test_one_decomposition(self, monkeypatch):
-        # One eigh of the channel's Gram sum to reduce it; the split's pencils,
-        # the swapped-role pencil and the coupling are closed form after it.
+        # One SVD of the stacked 2 x 4 channel [h^H; g^H] to reduce it; the
+        # split's pencils, the swapped-role pencil and the coupling are closed
+        # form after it.
         rng = np.random.default_rng(5)
         mc = rand_miso(rng, n=4)
         point = miso_capacity_point(mc, 10.0, 0.5)
         calls = count_decompositions(monkeypatch)
         miso_linear_point(mc, point)
-        assert calls == {"eigh": [(4, 4)], "cholesky": []}
+        assert calls == {"eigh": [], "cholesky": [], "svd": [(2, 4)]}
 
     def test_endpoints_equal_capacity(self):
         rng = np.random.default_rng(4)

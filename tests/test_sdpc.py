@@ -215,6 +215,10 @@ class TestSolveMatrixConstraint:
         with pytest.raises(ValueError, match="constraint"):
             solve_matrix_constraint(fig_channel, np.full((2, 2), np.nan, dtype=complex))
 
+    def test_three_dimensional_channel_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="2-D"):
+            Channel(np.ones((2, 2, 2)), FIG_G.copy())
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_channel_rejected(self, bad):
         h = FIG_H.copy()
