@@ -104,40 +104,47 @@ class _ChildSeed(ISeedSequence):
         return self.words
 
 
-def _draw(rng: np.random.Generator, out: np.ndarray) -> int:
-    """Write sqrt(2) times the real and imaginary parts of the complex
-    Gaussian factor A of ``sample_constraint`` into ``out[0]`` and
-    ``out[1]``, zeroed (2, n, n): A fills the leading k columns.  Returns k.
+def _draw(rng: np.random.Generator, n: int, out: np.ndarray) -> int:
+    """Draw the n x k complex Gaussian factor A of ``sample_constraint`` into
+    the leading 2 n k entries of the flat buffer ``out`` (at least 2 n^2
+    long): sqrt(2) times the real parts of A in row-major order, then the
+    imaginary parts.  Returns k.
 
-    One (2, n, k) draw consumes the stream exactly as separate real and
-    imaginary (n, k) draws would.
+    Filling ``out`` consumes the stream exactly as ``standard_normal((2, n,
+    k))`` would.
     """
-    n = out.shape[-1]
     k = n
     if n > 1 and rng.random() < 1.0 / 3.0:
         k = int(rng.integers(1, n))
-    out[:, :, :k] = rng.standard_normal((2, n, k))
+    rng.standard_normal(out=out[: 2 * n * k])
     return k
 
 
-def _normalized(parts: np.ndarray, pt: float) -> np.ndarray:
-    """pt * A A^H / tr(A A^H) for the A of drawn ``parts``, (..., 2, n, n)."""
-    a = (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2.0)
-    b = herm(a @ ctrans(a))
-    return pt * b / np.real(np.trace(b, axis1=-2, axis2=-1))[..., None, None]
+def _factors(x: np.ndarray, n: int, pt: float) -> np.ndarray:
+    """Factors F = A sqrt(pt / ||A||_F^2), shape (..., n, k), of the drawn
+    ``x`` (..., 2 n k) from ``_draw``, so F F^H = pt A A^H / tr(A A^H).  The
+    norm is summed over each row of ``x``, so a stack of draws and a single
+    draw give the same F bit for bit."""
+    re, im = np.split(x, 2, axis=-1)
+    a = (re + 1j * im).reshape(*x.shape[:-1], n, -1)
+    return a * np.sqrt(pt / np.sum(x * x, axis=-1))[..., None, None]
 
 
 def sample_constraint(n: int, pt: float, rng: np.random.Generator) -> np.ndarray:
-    """One random PSD matrix with trace exactly ``pt``.
+    """One random PSD matrix with trace ``pt`` (to rounding).
 
-    S = pt * A A^H / tr(A A^H) for a complex Gaussian A; with probability 1/3
-    A gets fewer than n columns (rank chosen uniformly) so singular
-    constraints are exercised too.  A is zero-padded to n x n, as in
-    ``search_region``, so both give the same S for the same stream.
+    S = pt * A A^H / tr(A A^H) for a complex Gaussian n x k factor A; with
+    probability 1/3 A gets fewer than n columns (k chosen uniformly) so
+    singular constraints are exercised too.  Formed as F F^H from the factor
+    F of ``_factors`` that ``search_region`` solves.  Raises ValueError,
+    before drawing, unless ``n`` is an integer >= 1 and ``pt`` is finite and
+    >= 0.
     """
-    parts = np.zeros((2, n, n))
-    _draw(rng, parts)
-    return _normalized(parts, pt)
+    _check_count(n, "n", 1)
+    check_split(0.0, pt)
+    out = np.empty(2 * n * n)
+    f = _factors(out[: 2 * n * _draw(rng, n, out)], n, pt)
+    return herm(f @ ctrans(f))
 
 
 def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
@@ -146,9 +153,9 @@ def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
     Sample i is drawn from the i-th ``SeedSequence(cfg.seed).spawn`` child,
     exactly as ``sample_constraint(n_t, pt, np.random.default_rng(child))``.
     The children's seed words are hashed in one batch per chunk of ``CHUNK``
-    samples; the factors are padded with zero columns to n_t x n_t, which
-    leaves A A^H unchanged, and each chunk's constraints are solved as one
-    stack, where only the draws with n_t columns take the rank certificate.
+    samples.  No constraint is formed: each chunk's draws are grouped by
+    their column count k, and each group's factors F (n_t x k, full column
+    rank for a Gaussian draw) are solved as one stack.
 
     Raises ValueError, before drawing anything, unless ``cfg.samples`` and
     ``cfg.seed`` are integers >= 0 and ``cfg.pt`` is finite and >= 0.
@@ -162,10 +169,13 @@ def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
     points = []
     for start in range(0, samples, CHUNK):
         size = min(CHUNK, samples - start)
-        parts = np.zeros((size, 2, n, n))
-        full = [_draw(np.random.Generator(np.random.PCG64(_ChildSeed(words))), out) == n
-                for out, words in zip(parts, _child_states(entropy, start, size))]
-        rates = _stacked_corners(ch, _normalized(parts, pt), candidates=full)
+        draws = np.empty((size, 2 * n * n))
+        ks = np.array([_draw(np.random.Generator(np.random.PCG64(_ChildSeed(words))), n, out)
+                       for out, words in zip(draws, _child_states(entropy, start, size))])
+        rates = np.empty((size, 2))
+        for k in set(ks.tolist()):
+            at = ks == k
+            rates[at] = _stacked_corners(ch, _factors(draws[at, : 2 * n * k], n, pt))
         points.extend(CornerPoint(r1, r2, provenance="baseline-sample")
                       for r1, r2 in rates.tolist())
     corners = sweep_corners(diagonalize(ch), pt, SW_SPLITS)

@@ -20,7 +20,9 @@ diagonalizes it, U C diagonalizes the pencil of S^{1/2}.  A constraint that
 ``_certified`` proves full-rank takes its Cholesky factor; any other takes
 F = V diag(sqrt(w)) of S = V diag(w) V^H, cut to the rank of S and never
 regularized, and then U = V.  Only S^{1/2} and the transmit-space
-eigenvectors need U, so they are formed on first read.
+eigenvectors need U, so they are formed on first read.  ``search_region``
+draws each sampled constraint as a factor of full column rank, so it solves
+that factor and never forms S.
 """
 
 from dataclasses import dataclass
@@ -198,21 +200,20 @@ def build_pencil(ch: Channel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _pencil(psd_sqrt(_sized_constraint(s, ch.n_t)), ch.H, ch.G)
 
 
-def _certified(s: np.ndarray) -> bool | np.ndarray:
+def _certified(s: np.ndarray) -> bool:
     """Whether a Cholesky factorization of S - 2 RANK_TOL tr(S) I completes,
-    for a Hermitian constraint or each of a ``(k, n, n)`` stack (a stack that
-    fails is decided item by item).  It then proves every eigenvalue of S
+    for a Hermitian constraint.  It then proves every eigenvalue of S
     above RANK_TOL tr(S) >= RANK_TOL lambda_max, so S has full rank by
     ``psd_range``'s rule: the factor is exact for the shifted matrix plus a
     backward error of norm about (n + 1) eps tr(S) at most (Higham, Accuracy
     and Stability of Numerical Algorithms, 2nd ed., Thm 10.5).
     """
-    shift = 2.0 * RANK_TOL * np.trace(s, axis1=-2, axis2=-1).real
+    shift = 2.0 * RANK_TOL * np.trace(s).real
     try:
-        np.linalg.cholesky(s - shift[..., None, None] * np.eye(s.shape[-1]))
+        np.linalg.cholesky(s - shift * np.eye(len(s)))
     except np.linalg.LinAlgError:
-        return np.array([_certified(x) for x in s], dtype=bool) if s.ndim > 2 else False
-    return np.ones(s.shape[:-2], dtype=bool) if s.ndim > 2 else True
+        return False
+    return True
 
 
 def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
@@ -237,42 +238,29 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
     return SdpcSolution(ch, herm(s), gevd, CornerPoint(r1, r2, provenance="sdpc"), f.shape[1])
 
 
-def _stacked_corners(ch: Channel, s: np.ndarray, candidates=None) -> np.ndarray:
-    """Corner rates in bits, shape (k, 2), of a ``(k, n_t, n_t)`` stack of
-    constraints, each item with the factor ``solve_matrix_constraint`` takes
-    for it, so both give the same rates and raise on the same inputs.
+def _stacked_corners(ch: Channel, f: np.ndarray) -> np.ndarray:
+    """Corner rates in bits, shape (count, 2), of the constraints F F^H for a
+    ``(count, n_t, k)`` stack of factors F of full column rank k.
 
-    Only the ``candidates`` (a boolean mask, every item by default) go
-    through the rank certificate, as one batch; the rest go through
-    ``psd_range``.  A caller may leave out items of rank below n_t, as
-    pt A A^H / tr(A A^H) for an A of fewer columns: forming S rounds its zero
-    eigenvalues to about n_t eps tr(S), far below the 2 RANK_TOL tr(S) shift,
-    so ``_certified`` fails on them alone too.  Each rank is one
-    ``_reduced_eigh`` batch; ``_pencil`` makes the pencils exactly Hermitian.
+    Each pencil is the one ``solve_matrix_constraint`` builds from its
+    factor, and all are solved as one batch of the ``eigh`` core of
+    ``gevd_definite``, of which only the eigenvalues are read.  Given the
+    factors ``solve_matrix_constraint`` takes, the rates equal its rates bit
+    for bit, and the pencils raise as its do.  The pencils are Hermitian by
+    construction, so they are only checked to be finite.
     """
-    s = np.asarray(s, dtype=complex)
-    n = ch.n_t
-    if s.ndim != 3 or s.shape[1:] != (n, n):
-        raise DimensionMismatchError(f"constraints must form a (k, {n}, {n}) stack, got shape {s.shape}")
-    s = _check_hermitian(s, "constraint")
-    ok = np.ones(len(s), dtype=bool) if candidates is None else np.array(candidates, dtype=bool)
-    ok[ok] = _certified(s[ok])
     # C order: with one receive antenna, H F rounds differently on a column-major F.
-    f, rank = np.empty(s.shape, dtype=complex), np.full(len(s), n)
-    f[ok] = np.linalg.cholesky(s[ok])
-    w, v, rank[~ok] = psd_range(s[~ok], "constraint")
-    # Range factors V diag(sqrt(w)); past the rank (cut below) w can be < 0.
-    f[~ok] = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
-    rates = np.empty((len(s), 2))
-    for r in set(rank.tolist()):
-        at = rank == r
-        pencil = _pencil(f[at, :, :r], ch.H, ch.G)
-        for name, x in zip("AB", pencil):
-            if not np.isfinite(x).all():
-                raise ValueError(f"pencil component {name} has non-finite entries")
-        _, lam, _, b = _reduced_eigh(*pencil)
-        rates[at, 0], rates[at, 1] = _rates_bits(np.ascontiguousarray(lam[:, ::-1]), b)
-    return rates
+    f = np.ascontiguousarray(f, dtype=complex)
+    if f.ndim != 3 or f.shape[1] != ch.n_t:
+        raise DimensionMismatchError(
+            f"factors must form a (count, {ch.n_t}, k) stack, got shape {f.shape}"
+        )
+    pencil = _pencil(f, ch.H, ch.G)
+    for name, x in zip("AB", pencil):
+        if not np.isfinite(x).all():
+            raise ValueError(f"pencil component {name} has non-finite entries")
+    _, lam, _, b = _reduced_eigh(*pencil)
+    return np.stack(_rates_bits(np.ascontiguousarray(lam[:, ::-1]), b), axis=-1)
 
 
 def orthogonality_defect(sol: SdpcSolution) -> float:

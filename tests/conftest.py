@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from bcsecrecy import Channel
+from bcsecrecy import Channel, solve_matrix_constraint
+from bcsecrecy.sdpc import _stacked_corners
 
 FIG_H = np.array([[0.3, 2.5], [2.2, 1.8]], dtype=complex)
 FIG_G = np.array([[1.3, 1.2], [1.5, 3.9]], dtype=complex)
@@ -63,3 +64,17 @@ def count_decompositions(monkeypatch) -> dict[str, list]:
 
         monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+def factor_corners(ch: Channel, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corner rates, shape (count, 2), of each constraint of ``stack``: from
+    ``_stacked_corners`` given the factors ``solve_matrix_constraint`` takes,
+    one batch per rank, and from the single solves."""
+    sols = [solve_matrix_constraint(ch, s) for s in stack]
+    want = np.array([[sol.corner.R1, sol.corner.R2] for sol in sols]).reshape(-1, 2)
+    got = np.empty_like(want)
+    ranks = np.array([sol.rank for sol in sols], dtype=int)
+    for r in set(ranks.tolist()):
+        at = np.flatnonzero(ranks == r)
+        got[at] = _stacked_corners(ch, np.stack([sols[i].gevd.factor for i in at]))
+    return got, want

@@ -1,5 +1,6 @@
 """Randomized reference search: sampling, determinism, hull consistency."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -17,8 +18,7 @@ from bcsecrecy import (
 )
 from bcsecrecy.baseline import sample_constraint
 from bcsecrecy.hull import pareto_hull
-from bcsecrecy.linalg import psd_range
-from bcsecrecy.sdpc import _certified
+from bcsecrecy.linalg import ctrans, herm
 from conftest import rand_channel
 
 
@@ -50,6 +50,49 @@ class TestSampleConstraint:
         s1 = sample_constraint(3, 2.0, np.random.default_rng(42))
         s2 = sample_constraint(3, 2.0, np.random.default_rng(42))
         np.testing.assert_array_equal(s1, s2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, pt, what", [
+        (2, -1.0, "power"),
+        (2, float("nan"), "power"),
+        (2, float("inf"), "power"),
+        (2.5, 1.0, "n"),
+    ])
+    def test_inputs_checked(self, n, pt, what):
+        # Each gave a negative-definite or NaN matrix, or numpy's TypeError.
+        class Unread:
+            def __getattr__(self, name):
+                raise AssertionError("drew before checking the inputs")
+
+        with pytest.raises(ValueError, match=what):
+            sample_constraint(n, pt, Unread())
+
+
+def draw_before(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The draw of a factor as it was written before ``_draw`` filled a buffer
+    in place: the column count, then one (2, n, k) array."""
+    k = n
+    if n > 1 and rng.random() < 1.0 / 3.0:
+        k = int(rng.integers(1, n))
+    return rng.standard_normal((2, n, k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_draw_keeps_stream(n):
+    # The same normals, and the generator left where the (2, n, k) draw left
+    # it, so a longer search still extends a shorter one with the same seed.
+    ks = set()
+    for seed in range(60):
+        rng, ref = np.random.default_rng([n, seed]), np.random.default_rng([n, seed])
+        out = np.full(2 * n * n, np.nan)
+        k = baseline._draw(rng, n, out)
+        want = draw_before(ref, n)
+        assert want.shape == (2, n, k)
+        assert np.array_equal(out[: 2 * n * k], want.ravel())
+        assert np.isnan(out[2 * n * k:]).all()
+        assert rng.random() == ref.random()
+        ks.add(k)
+    assert n in ks and (n == 1 or min(ks) < n)
 
 
 class TestChildStates:
@@ -120,10 +163,12 @@ class TestSearchRegion:
             assert y <= cap.envelope(x) + 1e-5
 
     def test_samples_match_single_solves(self):
-        # The one stacked solve gives each sample the corner of its own solve.
-        rng = np.random.default_rng(12)
-        for ch in (rand_channel(rng, 2), rand_channel(rng, 4, m1=4, m2=4)):
-            cfg = SearchConfig(samples=60, seed=4, pt=12.0)
+        # The stacked solve on each sample's drawn factor gives the corner of
+        # the single solve of its constraint, for one-row and square channels.
+        for n, rows, pt in itertools.product([1, 2, 3, 4, 8], ["one", "square"], [1e-6, 1.0, 12.0]):
+            m = 1 if rows == "one" else n
+            ch = rand_channel(np.random.default_rng(12 + n), n, m1=m, m2=m)
+            cfg = SearchConfig(samples=60, seed=4, pt=pt)
             got = [(p.R1, p.R2) for p in search_region(ch, cfg).points
                    if p.provenance == "baseline-sample"]
             children = np.random.SeedSequence(cfg.seed).spawn(cfg.samples)
@@ -135,12 +180,13 @@ class TestSearchRegion:
     @pytest.mark.parametrize("chunk", [baseline.CHUNK, 16])
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_constraints_equal_single_draws(self, monkeypatch, n, chunk):
-        # Sample i is, bit for bit, sample_constraint on the stream of child i.
-        stacks = []
+        # Sample i's factor F gives, bit for bit, the S = F F^H that
+        # sample_constraint forms on the stream of child i.
+        factors = []
 
-        def recording(ch, s, _solve=baseline._stacked_corners, **kwargs):
-            stacks.append(s.copy())
-            return _solve(ch, s, **kwargs)
+        def recording(ch, f, _solve=baseline._stacked_corners):
+            factors.extend(f.copy())
+            return _solve(ch, f)
 
         monkeypatch.setattr(baseline, "_stacked_corners", recording)
         monkeypatch.setattr(baseline, "CHUNK", chunk)
@@ -149,7 +195,13 @@ class TestSearchRegion:
         search_region(ch, cfg)
         children = np.random.SeedSequence(cfg.seed).spawn(cfg.samples)
         want = [sample_constraint(n, cfg.pt, np.random.default_rng(c)) for c in children]
-        assert np.array_equal(np.concatenate(stacks), want)
+        # The chunks are solved in order, and each chunk's draws of k
+        # columns in order, so the factors of k columns come in sample order.
+        ks = [baseline._draw(np.random.default_rng(c), n, np.empty(2 * n * n)) for c in children]
+        of_k = {k: iter([f for f in factors if f.shape[1] == k]) for k in set(ks)}
+        got = [herm(f @ ctrans(f)) for f in (next(of_k[k]) for k in ks)]
+        assert len(factors) == cfg.samples
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_swapped_channel_mirrors_region(self, n):
@@ -209,27 +261,10 @@ class TestSearchRegion:
             search_region(fig_channel, SearchConfig(samples=samples, seed=1, pt=12.0))
             seen.append(dict(counts))
         assert seen[0] == seen[1]
-        # One pencil batch per rank drawn, ranks one and two on the 2x2
-        # channel, and for the full-column draws one batch of rank
-        # certificates and one of Cholesky factors.
-        assert seen[0]["cholesky"] == 4
-
-
-class TestCertificateMask:
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_fewer_columns_never_certified(self, n):
-        # search_region sends only the full-column draws to the rank
-        # certificate: a draw with k < n columns has rank k at most, and
-        # forming S rounds its zero eigenvalues far below the certificate's
-        # shift, so the single solve's certificate fails on it too.
-        parts = np.zeros((400, 2, n, n))
-        ks = np.array([baseline._draw(np.random.default_rng([n, seed]), out)
-                       for seed, out in enumerate(parts)])
-        assert np.any(ks < n) and np.any(ks == n)
-        for pt in (1e-6, 12.0, 1e6):
-            s = baseline._normalized(parts, pt)
-            assert not np.any(_certified(s[ks < n]))
-            assert np.all(psd_range(s[ks < n])[2] <= ks[ks < n])
+        # One pencil batch, with one Cholesky factorization of B and one
+        # eigh, per column count drawn: one and two on the 2x2 channel.  No
+        # constraint is formed, so none is factored or decomposed.
+        assert seen[0] == {"eigh": 2, "cholesky": 2}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

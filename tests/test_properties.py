@@ -3,8 +3,9 @@ and of the batched ``miso_region``.
 
 Channels and constraint factors are drawn entry by entry (complex, magnitude
 at most 10, zeros and tiny values included), with n_t from 1 to 6 and
-constraints of every rank from 0 to n_t.  The stack solves each item as
-``solve_matrix_constraint`` does, so the two agree exactly.  Rates checked
+constraints of every rank from 0 to n_t.  The stack is given the factor that
+``solve_matrix_constraint`` takes for each constraint, one batch per rank, and
+solves it as the single solve does, so the two agree exactly.  Rates checked
 against another computation are compared in bits to 1e-12 plus
 1e-14 ||A||_2 ||B||_2 for the item's pencil (A, B): the Cholesky-based GEVD
 perturbs an eigenvalue by about eps ||A|| ||B^{-1}||, and B >= I gives
@@ -21,7 +22,8 @@ from bcsecrecy import Channel, MisoChannel, miso_region, solve_matrix_constraint
 from bcsecrecy.avgpower import reduce_nullspace
 from bcsecrecy.errors import ZeroChannelError
 from bcsecrecy.linalg import LN2, herm, rate_logdet
-from bcsecrecy.sdpc import _stacked_corners, build_pencil
+from bcsecrecy.sdpc import build_pencil
+from conftest import factor_corners
 
 ENTRIES = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
@@ -50,11 +52,6 @@ def tolerance(ch: Channel, s: np.ndarray) -> float:
     return 1e-12 + 1e-14 * float(np.linalg.norm(a, 2) * np.linalg.norm(b, 2))
 
 
-def single_corners(ch: Channel, stack: np.ndarray) -> np.ndarray:
-    return np.array([[sol.corner.R1, sol.corner.R2]
-                     for sol in (solve_matrix_constraint(ch, s) for s in stack)]).reshape(-1, 2)
-
-
 def assert_close(got: np.ndarray, want: np.ndarray, ch: Channel, stack: np.ndarray):
     assert got.shape == want.shape == (stack.shape[0], 2)
     for s, x, y in zip(stack, got, want):
@@ -67,8 +64,8 @@ def test_stacked_matches_single_solves(case):
     # Ranks 0 to n_t share one stack; each is solved on its range, as alone.
     h, g, stack = case
     ch = Channel(h, g)
-    rates = _stacked_corners(ch, stack)
-    assert np.array_equal(rates, single_corners(ch, stack))
+    rates, want = factor_corners(ch, stack)
+    assert np.array_equal(rates, want)
     # R1 - R2 = sum of ln lambda = ln det(I + H S H^H) - ln det(I + G S G^H).
     for s, (r1, r2) in zip(stack, rates):
         gap = (rate_logdet(ch.H, s) - rate_logdet(ch.G, s)) / LN2
@@ -81,9 +78,9 @@ def test_near_ties(case, exponent):
     # G = H + eps E: the pencil eigenvalues crowd around one.
     h, e, stack = case
     ch = Channel(h, h + 10.0 ** exponent * np.resize(e, h.shape))
-    rates = _stacked_corners(ch, stack)
+    rates, want = factor_corners(ch, stack)
     assert np.all(rates >= 0.0)
-    assert np.array_equal(rates, single_corners(ch, stack))
+    assert np.array_equal(rates, want)
 
 
 @SETTINGS
@@ -93,8 +90,8 @@ def test_rates_scale_invariant(case, exponent):
     h, g, stack = case
     c = 10.0 ** exponent
     ch = Channel(h, g)
-    scaled = _stacked_corners(Channel(c * h, c * g), stack / c**2)
-    assert_close(scaled, _stacked_corners(ch, stack), ch, stack)
+    scaled = factor_corners(Channel(c * h, c * g), stack / c**2)[0]
+    assert_close(scaled, factor_corners(ch, stack)[0], ch, stack)
 
 
 @st.composite

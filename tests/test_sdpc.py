@@ -1,7 +1,5 @@
 """Corner points under matrix power constraints, and the structural tests."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -38,6 +36,7 @@ from conftest import (
     SCALED_H,
     cgauss,
     constraint_of_rank,
+    factor_corners,
     rand_channel,
     rand_psd,
 )
@@ -300,12 +299,10 @@ class TestRankCertificate:
             [boundary_constraint(rng, n, c) for c in BOUNDARY_C]
             + [herm(f @ f.conj().T), np.zeros((n, n))]
         )
-        rank, certified = psd_range(stack)[2], _certified(stack)
+        rank, certified = psd_range(stack)[2], np.array([_certified(s) for s in stack])
         assert certified.any() and np.any(~certified & (rank == n)) and np.any(rank < n)
-        rates = _stacked_corners(ch, stack)
-        for s, got in zip(stack, rates):
-            sol = solve_matrix_constraint(ch, s)
-            assert np.array_equal(got, [sol.corner.R1, sol.corner.R2])
+        got, want = factor_corners(ch, stack)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [2, 5, 32])
     def test_negative_eigenvalues(self, n):
@@ -321,12 +318,11 @@ class TestRankCertificate:
             if ok:
                 sol = solve_matrix_constraint(ch, s)
                 assert sol.rank == n - 1
-                assert np.array_equal(_stacked_corners(ch, s[None])[0], [sol.corner.R1, sol.corner.R2])
+                got, want = factor_corners(ch, s[None])
+                assert np.array_equal(got, want)
                 continue
             with pytest.raises(NotPositiveSemidefiniteError):
                 solve_matrix_constraint(ch, s)
-            with pytest.raises(NotPositiveSemidefiniteError):
-                _stacked_corners(ch, s[None])
 
 
 def constraints_of_every_rank(rng: np.random.Generator, n: int, per_rank: int = 3) -> np.ndarray:
@@ -363,14 +359,13 @@ class TestStackedCorners:
             "one_antenna": rand_channel(rng, 1),
         }[name]
         stack = constraints_of_every_rank(rng, ch.n_t)
-        rates = _stacked_corners(ch, stack)
-        assert rates.shape == (stack.shape[0], 2)
-        for s, got in zip(stack, rates):
-            sol = solve_matrix_constraint(ch, s)
-            assert np.array_equal(got, [sol.corner.R1, sol.corner.R2])
+        got, want = factor_corners(ch, stack)
+        assert got.shape == (stack.shape[0], 2)
+        assert np.array_equal(got, want)
 
     def test_zero_constraint_is_origin(self, fig_channel):
-        rates = _stacked_corners(fig_channel, np.zeros((3, 2, 2), dtype=complex))
+        # Zero-column factors, as solve_matrix_constraint takes for S = 0.
+        rates = _stacked_corners(fig_channel, np.zeros((3, 2, 0), dtype=complex))
         assert np.array_equal(rates, np.zeros((3, 2)))
 
     def test_empty_stack(self, fig_channel):
@@ -382,19 +377,18 @@ class TestStackedCorners:
         # A silent second user and S = diag(1e11, weak) give the pencil an
         # eigenvalue of about 1e11 |h|^2.  With one receive antenna the other
         # is one, a spread past 1 / RANK_TOL, but it lies on range(S) only
-        # when S has full rank: a rank-one S is solved on its range, in the
-        # stack as alone, and has a 1 x 1 pencil.
+        # when S has full rank: a rank-one S is solved on its range, alone
+        # as on its factor in the stack, and has a 1 x 1 pencil.
         ch = Channel(cgauss(np.random.default_rng(31), (m, 2)), np.zeros((2, 2), dtype=complex))
         s = np.diag([1e11, weak]).astype(complex)
         if weak > 0.0:
             with pytest.raises(NotPositiveDefiniteError):
                 solve_matrix_constraint(ch, s)
             with pytest.raises(NotPositiveDefiniteError):
-                _stacked_corners(ch, s[None])
+                _stacked_corners(ch, np.linalg.cholesky(s)[None])
         else:
-            sol = solve_matrix_constraint(ch, s)
-            rates = _stacked_corners(ch, s[None])
-            assert np.array_equal(rates[0], [sol.corner.R1, sol.corner.R2])
+            got, want = factor_corners(ch, s[None])
+            assert np.array_equal(got, want)
 
     @pytest.mark.xfail(strict=True, raises=NotPositiveDefiniteError,
                        reason="ROADMAP item 1: the definiteness rejection of library-built "
@@ -413,8 +407,10 @@ class TestStackedCorners:
         s[0, 4] = s[4, 0] = 120.0
         s[4, 4] = 196.0
         ch = Channel(h, g)
+        w, v, rank = psd_range(s)
+        f = v[:, :rank] * np.sqrt(w[:rank])
         corner = solve_matrix_constraint(ch, s).corner
-        for got in ([corner.R1, corner.R2], _stacked_corners(ch, s[None])[0]):
+        for got in ([corner.R1, corner.R2], _stacked_corners(ch, f[None])[0]):
             assert np.allclose(got, [SPREAD_R1, SPREAD_R2], rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("gain, power", [(1.0, 1e307), (1.0, 1.5e308), (1e200, 1e10)])
@@ -427,16 +423,20 @@ class TestStackedCorners:
         with np.errstate(over="ignore", invalid="ignore"):
             want = error_type(lambda: solve_matrix_constraint(ch, s))
             assert want is ValueError
-            assert error_type(lambda: _stacked_corners(ch, s[None])) is want
+            f = np.sqrt(power) * np.eye(2, dtype=complex)
+            assert error_type(lambda: _stacked_corners(ch, np.stack([np.eye(2), f]))) is want
 
     def test_rejects_bad_items(self, fig_channel):
+        # An indefinite or NaN constraint is refused by the single solve; the
+        # stack takes factors, so only their shape is its to check.
         good = np.eye(2, dtype=complex)
         with pytest.raises(NotPositiveSemidefiniteError, match="constraint"):
-            _stacked_corners(fig_channel, np.stack([good, np.diag([1.0, -1.0])]))
+            solve_matrix_constraint(fig_channel, np.diag([1.0, -1.0]))
         with pytest.raises(ValueError, match="constraint"):
-            _stacked_corners(fig_channel, np.stack([good, np.full((2, 2), np.nan)]))
-        with pytest.raises(DimensionMismatchError):
-            _stacked_corners(fig_channel, good)
+            solve_matrix_constraint(fig_channel, np.full((2, 2), np.nan))
+        for bad in (good, np.ones((3, 3, 3))):
+            with pytest.raises(DimensionMismatchError):
+                _stacked_corners(fig_channel, bad)
 
 
 class TestCandidateMask:
@@ -451,23 +451,24 @@ class TestCandidateMask:
         assert not _certified(edge) and psd_range(edge)[2] == n
         short = [herm(f @ f.conj().T) for f in (cgauss(rng, (n, k)) for k in range(1, n))]
         stack = np.stack([rand_psd(rng, n, 12.0) for _ in range(5)] + [edge] + short)
-        mask = np.arange(len(stack)) < 6
-        perm = rng.permutation(len(stack))
-        stack, mask = stack[perm], mask[perm]
-        want = [[sol.corner.R1, sol.corner.R2]
-                for sol in (solve_matrix_constraint(ch, s) for s in stack)]
-        # The same values with each matrix stored column-major, as numpy lays
-        # out some products of large stacks; with one receive antenna, H F
-        # rounds differently on such a layout of F.
-        transposed = np.ascontiguousarray(stack.swapaxes(1, 2)).swapaxes(1, 2)
-        for s, candidates in itertools.product((stack, transposed), (None, mask)):
-            assert np.array_equal(_stacked_corners(ch, s, candidates=candidates), want)
+        stack = stack[rng.permutation(len(stack))]
+        got, want = factor_corners(ch, stack)
+        assert np.array_equal(got, want)
+        # The same factors stored column-major, as numpy lays out some
+        # products of large stacks: with one receive antenna, H F rounds
+        # differently on such a layout unless the stack makes it row-major.
+        sols = [solve_matrix_constraint(ch, s) for s in stack]
+        full = np.flatnonzero([sol.rank == n for sol in sols])
+        f = np.stack([sols[i].gevd.factor for i in full])
+        transposed = np.ascontiguousarray(f.swapaxes(1, 2)).swapaxes(1, 2)
+        assert np.array_equal(_stacked_corners(ch, transposed), want[full])
 
     @pytest.mark.parametrize("bad", ["indefinite", "pencil"])
     def test_masked_stack_raises_like_single_solves(self, bad):
-        # A full-column constraint with eigenvalue -1e-9 ||S||, or a pencil
-        # whose spread passes 1 / RANK_TOL (see test_raises_like_single_solves),
-        # among certifiable and rank-one constraints.
+        # A full-column constraint with eigenvalue -1e-9 ||S|| is refused by
+        # the single solve; a pencil whose spread passes 1 / RANK_TOL (see
+        # test_raises_like_single_solves) is refused by both, the stack
+        # given the Cholesky factors of it and of a certifiable constraint.
         rng = np.random.default_rng(70)
         if bad == "indefinite":
             ch = rand_channel(rng, 2)
@@ -475,15 +476,13 @@ class TestCandidateMask:
         else:
             ch = Channel(cgauss(rng, (1, 2)), np.zeros((2, 2), dtype=complex))
             s = np.diag([1e11, 100.0]).astype(complex)
-        f = cgauss(rng, (2, 1))
-        stack = np.stack([rand_psd(rng, 2, 12.0), s, herm(f @ f.conj().T)])
         want = error_type(lambda: solve_matrix_constraint(ch, s))
         assert want is {"indefinite": NotPositiveSemidefiniteError,
                         "pencil": NotPositiveDefiniteError}[bad]
-        for candidates in (None, [True, True, False]):
-            assert error_type(lambda: _stacked_corners(ch, stack, candidates=candidates)) is want
-            assert error_type(lambda: _stacked_corners(ch, s[None], candidates=candidates and [True])) is want
-
+        if bad == "pencil":
+            f = np.linalg.cholesky(np.stack([rand_psd(rng, 2, 12.0), s]))
+            assert error_type(lambda: _stacked_corners(ch, f)) is want
+            assert error_type(lambda: _stacked_corners(ch, f[1:])) is want
 
 
 class TestOrthogonalityDefect:
