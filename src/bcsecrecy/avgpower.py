@@ -380,21 +380,24 @@ def corner_rates(dc: DiagonalizedChannel, alloc: PowerAllocation) -> CornerPoint
     return CornerPoint(r1, r2, alpha=alloc.alpha, provenance="avgpower")
 
 
-def sweep_corners(
-    dc: DiagonalizedChannel, pt: float, alpha_grid: int | np.ndarray
-) -> list[CornerPoint]:
-    """One corner per power split of the grid (see ``split_grid``), all
-    splits water-filled in one batch per user."""
+def sweep_rates(dc: DiagonalizedChannel, pt: float,
+                alpha_grid: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The power splits of the grid (see ``split_grid``) and their corner
+    rates in bits, as a (splits, 2) array, all splits water-filled in one
+    batch per user.  ``region_sweep`` and ``search_region`` build their own
+    corner points from these arrays."""
     alphas = split_grid(alpha_grid)
     check_split(alphas, pt)
     (p1, _), (p2, _) = _split_fills(dc, alphas, pt)
-    return [CornerPoint(r1, r2, alpha=float(alpha), provenance="avgpower")
-            for alpha, r1, r2 in zip(alphas, *_rates(dc, p1, p2))]
+    return alphas, np.stack(_rates(dc, p1, p2), axis=-1)
 
 
 def region_sweep(ch: Channel, pt: float, alpha_grid: int | np.ndarray = 101) -> RegionEstimate:
     """Sweep the power split over [0, 1] and hull the resulting corners."""
-    return estimate_region(sweep_corners(diagonalize(ch), pt, alpha_grid))
+    alphas, rates = sweep_rates(diagonalize(ch), pt, alpha_grid)
+    points = [CornerPoint(r1, r2, alpha=alpha, provenance="avgpower")
+              for alpha, (r1, r2) in zip(alphas.tolist(), rates.tolist())]
+    return estimate_region(points, rates)
 
 
 def waterfill_capacity(h: np.ndarray, pt: float) -> float:

@@ -15,12 +15,12 @@ words, for a whole chunk at once on uint32 arrays: the same streams as
 spawning the children one by one, at a fraction of the cost.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .avgpower import _check_count, check_split, diagonalize, sweep_corners
+from .avgpower import _check_count, check_split, diagonalize, sweep_rates
 from .hull import RegionEstimate, estimate_region
 from .linalg import ctrans, herm
 from .sdpc import Channel, CornerPoint, _stacked_corners
@@ -28,8 +28,12 @@ from .sdpc import Channel, CornerPoint, _stacked_corners
 # Power splits of the structured water-filling family added to every search.
 SW_SPLITS = 101
 # Samples drawn and solved per stack, so a search's working memory does not
-# grow with its sample count.
+# grow with its sample count: CHUNK_ENTRIES // (n_t r), r = max(n_t, m_h, m_g),
+# so that a chunk's largest arrays (the draws, H F and G F) hold about as many
+# entries at every shape, but never fewer than CHUNK, below which the stacks of
+# the rarer column counts k < n_t get so short that per-call costs dominate.
 CHUNK = 256
+CHUNK_ENTRIES = 2**15
 
 
 @dataclass
@@ -152,10 +156,13 @@ def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
 
     Sample i is drawn from the i-th ``SeedSequence(cfg.seed).spawn`` child,
     exactly as ``sample_constraint(n_t, pt, np.random.default_rng(child))``.
-    The children's seed words are hashed in one batch per chunk of ``CHUNK``
-    samples.  No constraint is formed: each chunk's draws are grouped by
-    their column count k, and each group's factors F (n_t x k, full column
-    rank for a Gaussian draw) are solved as one stack.
+    The samples are taken in chunks of max(``CHUNK``, ``CHUNK_ENTRIES`` //
+    (n_t r)), r the most of n_t and both receivers' antennas: with r = n_t,
+    8192 at n_t = 2, 2048 at 4, 512 at 8 and 256 from 12 on.  Each chunk's
+    seed words are hashed in one batch.  No constraint is formed: each
+    chunk's draws are grouped by their column count k, and each group's
+    factors F (n_t x k, full column rank for a Gaussian draw) are solved as
+    one stack.  The points and the hull are built from one rate array.
 
     Raises ValueError, before drawing anything, unless ``cfg.samples`` and
     ``cfg.seed`` are integers >= 0 and ``cfg.pt`` is finite and >= 0.
@@ -165,19 +172,21 @@ def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
     _check_count(cfg.seed, "seed")
     check_split(0.0, pt)
     n = ch.n_t
+    chunk = max(CHUNK, CHUNK_ENTRIES // (n * max(n, ch.H.shape[0], ch.G.shape[0])))
     entropy = np.random.SeedSequence(cfg.seed).entropy
+    rates = np.empty((samples + SW_SPLITS, 2))
     points = []
-    for start in range(0, samples, CHUNK):
-        size = min(CHUNK, samples - start)
+    for start in range(0, samples, chunk):
+        size = min(chunk, samples - start)
         draws = np.empty((size, 2 * n * n))
         ks = np.array([_draw(np.random.Generator(np.random.PCG64(_ChildSeed(words))), n, out)
                        for out, words in zip(draws, _child_states(entropy, start, size))])
-        rates = np.empty((size, 2))
+        got = rates[start:start + size]
         for k in set(ks.tolist()):
             at = ks == k
-            rates[at] = _stacked_corners(ch, _factors(draws[at, : 2 * n * k], n, pt))
-        points.extend(CornerPoint(r1, r2, provenance="baseline-sample")
-                      for r1, r2 in rates.tolist())
-    corners = sweep_corners(diagonalize(ch), pt, SW_SPLITS)
-    points.extend(replace(c, provenance="sw-family") for c in corners)
-    return estimate_region(points)
+            got[at] = _stacked_corners(ch, _factors(draws[at, : 2 * n * k], n, pt))
+        points.extend(CornerPoint(r1, r2, provenance="baseline-sample") for r1, r2 in got.tolist())
+    alphas, rates[samples:] = sweep_rates(diagonalize(ch), pt, SW_SPLITS)
+    points.extend(CornerPoint(r1, r2, alpha=alpha, provenance="sw-family")
+                  for alpha, (r1, r2) in zip(alphas.tolist(), rates[samples:].tolist()))
+    return estimate_region(points, rates)

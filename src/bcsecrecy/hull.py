@@ -95,7 +95,8 @@ def pareto_hull(points) -> Hull:
     return Hull(verts, area)
 
 
-def estimate_region(points: list[CornerPoint]) -> RegionEstimate:
-    """Bundle points with their hull and area."""
-    hull = pareto_hull(points)
+def estimate_region(points: list[CornerPoint], rates: np.ndarray) -> RegionEstimate:
+    """Bundle points with the hull and area of ``rates``, their (n, 2) rate
+    pairs in the same order, which the producer already holds."""
+    hull = pareto_hull(rates)
     return RegionEstimate(points, hull, hull.area)

@@ -21,7 +21,7 @@ from bcsecrecy.avgpower import (
     LEVEL_REL_TOL,
     PowerAllocation,
     reduce_nullspace,
-    sweep_corners,
+    sweep_rates,
     waterfill_capacity,
 )
 from bcsecrecy.errors import (
@@ -524,12 +524,13 @@ def test_sweep_matches_single_splits(name):
     if name.startswith("rho"):
         assert dc.rho == (dc.n if name == "rho_n" else 0)
     for grid in (21, np.array([1.0, 0.0, 0.37])):
-        corners = sweep_corners(dc, FIG_PT, grid)
-        assert {0.0, 1.0} <= {c.alpha for c in corners}
-        for c in corners:
-            single = corner_rates(dc, allocate(dc, c.alpha, FIG_PT))
-            assert abs(c.R1 - single.R1) <= 1e-12
-            assert abs(c.R2 - single.R2) <= 1e-12
+        alphas, rates = sweep_rates(dc, FIG_PT, grid)
+        assert {0.0, 1.0} <= set(alphas.tolist())
+        assert rates.shape == (alphas.size, 2)
+        for alpha, (r1, r2) in zip(alphas, rates):
+            single = corner_rates(dc, allocate(dc, alpha, FIG_PT))
+            assert abs(r1 - single.R1) <= 1e-12
+            assert abs(r2 - single.R2) <= 1e-12
 
 
 class TestRegionSweep:

@@ -19,6 +19,7 @@ from bcsecrecy import (
 from bcsecrecy.baseline import sample_constraint
 from bcsecrecy.hull import pareto_hull
 from bcsecrecy.linalg import ctrans, herm
+from bcsecrecy.sdpc import _stacked_corners
 from conftest import rand_channel
 
 
@@ -66,6 +67,14 @@ class TestSampleConstraint:
 
         with pytest.raises(ValueError, match=what):
             sample_constraint(n, pt, Unread())
+
+
+def set_chunk(monkeypatch, chunk: int | None) -> None:
+    """Make every chunk of ``search_region`` ``chunk`` samples long at any
+    n_t (the floor alone sets the size); None keeps the default rule."""
+    if chunk is not None:
+        monkeypatch.setattr(baseline, "CHUNK", chunk)
+        monkeypatch.setattr(baseline, "CHUNK_ENTRIES", 0)
 
 
 def draw_before(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -177,7 +186,7 @@ class TestSearchRegion:
                 sol = solve_matrix_constraint(ch, s)
                 assert np.max(np.abs(np.subtract(rates, (sol.corner.R1, sol.corner.R2)))) <= 1e-12
 
-    @pytest.mark.parametrize("chunk", [baseline.CHUNK, 16])
+    @pytest.mark.parametrize("chunk", [None, baseline.CHUNK, 16])
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_constraints_equal_single_draws(self, monkeypatch, n, chunk):
         # Sample i's factor F gives, bit for bit, the S = F F^H that
@@ -189,7 +198,7 @@ class TestSearchRegion:
             return _solve(ch, f)
 
         monkeypatch.setattr(baseline, "_stacked_corners", recording)
-        monkeypatch.setattr(baseline, "CHUNK", chunk)
+        set_chunk(monkeypatch, chunk)
         ch = rand_channel(np.random.default_rng(20 + n), n)
         cfg = SearchConfig(samples=300, seed=2**32 + n, pt=12.0)
         search_region(ch, cfg)
@@ -217,16 +226,61 @@ class TestSearchRegion:
         assert abs(swapped.area - est.area) <= 1e-9 * est.area
 
     def test_chunks_keep_every_draw(self, fig_channel, monkeypatch):
-        # Chunks of 16 spawn the children in pieces; sample i still draws from child i.
+        # Chunks of 16 spawn the children in pieces; sample i still draws
+        # from child i, and every output is the one-chunk search's.
         cfg = SearchConfig(samples=40, seed=7, pt=12.0)
-        whole = search_region(fig_channel, cfg)
-        monkeypatch.setattr(baseline, "CHUNK", 16)
-        chunked = search_region(fig_channel, cfg)
-        assert len(chunked.points) == len(whole.points)
-        for p, q in zip(chunked.points, whole.points):
-            assert p.provenance == q.provenance
-            assert abs(p.R1 - q.R1) <= 1e-12 and abs(p.R2 - q.R2) <= 1e-12
-        assert chunked.area == whole.area
+        for ch in (fig_channel, rand_channel(np.random.default_rng(54), 4)):
+            whole = search_region(ch, cfg)
+            with monkeypatch.context() as patch:
+                set_chunk(patch, 16)
+                chunked = search_region(ch, cfg)
+            # repr tells -0.0 from 0.0 too, so equal reprs are equal bits.
+            assert repr(chunked.points) == repr(whole.points)
+            assert np.array_equal(chunked.hull.vertices, whole.hull.vertices)
+            assert chunked.area == whole.area
+
+    @pytest.mark.parametrize("n, m_h, m_g, chunk", [
+        (1, 1, 1, 32768), (2, 2, 1, 8192), (3, 1, 3, 3640), (4, 4, 4, 2048), (8, 8, 8, 512),
+        (12, 12, 12, 256), (16, 1, 1, 256), (2, 8, 1, 2048), (2, 3, 64, 256), (4, 32, 4, 256),
+    ])
+    def test_chunk_size(self, monkeypatch, n, m_h, m_g, chunk):
+        # About 2**15 entries per chunk in the largest of the n_t x n_t draws
+        # and the m x n_t products H F and G F, and never fewer than 256
+        # samples.
+        class FirstChunk(Exception):
+            pass
+
+        def first(entropy, start, count):
+            raise FirstChunk(count)
+
+        monkeypatch.setattr(baseline, "_child_states", first)
+        ch = rand_channel(np.random.default_rng(n), n, m1=m_h, m2=m_g)
+        with pytest.raises(FirstChunk) as got:
+            search_region(ch, SearchConfig(samples=10**6, seed=0, pt=12.0))
+        assert got.value.args == (chunk,)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 16])
+    def test_samples_match_their_factors(self, monkeypatch, chunk):
+        # Each sample's rates are, bit for bit, the stacked solve of its own
+        # factor F alone, drawn again from child i.  The single solve of a
+        # formed S = F F^H is no reference to the last bit: its Cholesky
+        # factor carries the squared conditioning of F.  The last case is one
+        # where the two routes differ by 1.3e-12 bits.
+        set_chunk(monkeypatch, chunk)
+        cases = [(rand_channel(np.random.default_rng(12 + n), n, m1=m, m2=m), 60, 4)
+                 for n in (1, 2, 3, 4, 8) for m in {1, n}]
+        cases.append((rand_channel(np.random.default_rng(108), 8, m1=1, m2=1), 200, 3))
+        for ch, samples, seed in cases:
+            n, cfg = ch.n_t, SearchConfig(samples=samples, seed=seed, pt=12.0)
+            got = [(p.R1, p.R2) for p in search_region(ch, cfg).points
+                   if p.provenance == "baseline-sample"]
+            want = []
+            for child in np.random.SeedSequence(seed).spawn(samples):
+                out = np.empty(2 * n * n)
+                k = baseline._draw(np.random.default_rng(child), n, out)
+                f = baseline._factors(out[: 2 * n * k], n, cfg.pt)
+                want.append(_stacked_corners(ch, f[None])[0])
+            assert np.array_equal(got, want)
 
     def test_working_memory_does_not_grow_with_samples(self):
         # The returned estimate holds one CornerPoint per sample (about 160

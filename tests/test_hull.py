@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from bcsecrecy import CornerPoint
+from bcsecrecy import CornerPoint, SearchConfig, region_sweep, search_region
 from bcsecrecy.errors import DimensionMismatchError
 from bcsecrecy.hull import estimate_region, pareto_hull
+from conftest import rand_channel
 
 
 class TestParetoHull:
@@ -150,6 +151,19 @@ class TestContainment:
 
     def test_estimate_region_bundles(self):
         pts = [CornerPoint(1.0, 1.0, provenance="x")]
-        est = estimate_region(pts)
+        est = estimate_region(pts, np.array([[1.0, 1.0]]))
         assert est.points is pts
         assert est.area == pytest.approx(est.hull.area)
+
+
+@pytest.mark.parametrize("produce", [
+    lambda ch: region_sweep(ch, 12.0, 41),
+    lambda ch: search_region(ch, SearchConfig(samples=300, seed=6, pt=12.0)),
+], ids=["region_sweep", "search_region"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_producers_hull_their_points(produce, n):
+    # The points and the rate array the hull is built from travel apart, so
+    # the hull of the returned points must be the returned hull, bit for bit.
+    est = produce(rand_channel(np.random.default_rng(40 + n), n))
+    assert np.array_equal(est.hull.vertices, pareto_hull(est.points).vertices)
+    assert est.area == est.hull.area
