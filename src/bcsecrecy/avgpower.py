@@ -198,6 +198,11 @@ def _fill(strong: np.ndarray, weak: np.ndarray, a: np.ndarray, budgets: np.ndarr
         if np.any(short):
             raise ValueError(f"budget {b[short].max():.6g} is outside the supported range [0, "
                              f"{total[short][0]:.6g}]: its water level is below the float64 range")
+        # Where -t is subnormal, T has too few bits to meet the budget.
+        sub = spend & (t > -np.finfo(float).tiny)
+        if np.any(sub):
+            raise ValueError(f"budget {b[sub].min():.6g} is outside the supported range: its water "
+                             f"level is within a subnormal factor of mu_max = {mu_max:.6g}")
         todo = spend.copy()
         for _ in range(LEVEL_MAX_ITER):
             todo &= ~(np.abs(total - b) <= LEVEL_REL_TOL * b)
@@ -236,6 +241,9 @@ def waterfill(sigma_strong: np.ndarray, sigma_weak: np.ndarray, a: np.ndarray,
     normal float64) times max(1, mu_max), mu_max = max_i (sigma_strong_i -
     sigma_weak_i) / a_i.  Spent power grows like mu^{-1/2} (like 1/mu where
     sigma_weak = 0), so for O(1) sigmas and costs that is up to about 1e150.
+    At the low end ln(mu_max / mu) must be 2.2e-308 or more, or the spent
+    power has too few bits to meet the budget: for one subchannel, that is
+    budgets from about 2.2e-308 a / (sigma_strong + sigma_weak) on.
 
     Returns the power vector and the water level.
 

@@ -126,7 +126,7 @@ def _rank_bound_counts(ch: Channel, sol: SdpcSolution) -> tuple[int, int, int, i
     H^H H - G^H G).  The split b can never exceed the positive count, nor the
     below-one count the negative one.  Pencil eigenvalues within ``_split_tie``
     of one, and w within RANK_TOL max|w| of zero, are not counted."""
-    w = np.linalg.eigvalsh(herm(ch.gram_h() - ch.gram_g()))
+    w = np.linalg.eigvalsh(herm(ch.H.conj().T @ ch.H) - herm(ch.G.conj().T @ ch.G))
     cut = RANK_TOL * np.abs(w).max()
     lam = sol.gevd.eigvals
     below = np.count_nonzero(lam < 1.0 - _split_tie(lam.max(initial=0.0)))

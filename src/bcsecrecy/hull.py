@@ -1,4 +1,4 @@
-"""Upper-right Pareto hulls of rate-pair collections.
+"""Upper-right Pareto hulls of (n, 2) arrays of rate pairs.
 
 Every corner point (R1, R2) makes its whole rectangle [0, R1] x [0, R2]
 achievable, and time sharing convexifies the union, so a point set describes
@@ -50,15 +50,12 @@ class RegionEstimate:
     area: float
 
 
-def pareto_hull(points) -> Hull:
-    """Upper-right hull of corner points or of an (n, 2) array of finite rate
-    pairs, from a monotone chain over the cloud's Pareto staircase."""
-    if len(points) and isinstance(points[0], CornerPoint):
-        xy = np.fromiter(((p.R1, p.R2) for p in points), np.dtype((float, 2)), len(points))
-    else:
-        xy = np.asarray(points, dtype=float)
-        if xy.shape[1:] != (2,) and xy.shape != (0,):
-            raise DimensionMismatchError(f"rate points must form an (n, 2) array, got {xy.shape}")
+def pareto_hull(rates: np.ndarray) -> Hull:
+    """Upper-right hull of an (n, 2) array of finite rate pairs, from a
+    monotone chain over the cloud's Pareto staircase."""
+    xy = np.asarray(rates, dtype=float)
+    if xy.shape[1:] != (2,) and xy.shape != (0,):
+        raise DimensionMismatchError(f"rate points must form an (n, 2) array, got {xy.shape}")
     if not np.isfinite(xy).all():
         raise ValueError("rate points must be finite")
     xy = np.clip(xy, 0.0, None)

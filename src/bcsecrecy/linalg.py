@@ -11,6 +11,7 @@ Conventions
 * Eigenvalues are always returned in descending order; ties keep the
   ascending-solver index order, so results are deterministic.
 * Tolerances are relative to the matrix scale unless stated otherwise.
+* Checked kernels take one matrix; only ``_reduced_eigh`` takes (k, n, n) stacks.
 """
 
 from dataclasses import dataclass
@@ -47,42 +48,25 @@ def herm(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2).conj())
 
 
-def _any(mask: np.ndarray) -> bool:
-    """Whether any entry of a boolean array is true; a numpy bool scalar
-    (from a single matrix) skips the reduction."""
-    return bool(mask) if mask.ndim == 0 else bool(mask.any())
-
-
-def _count(mask: np.ndarray) -> int | np.ndarray:
-    """True entries along the last axis; a plain int for a single vector."""
-    return np.count_nonzero(mask, axis=-1) if mask.ndim > 1 else int(np.count_nonzero(mask))
-
-
-def _first(values: np.ndarray, bad: np.ndarray) -> float:
-    """The entry of ``values`` at the first true entry of ``bad`` (same shape)."""
-    return float(values[bad].flat[0])
-
-
 def _check_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Hermitian part of a finite square matrix or ``(..., n, n)`` stack,
-    each matrix checked against its own scale.  An exactly Hermitian input is
-    its own Hermitian part and comes back as is, without a copy."""
+    """Hermitian part of a finite square matrix, checked against its own
+    scale.  An exactly Hermitian input is its own Hermitian part and comes
+    back as is, without a copy."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
-    scale = 1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(f"{name} must be a square matrix, got shape {a.shape}")
+    scale = 1.0 + np.abs(a).max(initial=0.0)
     # A NaN or inf entry makes the scale non-finite.  Huge finite entries can
     # overflow it too, so only a full scan decides.
-    if _any(~(scale < np.inf)) and not np.isfinite(a).all():
+    if not scale < np.inf and not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
-    dev = np.abs(a - ctrans(a)).max(axis=(-2, -1), initial=0.0)
-    bad = dev > HERM_TOL * scale
-    if _any(bad):
+    dev = np.abs(a - ctrans(a)).max(initial=0.0)
+    if dev > HERM_TOL * scale:
         raise NonHermitianError(
-            f"{name} deviates from Hermitian symmetry by {_first(dev, bad):.3e} "
-            f"(tolerance {HERM_TOL * _first(scale, bad):.3e})"
+            f"{name} deviates from Hermitian symmetry by {dev:.3e} "
+            f"(tolerance {HERM_TOL * scale:.3e})"
         )
-    return herm(a) if _any(dev > 0.0) else a
+    return herm(a) if dev > 0.0 else a
 
 
 def _lapack(func: str, a: np.ndarray, name: str, **kwargs) -> tuple:
@@ -100,18 +84,16 @@ def herm_eig(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarra
     Parameters
     ----------
     a : ndarray
-        Square finite matrix, Hermitian within ``HERM_TOL`` relative tolerance,
-        or a ``(..., n, n)`` stack of them.
+        Square finite matrix, Hermitian within ``HERM_TOL`` relative tolerance.
     name : str
         How error messages refer to ``a``.
 
     Returns
     -------
     w : ndarray
-        Real eigenvalues sorted in descending order (along the last axis).
+        Real eigenvalues sorted in descending order.
     v : ndarray
-        Unitary matrix whose columns are the matching eigenvectors (one per
-        stack item).
+        Unitary matrix whose columns are the matching eigenvectors.
     """
     w, v = _lapack("eigh", _check_hermitian(a, name), name)
     return _descending(w, v)
@@ -119,14 +101,14 @@ def herm_eig(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarra
 
 def _descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs from ``eigh`` reordered by descending eigenvalue; ties keep
-    the ascending-solver order.  Works on stacks, and lays out a single
-    matrix's eigenvectors as those of a stack item, so that products with
-    them round alike and a stacked solve matches the single one bit for bit."""
-    order = np.argsort(-w, axis=-1, kind="stable")
-    return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
+    the ascending-solver order.  The eigenvectors come back in C order:
+    products with a factor built from them then round as products with the
+    C-ordered factors of a stacked solve."""
+    order = np.argsort(-w, kind="stable")
+    return w[order], np.take_along_axis(v, order[None, :], -1)
 
 
-def psd_range(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray, int | np.ndarray]:
+def psd_range(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray, int]:
     """Eigendecomposition and numerical rank of a Hermitian PSD matrix.
 
     Returns ``(w, v, rank)``: eigenvalues descending and their eigenvectors,
@@ -134,20 +116,16 @@ def psd_range(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarr
     times the spectral norm, so ``v[:, :rank]`` is an orthonormal basis of
     range(A).  An eigenvalue below ``-PSD_TOL`` times the spectral norm
     raises NotPositiveSemidefiniteError naming ``name``; smaller negatives
-    are rounding noise.  A ``(..., n, n)`` stack is decomposed in one call,
-    each matrix against its own spectral norm, and ``rank`` is then an
-    integer array of the stack's shape.
+    are rounding noise.
     """
     w, v = herm_eig(a, name)
-    scale = np.abs(w).max(axis=-1, initial=0.0)
-    low = w.min(axis=-1, initial=0.0)
-    bad = low < -PSD_TOL * scale
-    if _any(bad):
+    scale = np.abs(w).max(initial=0.0)
+    low = w.min(initial=0.0)
+    if low < -PSD_TOL * scale:
         raise NotPositiveSemidefiniteError(
-            f"{name} has eigenvalue {_first(low, bad):.3e} below "
-            f"-{PSD_TOL:.0e} * {_first(scale, bad):.3e}"
+            f"{name} has eigenvalue {low:.3e} below -{PSD_TOL:.0e} * {scale:.3e}"
         )
-    return w, v, _count(w > RANK_TOL * scale[..., None])
+    return w, v, int(np.count_nonzero(w > RANK_TOL * scale))
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -167,13 +145,11 @@ class GevdResult:
 
     ``b`` counts eigenvalues exceeding one (with a relative tie tolerance);
     the leading ``b`` columns of ``eigvecs`` span the block where A dominates B.
-    For a stack of pencils every field gains the stack's leading axes and
-    ``b`` is an integer array; the block properties need a single pencil.
     """
 
     eigvecs: np.ndarray
     eigvals: np.ndarray
-    b: int | np.ndarray
+    b: int
 
     @property
     def upper_vecs(self) -> np.ndarray:
@@ -192,16 +168,16 @@ def gevd_definite(a: np.ndarray, b: np.ndarray) -> GevdResult:
     Solves A c = lambda B c for Hermitian positive definite A and B by
     congruence: with the Cholesky factor B = L L^H, the eigenvectors Phi of
     L^{-1} A L^{-H} give C = L^{-H} Phi, which satisfies C^H A C = diag(lambda)
-    and C^H B C = I.  One Cholesky factorization and one ``eigh`` per pencil.
+    and C^H B C = I.  One Cholesky factorization and one ``eigh``, by the
+    stacked core ``_reduced_eigh`` on a stack of one, as for a stacked solve.
 
     Parameters
     ----------
     a, b : ndarray
-        Hermitian positive definite matrices of equal size, or equal-shape
-        ``(..., n, n)`` stacks of them, solved in one batch.  A failed
+        Hermitian positive definite matrices of equal size.  A failed
         Cholesky factorization of B, or an eigenvalue of A along the pencil
-        at or below ``RANK_TOL`` times the largest (in any pencil of a
-        stack), raises NotPositiveDefiniteError.
+        at or below ``RANK_TOL`` times the largest, raises
+        NotPositiveDefiniteError.
 
     Returns
     -------
@@ -215,13 +191,13 @@ def gevd_definite(a: np.ndarray, b: np.ndarray) -> GevdResult:
         raise DimensionMismatchError(
             f"pencil components differ in shape: {a.shape} vs {b.shape}"
         )
-    chol_inv, w, phi, split = _reduced_eigh(a, b)
-    eigvals, phi = _descending(w, phi)
-    return GevdResult(ctrans(chol_inv) @ phi, eigvals, split)
+    chol_inv, w, phi, split = _reduced_eigh(a[None], b[None])
+    eigvals, phi = _descending(w[0], phi[0])
+    return GevdResult(ctrans(chol_inv[0]) @ phi, eigvals, int(split[0]))
 
 
 def _reduced_eigh(a: np.ndarray, b: np.ndarray) -> tuple:
-    """``gevd_definite`` on checked components, up to (L^{-1}, w ascending, Phi, b)."""
+    """The stacked core of ``gevd_definite``: (L^{-1}, w ascending, Phi, b) of (k, n, n) stacks."""
     try:
         chol_inv = np.linalg.inv(np.linalg.cholesky(b))
     except np.linalg.LinAlgError as exc:
@@ -232,12 +208,12 @@ def _reduced_eigh(a: np.ndarray, b: np.ndarray) -> tuple:
     w, phi = _lapack("eigh", chol_inv @ a @ ctrans(chol_inv), "reduced pencil")
     low = np.min(w, axis=-1, initial=np.inf)
     bad = low <= RANK_TOL * np.max(w, axis=-1, initial=0.0)
-    if _any(bad):
+    if bad.any():
         raise NotPositiveDefiniteError(
-            f"pencil component A has eigenvalue {_first(low, bad):.3e} along the pencil, "
+            f"pencil component A has eigenvalue {low[bad][0]:.3e} along the pencil, "
             "not positive definite"
         )
-    return chol_inv, w, phi, _count(w > 1.0 + _split_tie(w[..., -1:]))
+    return chol_inv, w, phi, np.count_nonzero(w > 1.0 + _split_tie(w[:, -1:]), axis=-1)
 
 
 def _split_tie(lam_max: np.ndarray | float) -> np.ndarray | float:
@@ -278,7 +254,7 @@ def _fix_phase(v: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def _chol_logs(a: np.ndarray) -> np.ndarray:
     """2 ln diag(L) for the Cholesky factor L of a Hermitian positive definite
-    matrix, or of every matrix of a stack; only the lower triangle is read.
+    matrix; only the lower triangle is read.
 
     Their sum is ln det A.  The leading block of L is the factor of A's
     leading block, so the sum of the first k is the log-determinant of A's
@@ -293,10 +269,7 @@ def _chol_logs(a: np.ndarray) -> np.ndarray:
 
 def logdet(a: np.ndarray) -> float:
     """Natural-log determinant of a Hermitian positive definite matrix."""
-    a = _check_hermitian(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.sum(_chol_logs(a)))
+    return float(np.sum(_chol_logs(_check_hermitian(a))))
 
 
 def rate_logdet(h: np.ndarray, k: np.ndarray) -> float:

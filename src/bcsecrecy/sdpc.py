@@ -71,14 +71,6 @@ class Channel:
     def n_t(self) -> int:
         return self.H.shape[1]
 
-    def gram_h(self) -> np.ndarray:
-        """H^H H."""
-        return herm(self.H.conj().T @ self.H)
-
-    def gram_g(self) -> np.ndarray:
-        """G^H G."""
-        return herm(self.G.conj().T @ self.G)
-
     def swapped(self) -> "Channel":
         """The same channel with the user roles exchanged."""
         return Channel(self.G, self.H)
@@ -243,11 +235,11 @@ def _stacked_corners(ch: Channel, f: np.ndarray) -> np.ndarray:
     ``(count, n_t, k)`` stack of factors F of full column rank k.
 
     Each pencil is the one ``solve_matrix_constraint`` builds from its
-    factor, and all are solved as one batch of the ``eigh`` core of
-    ``gevd_definite``, of which only the eigenvalues are read.  Given the
-    factors ``solve_matrix_constraint`` takes, the rates equal its rates bit
-    for bit, and the pencils raise as its do.  The pencils are Hermitian by
-    construction, so they are only checked to be finite.
+    factor, and all are solved as one batch of ``_reduced_eigh``, which
+    ``gevd_definite`` runs on a stack of one; only eigenvalues are read.
+    Given the factors ``solve_matrix_constraint`` takes, the rates equal its
+    rates bit for bit, and the pencils raise as its do.  The pencils are
+    Hermitian by construction, so they are only checked to be finite.
     """
     # C order: with one receive antenna, H F rounds differently on a column-major F.
     f = np.ascontiguousarray(f, dtype=complex)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bcsecrecy import Channel, solve_matrix_constraint
+from bcsecrecy.linalg import herm
 from bcsecrecy.sdpc import _stacked_corners
 
 FIG_H = np.array([[0.3, 2.5], [2.2, 1.8]], dtype=complex)
@@ -29,6 +30,11 @@ def fig_channel() -> Channel:
 
 def cgauss(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def gram(x: np.ndarray) -> np.ndarray:
+    """X^H X, made exactly Hermitian."""
+    return herm(x.conj().T @ x)
 
 
 def rand_psd(rng: np.random.Generator, n: int, trace: float | None = None) -> np.ndarray:

@@ -31,7 +31,7 @@ from bcsecrecy.errors import (
     ZeroChannelError,
 )
 from bcsecrecy.linalg import LN2, herm
-from conftest import FIG_G, FIG_H, FIG_PT, cgauss, count_decompositions, rand_channel
+from conftest import FIG_G, FIG_H, FIG_PT, cgauss, count_decompositions, gram, rand_channel
 
 # An underflow or NaN in the water-level search shows up as a RuntimeWarning.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -45,7 +45,7 @@ class TestReduceNullspace:
         assert u_p.shape == (3, 3)
         assert ch_r.H.shape == (3, 3)
         # The reduced Gram sum is diagonal, with the returned eigenvalues.
-        m_r = ch_r.gram_h() + ch_r.gram_g()
+        m_r = gram(ch_r.H) + gram(ch_r.G)
         assert np.linalg.norm(m_r - np.diag(lam)) <= 1e-12 * lam[0]
 
     def test_common_subspace_detected(self):
@@ -94,7 +94,7 @@ class TestDiagonalize:
 
     def test_worked_channels_partition(self, fig_channel):
         dc = diagonalize(fig_channel)
-        gap = np.linalg.eigvalsh(herm(fig_channel.gram_h() - fig_channel.gram_g()))
+        gap = np.linalg.eigvalsh(herm(gram(fig_channel.H) - gram(fig_channel.G)))
         assert dc.rho == int(np.sum(gap > 1e-10 * np.abs(gap).max()))
 
     def test_sigma_profiles_sum_to_one(self):
@@ -146,7 +146,7 @@ class TestMakeMatrixConstraint:
     def test_unit_powers_invert_the_gram_sum(self, fig_channel):
         dc = diagonalize(fig_channel)
         s_w = make_matrix_constraint(dc, np.ones(dc.n))
-        want = np.linalg.inv(fig_channel.gram_h() + fig_channel.gram_g())
+        want = np.linalg.inv(gram(fig_channel.H) + gram(fig_channel.G))
         assert np.linalg.norm(s_w - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_random_powers_are_orthogonal_constraints(self, fig_channel):
@@ -242,6 +242,17 @@ class TestWaterfill:
         for budget in (1e-12, 1e-100, 1e-300):
             p, _ = waterfill(np.array([1.0]), np.array([0.5]), np.array([2.0]), budget)
             assert p[0] == pytest.approx(budget / 2.0, rel=1e-12)
+
+    def test_subnormal_level_offset_rejected(self):
+        # The lower end of the supported range, b = 2.2e-308 a / (s + w) =
+        # 5.76e-293 here.  At b = 1e-300 the level is within a subnormal
+        # factor of mu_max, where the spent power keeps about 25 bits, and
+        # the search used to run out of steps.
+        s, w, a = [2.0404445219642553e-08], [1.067121645197132e-14], [52820940.79272381]
+        with pytest.raises(ValueError, match="outside the supported range"):
+            waterfill(s, w, a, 1e-300)
+        p, _ = waterfill(s, w, a, 6e-293)
+        assert p[0] * a[0] == pytest.approx(6e-293, rel=LEVEL_REL_TOL)
 
     def test_zero_weak_limit_is_continuous(self):
         strong = np.array([2.0, 1.0])

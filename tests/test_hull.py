@@ -29,11 +29,11 @@ class TestParetoHull:
         assert np.allclose(hull.vertices, [[0.0, 1.0], [2.0, 0.0]])
         assert hull.area == pytest.approx(1.0)
 
-    def test_accepts_corner_points(self):
+    def test_corner_points_rejected(self):
+        # The hull takes rate arrays only; producers pass the one they hold.
         pts = [CornerPoint(1.0, 2.0, provenance="x"), CornerPoint(3.0, 0.5, provenance="x")]
-        hull = pareto_hull(pts)
-        assert hull.vertices[0, 1] == pytest.approx(2.0)
-        assert hull.vertices[-1, 0] == pytest.approx(3.0)
+        with pytest.raises(TypeError):
+            pareto_hull(pts)
 
     def test_negative_rates_clipped(self):
         hull = pareto_hull(np.array([[-1.0, 2.0], [1.0, -3.0]]))
@@ -165,5 +165,6 @@ def test_producers_hull_their_points(produce, n):
     # The points and the rate array the hull is built from travel apart, so
     # the hull of the returned points must be the returned hull, bit for bit.
     est = produce(rand_channel(np.random.default_rng(40 + n), n))
-    assert np.array_equal(est.hull.vertices, pareto_hull(est.points).vertices)
+    rates = np.array([[p.R1, p.R2] for p in est.points])
+    assert np.array_equal(est.hull.vertices, pareto_hull(rates).vertices)
     assert est.area == est.hull.area

@@ -8,7 +8,6 @@ import scipy.linalg
 
 from bcsecrecy.errors import (
     DimensionMismatchError,
-    NoConvergenceError,
     NonHermitianError,
     NotPositiveDefiniteError,
     NotPositiveSemidefiniteError,
@@ -136,67 +135,27 @@ class TestGevd:
             gevd_definite(np.diag([1.0, -0.5]).astype(complex), good)
 
 
-class TestStacks:
-    """Every kernel takes a (k, n, n) stack and answers item by item."""
+class TestOneMatrix:
+    """The checked kernels take one matrix; a stack is refused by name."""
 
-    def test_gevd_stack_matches_items(self):
-        rng = np.random.default_rng(20)
-        a = np.stack([rand_psd(rng, 4) + 0.5 * np.eye(4) for _ in range(6)])
-        b = np.stack([rand_psd(rng, 4) + 0.5 * np.eye(4) for _ in range(6)])
-        res = gevd_definite(a, b)
-        assert res.eigvecs.shape == (6, 4, 4) and res.eigvals.shape == (6, 4)
-        for i in range(6):
-            one = gevd_definite(a[i], b[i])
-            assert res.b[i] == one.b
-            np.testing.assert_allclose(res.eigvals[i], one.eigvals, rtol=1e-12)
-            c = res.eigvecs[i]
-            assert np.linalg.norm(c.conj().T @ b[i] @ c - np.eye(4)) <= 1e-10
+    @pytest.mark.parametrize("kernel", [herm_eig, psd_range])
+    def test_stack_rejected_by_name(self, kernel):
+        stack = np.stack([np.eye(2, dtype=complex)] * 2)
+        with pytest.raises(DimensionMismatchError, match="constraint must be a square matrix"):
+            kernel(stack, "constraint")
 
-    def test_psd_range_stack_ranks(self):
-        rng = np.random.default_rng(21)
-        stack = []
-        for r in range(4):
-            f = cgauss(rng, (3, r))
-            stack.append(herm(f @ f.conj().T))
-        w, v, rank = psd_range(np.stack(stack), "constraint")
-        assert rank.tolist() == [0, 1, 2, 3]
-        assert np.all(np.diff(w, axis=-1) <= 0.0)
-        np.testing.assert_allclose((v * w[:, None, :]) @ v.conj().swapaxes(-1, -2),
-                                   np.stack(stack), atol=1e-12)
+    def test_gevd_stack_rejected_by_name(self):
+        stack = np.stack([np.eye(2, dtype=complex)] * 2)
+        with pytest.raises(DimensionMismatchError, match="pencil component A"):
+            gevd_definite(stack, stack)
+        with pytest.raises(DimensionMismatchError, match="pencil component B"):
+            gevd_definite(stack[0], stack)
 
-    def test_empty_stack(self):
-        w, v, rank = psd_range(np.zeros((0, 3, 3), dtype=complex))
-        assert w.shape == (0, 3) and v.shape == (0, 3, 3) and rank.shape == (0,)
-        res = gevd_definite(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))
-        assert res.eigvals.shape == (0, 2) and res.b.shape == (0,)
-
-    def test_hermitian_tolerance_is_per_item(self):
-        # Judged against the stack's largest entry, the small item's asymmetry
-        # would pass.
-        big = 1e6 * np.eye(2, dtype=complex)
-        small = np.array([[1.0, 1e-9], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(NonHermitianError, match="constraint"):
-            psd_range(np.stack([big, small]), "constraint")
-
-    def test_errors_keep_type_and_name(self, monkeypatch):
-        eye = np.eye(2, dtype=complex)
-        bad = np.stack([eye, eye])
-        bad[1, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="constraint has non-finite"):
-            psd_range(bad, "constraint")
-        with pytest.raises(NotPositiveSemidefiniteError, match="constraint"):
-            psd_range(np.stack([eye, np.diag([1.0, -1.0]).astype(complex)]), "constraint")
-        with pytest.raises(NotPositiveDefiniteError, match="pencil component B"):
-            gevd_definite(np.stack([eye, eye]), np.stack([eye, np.diag([1.0, 0.0])]))
-        with pytest.raises(NotPositiveDefiniteError, match="pencil component A"):
-            gevd_definite(np.stack([eye, np.diag([1.0, -0.5])]), np.stack([eye, eye]))
-
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("no convergence")
-
-        monkeypatch.setattr(np.linalg, "eigh", failing)
-        with pytest.raises(NoConvergenceError, match="reduced pencil"):
-            gevd_definite(np.stack([eye, eye]), np.stack([eye, eye]))
+    def test_split_and_rank_are_ints(self):
+        res = gevd_definite(np.diag([2.0, 1.0]).astype(complex), np.eye(2))
+        assert type(res.b) is int and res.b == 1
+        rank = psd_range(np.diag([2.0, 0.0]).astype(complex))[2]
+        assert type(rank) is int and rank == 1
 
 
 class TestProjector:
@@ -277,6 +236,11 @@ class TestLogdet:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             logdet(np.diag([1.0, -2.0]).astype(complex))
+
+    def test_empty_matrix(self):
+        # A zero constraint's empty pencil: no factor entries, a zero sum.
+        assert logdet(np.zeros((0, 0))) == 0.0
+        assert rate_logdet(np.zeros((0, 2)), np.eye(2)) == 0.0
 
     def test_rate_logdet_zero_covariance(self):
         rng = np.random.default_rng(7)

@@ -24,6 +24,7 @@ from conftest import (
     SCALED_H,
     cgauss,
     constraint_of_rank,
+    gram,
     rand_channel,
     rand_psd,
 )
@@ -285,15 +286,15 @@ class TestDeterminantIdentities:
             inv = np.linalg.inv
             lam1, lam2 = np.prod(lam[:b]), np.prod(lam[b:])
 
-            lhs = det(eye + (s_w - sol.kt_star) @ ch.gram_h())
+            lhs = det(eye + (s_w - sol.kt_star) @ gram(ch.H))
             rhs = det(inv(c2.conj().T @ c2)) * lam2
             assert abs(lhs - rhs) <= 1e-7 * abs(rhs)
 
-            lhs = det(eye + sol.kt_star @ ch.gram_g())
+            lhs = det(eye + sol.kt_star @ gram(ch.G))
             rhs = det(inv(c1.conj().T @ c1))
             assert abs(lhs - rhs) <= 1e-7 * abs(rhs)
 
-            lhs = det(eye + s_w @ ch.gram_h())
+            lhs = det(eye + s_w @ gram(ch.H))
             rhs = det(inv(c1.conj().T @ c1)) * det(inv(c2.conj().T @ c2)) * lam1 * lam2
             assert abs(lhs - rhs) <= 1e-7 * abs(rhs)
 
@@ -320,12 +321,12 @@ class TestDeterminantIdentities:
             s_half = sol.s_sqrt
             lam2 = np.prod(lam[b:])
 
-            lhs = det(eye + s_half @ p2 @ s_half @ ch.gram_h())
+            lhs = det(eye + s_half @ p2 @ s_half @ gram(ch.H))
             rhs = det(inv(c2.conj().T @ c2)) * lam2
             assert abs(lhs - rhs) <= 1e-7 * abs(rhs)
 
             n_mat = report.n_mat
-            lhs = det(eye + s_half @ p2c @ s_half @ ch.gram_g())
+            lhs = det(eye + s_half @ p2c @ s_half @ gram(ch.G))
             rhs = det(inv(c1.conj().T @ p2c @ c1)) * det(
                 np.eye(n_mat.shape[1]) + n_mat.conj().T @ n_mat
             )

@@ -13,6 +13,7 @@ from bcsecrecy import (
 )
 from bcsecrecy.errors import (
     DimensionMismatchError,
+    NoConvergenceError,
     NotPositiveDefiniteError,
     NotPositiveSemidefiniteError,
 )
@@ -299,7 +300,8 @@ class TestRankCertificate:
             [boundary_constraint(rng, n, c) for c in BOUNDARY_C]
             + [herm(f @ f.conj().T), np.zeros((n, n))]
         )
-        rank, certified = psd_range(stack)[2], np.array([_certified(s) for s in stack])
+        rank = np.array([psd_range(s)[2] for s in stack])
+        certified = np.array([_certified(s) for s in stack])
         assert certified.any() and np.any(~certified & (rank == n)) and np.any(rank < n)
         got, want = factor_corners(ch, stack)
         assert np.array_equal(got, want)
@@ -389,6 +391,23 @@ class TestStackedCorners:
         else:
             got, want = factor_corners(ch, s[None])
             assert np.array_equal(got, want)
+
+    def test_errors_keep_type_and_name(self, fig_channel, monkeypatch):
+        # The pencil of test_raises_like_single_solves is refused by name, and
+        # an eigh failure of the shared core is typed, single or stacked.
+        ch = Channel(cgauss(np.random.default_rng(31), (1, 2)), np.zeros((2, 2), dtype=complex))
+        f = np.linalg.cholesky(np.diag([1e11, 100.0]).astype(complex))
+        with pytest.raises(NotPositiveDefiniteError, match="pencil component A"):
+            _stacked_corners(ch, np.stack([np.eye(2), f]))
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NoConvergenceError, match="reduced pencil"):
+            _stacked_corners(fig_channel, np.eye(2, dtype=complex)[None])
+        with pytest.raises(NoConvergenceError, match="reduced pencil"):
+            solve_matrix_constraint(fig_channel, np.eye(2))
 
     @pytest.mark.xfail(strict=True, raises=NotPositiveDefiniteError,
                        reason="ROADMAP item 1: the definiteness rejection of library-built "
