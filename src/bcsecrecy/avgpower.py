@@ -23,7 +23,7 @@ from .errors import (
     NoStrongChannelsError,
     ZeroChannelError,
 )
-from .hull import RegionEstimate, estimate_region
+from .hull import RegionEstimate
 from .linalg import LN2, RANK_TOL, _lapack, clamp_rate, herm
 from .sdpc import Channel, CornerPoint
 
@@ -392,8 +392,8 @@ def sweep_rates(dc: DiagonalizedChannel, pt: float,
                 alpha_grid: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The power splits of the grid (see ``split_grid``) and their corner
     rates in bits, as a (splits, 2) array, all splits water-filled in one
-    batch per user.  ``region_sweep`` and ``search_region`` build their own
-    corner points from these arrays."""
+    batch per user.  ``region_sweep`` and ``search_region`` build their
+    regions from these arrays."""
     alphas = split_grid(alpha_grid)
     check_split(alphas, pt)
     (p1, _), (p2, _) = _split_fills(dc, alphas, pt)
@@ -403,9 +403,7 @@ def sweep_rates(dc: DiagonalizedChannel, pt: float,
 def region_sweep(ch: Channel, pt: float, alpha_grid: int | np.ndarray = 101) -> RegionEstimate:
     """Sweep the power split over [0, 1] and hull the resulting corners."""
     alphas, rates = sweep_rates(diagonalize(ch), pt, alpha_grid)
-    points = [CornerPoint(r1, r2, alpha=alpha, provenance="avgpower")
-              for alpha, (r1, r2) in zip(alphas.tolist(), rates.tolist())]
-    return estimate_region(points, rates)
+    return RegionEstimate(rates, alphas, ["avgpower"] * len(alphas))
 
 
 def waterfill_capacity(h: np.ndarray, pt: float) -> float:

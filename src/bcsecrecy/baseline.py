@@ -21,9 +21,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .avgpower import _check_count, check_split, diagonalize, sweep_rates
-from .hull import RegionEstimate, estimate_region
-from .linalg import ctrans, herm
-from .sdpc import Channel, CornerPoint, _stacked_corners
+from .hull import RegionEstimate
+from .sdpc import Channel, _stacked_corners
 
 # Power splits of the structured water-filling family added to every search.
 SW_SPLITS = 101
@@ -109,10 +108,11 @@ class _ChildSeed(ISeedSequence):
 
 
 def _draw(rng: np.random.Generator, n: int, out: np.ndarray) -> int:
-    """Draw the n x k complex Gaussian factor A of ``sample_constraint`` into
-    the leading 2 n k entries of the flat buffer ``out`` (at least 2 n^2
-    long): sqrt(2) times the real parts of A in row-major order, then the
-    imaginary parts.  Returns k.
+    """Draw one sample's n x k complex Gaussian factor A into the leading
+    2 n k entries of the flat buffer ``out`` (at least 2 n^2 long): sqrt(2)
+    times the real parts of A in row-major order, then the imaginary parts.
+    k = n, except with probability 1/3 (n > 1) k is uniform in [1, n).
+    Returns k.
 
     Filling ``out`` consumes the stream exactly as ``standard_normal((2, n,
     k))`` would.
@@ -134,35 +134,20 @@ def _factors(x: np.ndarray, n: int, pt: float) -> np.ndarray:
     return a * np.sqrt(pt / np.sum(x * x, axis=-1))[..., None, None]
 
 
-def sample_constraint(n: int, pt: float, rng: np.random.Generator) -> np.ndarray:
-    """One random PSD matrix with trace ``pt`` (to rounding).
-
-    S = pt * A A^H / tr(A A^H) for a complex Gaussian n x k factor A; with
-    probability 1/3 A gets fewer than n columns (k chosen uniformly) so
-    singular constraints are exercised too.  Formed as F F^H from the factor
-    F of ``_factors`` that ``search_region`` solves.  Raises ValueError,
-    before drawing, unless ``n`` is an integer >= 1 and ``pt`` is finite and
-    >= 0.
-    """
-    _check_count(n, "n", 1)
-    check_split(0.0, pt)
-    out = np.empty(2 * n * n)
-    f = _factors(out[: 2 * n * _draw(rng, n, out)], n, pt)
-    return herm(f @ ctrans(f))
-
-
 def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
     """Collect corners for sampled constraints and for the structured family.
 
-    Sample i is drawn from the i-th ``SeedSequence(cfg.seed).spawn`` child,
-    exactly as ``sample_constraint(n_t, pt, np.random.default_rng(child))``.
-    The samples are taken in chunks of max(``CHUNK``, ``CHUNK_ENTRIES`` //
-    (n_t r)), r the most of n_t and both receivers' antennas: with r = n_t,
-    8192 at n_t = 2, 2048 at 4, 512 at 8 and 256 from 12 on.  Each chunk's
-    seed words are hashed in one batch.  No constraint is formed: each
-    chunk's draws are grouped by their column count k, and each group's
-    factors F (n_t x k, full column rank for a Gaussian draw) are solved as
-    one stack.  The points and the hull are built from one rate array.
+    Sample i is the constraint S = F F^H, trace pt, with F = ``_factors`` of
+    ``_draw`` on ``np.random.default_rng(child)`` for the i-th
+    ``SeedSequence(cfg.seed).spawn`` child; S is singular when ``_draw``
+    gives k < n_t.  The samples are taken in chunks of max(``CHUNK``,
+    ``CHUNK_ENTRIES`` // (n_t r)), r the most of n_t and both receivers'
+    antennas: with r = n_t, 8192 at n_t = 2, 2048 at 4, 512 at 8 and 256
+    from 12 on.  Each chunk's seed words are hashed in one batch.  No
+    constraint is formed: each chunk's draws are grouped by their column
+    count k, and each group's factors F (n_t x k, full column rank for a
+    Gaussian draw) are solved as one stack.  The region is the one rate
+    array of the samples and the family.
 
     Raises ValueError, before drawing anything, unless ``cfg.samples`` and
     ``cfg.seed`` are integers >= 0 and ``cfg.pt`` is finite and >= 0.
@@ -174,8 +159,7 @@ def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
     n = ch.n_t
     chunk = max(CHUNK, CHUNK_ENTRIES // (n * max(n, ch.H.shape[0], ch.G.shape[0])))
     entropy = np.random.SeedSequence(cfg.seed).entropy
-    rates = np.empty((samples + SW_SPLITS, 2))
-    points = []
+    rates, alphas = np.empty((samples + SW_SPLITS, 2)), np.full(samples + SW_SPLITS, np.nan)
     for start in range(0, samples, chunk):
         size = min(chunk, samples - start)
         draws = np.empty((size, 2 * n * n))
@@ -185,8 +169,5 @@ def search_region(ch: Channel, cfg: SearchConfig) -> RegionEstimate:
         for k in set(ks.tolist()):
             at = ks == k
             got[at] = _stacked_corners(ch, _factors(draws[at, : 2 * n * k], n, pt))
-        points.extend(CornerPoint(r1, r2, provenance="baseline-sample") for r1, r2 in got.tolist())
-    alphas, rates[samples:] = sweep_rates(diagonalize(ch), pt, SW_SPLITS)
-    points.extend(CornerPoint(r1, r2, alpha=alpha, provenance="sw-family")
-                  for alpha, (r1, r2) in zip(alphas.tolist(), rates[samples:].tolist()))
-    return estimate_region(points, rates)
+    alphas[samples:], rates[samples:] = sweep_rates(diagonalize(ch), pt, SW_SPLITS)
+    return RegionEstimate(rates, alphas, ["baseline-sample"] * samples + ["sw-family"] * SW_SPLITS)

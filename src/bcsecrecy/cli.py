@@ -126,9 +126,7 @@ def cmd_region(args) -> int:
     ch, power = _channel_and_power(args)
     est = region_sweep(ch, power, _grid(args))
     scale, unit = (LN2, "nats") if args.nats else (1.0, "bits")
-    rows = sorted(
-        (p.alpha, p.R1 * scale, p.R2 * scale, p.provenance) for p in est.points
-    )
+    rows = zip(est.alphas, *(est.rates * scale).T, est.provenance)
     outputs = [(args.out, _csv(("alpha", f"R1_{unit}", f"R2_{unit}", "provenance"), rows))]
     if args.dump_sw is not None:
         dc = diagonalize(ch)

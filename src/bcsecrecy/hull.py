@@ -8,6 +8,7 @@ is its integral, used only for relative comparisons.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,9 @@ class Hull:
         return np.interp(np.clip(x, xs[0], xs[-1]), xs, ys)
 
     def contains(self, x: float, y: float, slack: float = 0.0) -> bool:
-        """Whether (x, y) lies in the region, within ``slack`` per coordinate."""
+        """Whether finite (x, y) lies in the region, within finite ``slack`` per coordinate."""
+        if not np.isfinite((x, y, slack)).all():
+            raise ValueError(f"query must be finite, got ({x}, {y}) with slack {slack}")
         if x < -slack or y < -slack:
             return False
         if x > self.vertices[-1, 0] + slack:
@@ -43,11 +46,20 @@ class Hull:
 
 @dataclass
 class RegionEstimate:
-    """A point cloud of achieved rate pairs together with its Pareto hull."""
+    """(n, 2) rates in bits with each row's split (NaN if none) and label, and their hull."""
 
-    points: list[CornerPoint]
-    hull: Hull
-    area: float
+    rates: np.ndarray
+    alphas: np.ndarray
+    provenance: list[str]
+
+    def __post_init__(self):
+        self.hull = pareto_hull(self.rates)
+        self.area = self.hull.area
+
+    @cached_property
+    def points(self) -> list[CornerPoint]:
+        return [CornerPoint(r1, r2, None if np.isnan(a) else a, label) for a, (r1, r2), label
+                in zip(self.alphas.tolist(), self.rates.tolist(), self.provenance)]
 
 
 def pareto_hull(rates: np.ndarray) -> Hull:
@@ -91,9 +103,3 @@ def pareto_hull(rates: np.ndarray) -> Hull:
     area = float(np.trapezoid(verts[:, 1], verts[:, 0])) if len(verts) > 1 else 0.0
     return Hull(verts, area)
 
-
-def estimate_region(points: list[CornerPoint], rates: np.ndarray) -> RegionEstimate:
-    """Bundle points with the hull and area of ``rates``, their (n, 2) rate
-    pairs in the same order, which the producer already holds."""
-    hull = pareto_hull(rates)
-    return RegionEstimate(points, hull, hull.area)

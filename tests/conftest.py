@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from bcsecrecy import Channel, solve_matrix_constraint
-from bcsecrecy.linalg import herm
+from bcsecrecy import Channel, baseline, solve_matrix_constraint
+from bcsecrecy.linalg import ctrans, herm
 from bcsecrecy.sdpc import _stacked_corners
 
 FIG_H = np.array([[0.3, 2.5], [2.2, 1.8]], dtype=complex)
@@ -50,6 +50,15 @@ def rand_channel(rng: np.random.Generator, n: int, m1=None, m2=None) -> Channel:
     m1 = int(rng.integers(1, n + 1)) if m1 is None else m1
     m2 = int(rng.integers(1, n + 1)) if m2 is None else m2
     return Channel(cgauss(rng, (m1, n)), cgauss(rng, (m2, n)))
+
+
+def sample_constraint(n: int, pt: float, rng: np.random.Generator) -> np.ndarray:
+    """The definition of ``search_region``'s sample on the stream ``rng``:
+    S = F F^H, trace ``pt``, for the factor F that ``baseline._factors``
+    scales from ``baseline._draw``.  The search solves F and never forms S."""
+    out = np.empty(2 * n * n)
+    f = baseline._factors(out[: 2 * n * baseline._draw(rng, n, out)], n, pt)
+    return herm(f @ ctrans(f))
 
 
 def constraint_of_rank(rng: np.random.Generator, n: int, rank: int) -> np.ndarray:

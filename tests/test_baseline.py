@@ -16,11 +16,10 @@ from bcsecrecy import (
     search_region,
     solve_matrix_constraint,
 )
-from bcsecrecy.baseline import sample_constraint
 from bcsecrecy.hull import pareto_hull
 from bcsecrecy.linalg import ctrans, herm
 from bcsecrecy.sdpc import _stacked_corners
-from conftest import rand_channel
+from conftest import rand_channel, sample_constraint
 
 
 class TestSampleConstraint:
@@ -51,22 +50,6 @@ class TestSampleConstraint:
         s1 = sample_constraint(3, 2.0, np.random.default_rng(42))
         s2 = sample_constraint(3, 2.0, np.random.default_rng(42))
         np.testing.assert_array_equal(s1, s2)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("n, pt, what", [
-        (2, -1.0, "power"),
-        (2, float("nan"), "power"),
-        (2, float("inf"), "power"),
-        (2.5, 1.0, "n"),
-    ])
-    def test_inputs_checked(self, n, pt, what):
-        # Each gave a negative-definite or NaN matrix, or numpy's TypeError.
-        class Unread:
-            def __getattr__(self, name):
-                raise AssertionError("drew before checking the inputs")
-
-        with pytest.raises(ValueError, match=what):
-            sample_constraint(n, pt, Unread())
 
 
 def set_chunk(monkeypatch, chunk: int | None) -> None:
@@ -283,8 +266,8 @@ class TestSearchRegion:
             assert np.array_equal(got, want)
 
     def test_working_memory_does_not_grow_with_samples(self):
-        # The returned estimate holds one CornerPoint per sample (about 160
-        # bytes each), so the peak is compared beyond what it still holds.
+        # The returned estimate holds its rates, splits and labels (about 32
+        # bytes a sample), so the peak is compared beyond what it still holds.
         ch = rand_channel(np.random.default_rng(13), 4, m1=4, m2=4)
         extra = []
         for samples in (2000, 20000):
@@ -292,7 +275,7 @@ class TestSearchRegion:
             est = search_region(ch, SearchConfig(samples=samples, seed=0, pt=12.0))
             held, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-            assert len(est.points) == samples + baseline.SW_SPLITS
+            assert len(est.rates) == samples + baseline.SW_SPLITS
             extra.append(peak - held)
         assert extra[1] - extra[0] <= 1_000_000
 

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from bcsecrecy import region_sweep
 from bcsecrecy.cli import _build_parser, main, matrix_pairs
-from conftest import FIG_G, FIG_H
+from bcsecrecy.linalg import LN2
+from conftest import FIG_G, FIG_H, FIG_PT
 
 
 def write_channel(path, h, g, pt=None):
@@ -71,6 +73,22 @@ class TestRegion:
         for rb, rn in zip(rows_b, rows_n):
             assert float(rn[1]) == pytest.approx(float(rb[1]) * math.log(2), rel=1e-12)
             assert float(rn[2]) == pytest.approx(float(rb[2]) * math.log(2), rel=1e-12)
+
+    @pytest.mark.parametrize("unit, scale", [("bits", 1.0), ("nats", LN2)])
+    @pytest.mark.parametrize("grid", [2, 7, 101])
+    def test_rows_are_the_sweep(self, tmp_path, fig_file, fig_channel, grid, unit, scale):
+        # One row per split, bit for bit, in region_sweep's ascending order.
+        out = tmp_path / "region.csv"
+        argv = ["region", "--channels", fig_file, "--alpha-grid", str(grid), "--out", str(out)]
+        assert main(argv + ["--nats"] * (unit == "nats")) == 0
+        header, rows = read_csv(out)
+        est = region_sweep(fig_channel, FIG_PT, grid)
+        got = np.array([[float(v) for v in row[:3]] for row in rows])
+        assert header[1:3] == [f"R1_{unit}", f"R2_{unit}"]
+        assert np.array_equal(got[:, 0], est.alphas)
+        assert np.all(np.diff(got[:, 0]) > 0)
+        assert np.array_equal(got[:, 1:], est.rates * scale)
+        assert [row[3] for row in rows] == est.provenance
 
     def test_power_flag_overrides_hint(self, tmp_path, fig_file):
         small = tmp_path / "small.csv"

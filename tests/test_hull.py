@@ -5,7 +5,7 @@ import pytest
 
 from bcsecrecy import CornerPoint, SearchConfig, region_sweep, search_region
 from bcsecrecy.errors import DimensionMismatchError
-from bcsecrecy.hull import estimate_region, pareto_hull
+from bcsecrecy.hull import pareto_hull
 from conftest import rand_channel
 
 
@@ -149,11 +149,15 @@ class TestContainment:
         assert hull.envelope(1.5) == pytest.approx(0.5)
         assert hull.envelope(5.0) == pytest.approx(0.0)
 
-    def test_estimate_region_bundles(self):
-        pts = [CornerPoint(1.0, 1.0, provenance="x")]
-        est = estimate_region(pts, np.array([[1.0, 1.0]]))
-        assert est.points is pts
-        assert est.area == pytest.approx(est.hull.area)
+    @pytest.mark.parametrize("query", [
+        (np.nan, 0.5, 0.0), (0.5, np.nan, 0.0), (0.5, 0.5, np.nan),
+        (np.inf, 0.5, 0.0), (0.5, -np.inf, 0.0), (0.5, 0.5, np.inf),
+    ])
+    def test_nonfinite_query_rejected(self, query):
+        # (0.5, 0.5) lies inside; a NaN in any slot used to answer False.
+        hull = pareto_hull(np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            hull.contains(*query)
 
 
 @pytest.mark.parametrize("produce", [
@@ -162,9 +166,16 @@ class TestContainment:
 ], ids=["region_sweep", "search_region"])
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_producers_hull_their_points(produce, n):
-    # The points and the rate array the hull is built from travel apart, so
-    # the hull of the returned points must be the returned hull, bit for bit.
+    # The hull is built from the rate array; the points are its rows, formed
+    # only when first read.
     est = produce(rand_channel(np.random.default_rng(40 + n), n))
-    rates = np.array([[p.R1, p.R2] for p in est.points])
-    assert np.array_equal(est.hull.vertices, pareto_hull(rates).vertices)
-    assert est.area == est.hull.area
+    hull = pareto_hull(est.rates)
+    assert np.array_equal(est.hull.vertices, hull.vertices)
+    assert est.area == est.hull.area == hull.area
+    assert "points" not in vars(est)
+    assert len(est.points) == len(est.rates) == len(est.alphas) == len(est.provenance)
+    assert est.points is vars(est)["points"]
+    for p, (r1, r2), alpha, label in zip(est.points, est.rates, est.alphas, est.provenance):
+        assert (p.R1, p.R2, p.provenance) == (r1, r2, label)
+        assert type(p.R1) is type(p.R2) is float
+        assert p.alpha is None if np.isnan(alpha) else type(p.alpha) is float and p.alpha == alpha
