@@ -154,8 +154,8 @@ def cmd_miso(args) -> int:
     ch, power = _channel_and_power(args)
     if ch.H.shape[0] != 1 or ch.G.shape[0] != 1:
         raise InputFileError("miso needs single-row H and G")
-    points = miso_region(MisoChannel(ch.H[0], ch.G[0]), power, _grid(args))
-    rows = [(p.alpha, p.c1, p.c2, p.r1, p.r2) for p in points]
+    reg = miso_region(MisoChannel(ch.H[0], ch.G[0]), power, _grid(args))
+    rows = zip(*(x.tolist() for x in (reg.alphas, reg.c1, reg.c2, reg.r1, reg.r2)))
     _write((args.out, _csv(("alpha", "C1", "C2", "R1", "R2"), rows)))
     return 0
 

@@ -3,8 +3,9 @@
 Every corner point (R1, R2) makes its whole rectangle [0, R1] x [0, R2]
 achievable, and time sharing convexifies the union, so a point set describes
 the region bounded by the concave upper envelope of the points and their axis
-projections.  The envelope is built with a monotone chain and the region area
-is its integral, used only for relative comparisons.
+projections.  The envelope is built with a monotone chain, skipped for a
+staircase that is already strictly concave, and the region area is its
+integral, used only for relative comparisons.
 """
 
 from dataclasses import dataclass
@@ -87,18 +88,26 @@ def pareto_hull(rates: np.ndarray) -> Hull:
     right = np.maximum.accumulate(pts[::-1, 1])[::-1]
     pts = pts[np.r_[True, pts[1:, 1] > np.r_[right[2:], -np.inf]]]
 
-    # Monotone chain: pop while the turn is not strictly clockwise.
-    chain: list[list[float]] = []
-    for p in pts.tolist():
-        while len(chain) >= 2:
-            o, a = chain[-2], chain[-1]
-            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-            if cross >= 0.0:
-                chain.pop()
-            else:
-                break
-        chain.append(p)
-    verts = np.array(chain)
+    # Monotone chain: pop while the turn is not strictly clockwise.  A
+    # staircase whose turns all are, as a sweep's are (R2 is concave in R1),
+    # pops nothing: one vectorized pass with the chain's own arithmetic finds
+    # that, and the staircase is the hull.
+    o, a, p = pts[:-2], pts[1:-1], pts[2:]
+    turns = (a[:, 0] - o[:, 0]) * (p[:, 1] - o[:, 1]) - (a[:, 1] - o[:, 1]) * (p[:, 0] - o[:, 0])
+    if (turns < 0.0).all():
+        verts = pts
+    else:
+        chain: list[list[float]] = []
+        for p in pts.tolist():
+            while len(chain) >= 2:
+                o, a = chain[-2], chain[-1]
+                cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
+                if cross >= 0.0:
+                    chain.pop()
+                else:
+                    break
+            chain.append(p)
+        verts = np.array(chain)
 
     area = float(np.trapezoid(verts[:, 1], verts[:, 0])) if len(verts) > 1 else 0.0
     return Hull(verts, area)

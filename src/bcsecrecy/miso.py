@@ -13,6 +13,7 @@ No LAPACK call follows the reduction.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -147,12 +148,48 @@ def _capacity(mc: MisoChannel, pt: float, alphas: np.ndarray):
     return (h, g, cross), u_p, c1, c2, e1, e2, noise_g
 
 
-def _lift(u_p: np.ndarray, pt: float, alphas: np.ndarray, e1: np.ndarray, e2: np.ndarray):
-    """e1, e2 and S_Q = alpha pt e1 e1^H + (1 - alpha) pt e2 e2^H in the antenna space."""
-    e1, e2 = u_p @ e1, e2 @ u_p.T
+def _s_q(pt: float, alphas: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """S_Q = alpha pt e1 e1^H + (1 - alpha) pt e2 e2^H per split, e1 and e2 in the antenna space."""
     first, rest = (x[..., None, None] for x in (alphas * pt, (1.0 - alphas) * pt))
-    s_q = first * (e1[:, None] * e1.conj()) + rest * (e2[..., :, None] * e2.conj()[..., None, :])
-    return e1, e2, s_q
+    return first * (e1[:, None] * e1.conj()) + rest * (e2[..., :, None] * e2.conj()[..., None, :])
+
+
+@dataclass(eq=False)
+class MisoRegion:
+    """Capacity pairs (C1, C2), beamforming pairs (R1, R2) and loss in bits,
+    one entry of each (splits,) array per split of ``alphas``; e1 (n_t,) and
+    e2 (splits, n_t) in the antenna space.  S_Q and the points are formed on
+    first read; indexing, iteration and slicing give ``MisoRegionPoint``s."""
+
+    pt: float
+    alphas: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    loss_bits: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+
+    @cached_property
+    def s_q(self) -> np.ndarray:
+        return _s_q(self.pt, self.alphas, self.e1, self.e2)
+
+    @cached_property
+    def points(self) -> list[MisoRegionPoint]:
+        columns = zip(self.alphas.tolist(), self.c1.tolist(), self.c2.tolist(), self.e2, self.s_q,
+                      self.r1.tolist(), self.r2.tolist(), self.loss_bits.tolist())
+        return [MisoRegionPoint(al, self.pt, x1, x2, self.e1.copy(), y2, s, z1, z2, bits)
+                for al, x1, x2, y2, s, z1, z2, bits in columns]
+
+    def __len__(self) -> int:
+        return len(self.alphas)
+
+    def __iter__(self):
+        return iter(self.points)
+
+    def __getitem__(self, index):
+        return self.points[index]
 
 
 def miso_capacity_point(mc: MisoChannel, pt: float, alpha: float) -> MisoRegionPoint:
@@ -165,7 +202,8 @@ def miso_capacity_point(mc: MisoChannel, pt: float, alpha: float) -> MisoRegionP
     """
     alphas = np.asarray(alpha, dtype=float)
     _, u_p, c1, c2, e1, e2, _ = _capacity(mc, pt, alphas)
-    return MisoRegionPoint(alpha, pt, float(c1), float(c2), *_lift(u_p, pt, alphas, e1, e2))
+    e1, e2 = u_p @ e1, e2 @ u_p.T
+    return MisoRegionPoint(alpha, pt, float(c1), float(c2), e1, e2, _s_q(pt, alphas, e1, e2))
 
 
 def miso_linear_point(mc: MisoChannel, point: MisoRegionPoint) -> MisoRegionPoint:
@@ -184,15 +222,11 @@ def miso_linear_point(mc: MisoChannel, point: MisoRegionPoint) -> MisoRegionPoin
                    loss_bits=loss)
 
 
-def miso_region(mc: MisoChannel, pt: float,
-                alpha_grid: int | np.ndarray = 101) -> list[MisoRegionPoint]:
+def miso_region(mc: MisoChannel, pt: float, alpha_grid: int | np.ndarray = 101) -> MisoRegion:
     """Capacity and beamforming pairs over a sweep of power splits (see
     ``split_grid``), all splits solved in one batch on the reduced span."""
     alphas = split_grid(alpha_grid)
     span, u_p, c1, c2, e1, e2, noise_g = _capacity(mc, pt, alphas)
     loss = _loss_bits(span, pt, alphas, e1, e2, noise_g)
-    e1, e2, s_q = _lift(u_p, pt, alphas, e1, e2)
-    rates = zip(alphas.tolist(), c1.tolist(), c2.tolist(), e2, s_q,
-                clamp_rate(c1 - loss).tolist(), clamp_rate(c2 - loss).tolist(), loss.tolist())
-    return [MisoRegionPoint(al, pt, x1, x2, e1.copy(), y2, s, z1, z2, bits)
-            for al, x1, x2, y2, s, z1, z2, bits in rates]
+    return MisoRegion(pt, alphas, c1, c2, clamp_rate(c1 - loss), clamp_rate(c2 - loss), loss,
+                      u_p @ e1, e2 @ u_p.T)

@@ -150,7 +150,8 @@ class TestSearchRegion:
         est = search_region(ch, SearchConfig(samples=1500, seed=77, pt=10.0))
         # Dense grid keeps the chord-vs-curve gap of the capacity boundary
         # below the tolerance.
-        cap = pareto_hull([(p.c1, p.c2) for p in miso_region(mc, 10.0, 2001)])
+        reg = miso_region(mc, 10.0, 2001)
+        cap = pareto_hull(np.column_stack((reg.c1, reg.c2)))
         for x, y in est.hull.vertices:
             assert y <= cap.envelope(x) + 1e-5
 

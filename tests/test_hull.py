@@ -124,6 +124,30 @@ class TestStaircase:
         assert np.array_equal(hull.vertices, want)
         assert hull.area == area
 
+    @pytest.mark.parametrize("pt", [1.0, 12.0, 100.0])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_sweep_staircase_matches_chain(self, n, pt):
+        # A sweep's corners are a strictly concave staircase, kept whole
+        # without the chain; vertices and area must be the chain's to the bit.
+        rates = region_sweep(rand_channel(np.random.default_rng(60 + n), n), pt, 101).rates
+        want, area = unfiltered_hull(rates)
+        hull = pareto_hull(rates)
+        assert len(want) > 50
+        assert np.array_equal(hull.vertices, want)
+        assert hull.area == area
+
+    @pytest.mark.parametrize("kind", ["reflex", "collinear"])
+    def test_one_bad_turn_in_concave_staircase_dropped(self, kind):
+        # Dyadic values, so that the collinear turn is exactly zero.
+        x = np.arange(41.0) / 8.0
+        pts = np.c_[x, 32.0 - x**2]
+        pts[20] = 0.5 * (pts[19] + pts[21]) - (1.0 / 64.0 if kind == "reflex" else 0.0)
+        want, area = unfiltered_hull(pts)
+        hull = pareto_hull(pts)
+        assert not (hull.vertices == pts[20]).all(axis=1).any()
+        assert np.array_equal(hull.vertices, want)
+        assert hull.area == area
+
     def test_keeps_leftmost_point_of_flat_cloud(self):
         # Every point has R2 = y_max, so none is strictly above those to its
         # right; the leftmost must stay.

@@ -179,6 +179,27 @@ class TestRegion:
                     assert got.shape == want.shape
                     assert np.max(np.abs(got - want)) <= 1e-12, field
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_arrays_are_the_points(self, n):
+        reg = miso_region(rand_miso(np.random.default_rng(30 + n), n), 10.0, 21)
+        # S_Q and the points are formed on first read only.
+        assert "s_q" not in vars(reg) and "points" not in vars(reg)
+        assert len(reg) == 21 and reg.s_q.shape == (21, n, n) and reg.e2.shape == (21, n)
+        points = reg.points
+        assert reg.points is points
+        assert list(reg) == points and reg[0] is points[0] and reg[-1] is points[-1]
+        assert type(reg[1:3]) is list and reg[1:3] == points[1:3]
+        for i, p in enumerate(points):
+            assert p.pt == reg.pt
+            for field, column in (("alpha", "alphas"), ("c1", "c1"), ("c2", "c2"), ("r1", "r1"),
+                                  ("r2", "r2"), ("loss_bits", "loss_bits")):
+                value = getattr(p, field)
+                assert type(value) is float and value == getattr(reg, column)[i], field
+            assert np.array_equal(p.e1, reg.e1) and p.e1 is not reg.e1
+            assert np.array_equal(p.e2, reg.e2[i])
+            assert np.array_equal(p.s_q, reg.s_q[i])
+        assert len({id(p.e1) for p in points}) == len(points)
+
     def test_decompositions_do_not_grow_with_splits(self, monkeypatch):
         mc = rand_miso(np.random.default_rng(11), n=4)
         counts = []
@@ -216,7 +237,7 @@ class TestSplitGrid:
         for sweep in self.sweeps():
             for grid in (np.int64(3), 3):
                 assert [p.alpha for p in sweep(10.0, grid)] == [0.0, 0.5, 1.0]
-        assert miso_region(rand_miso(np.random.default_rng(14)), 10.0, 0) == []
+        assert len(miso_region(rand_miso(np.random.default_rng(14)), 10.0, 0)) == 0
 
 
 # C1 and C2 in bits of MisoChannel(MPMATH_H, MPMATH_G) at the splits 0, 0.3,
