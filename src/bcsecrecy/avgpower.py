@@ -283,14 +283,18 @@ def waterfill_high_snr(sigma_strong: np.ndarray, sigma_weak: np.ndarray, a: np.n
     k[root] = np.sqrt((1.0 / w[root] - 1.0 / s[root]) / a[root])
     big_a = float(a @ k)
     tau = np.sort(a[zero_w] / s[zero_w])
-    for m in range(tau.size, -1, -1):
+    # Without root entries (A = 0) some zero-weak entry is always open, even
+    # where y^2 rounds an ulp below its tau.
+    last = 0 if big_a > 0 else 1
+    for m in range(tau.size, last - 1, -1):
         total = budget + float(np.sum(tau[:m]))
-        y = 2.0 * total / (big_a + float(np.sqrt(big_a * big_a + 4.0 * m * total)))
-        if m == 0 or y * y >= tau[m - 1]:
+        # y = 2 T / (A + sqrt(A^2 + 4 m T)), in halves so that nothing overflows.
+        y = total / (0.5 * big_a + float(np.hypot(0.5 * big_a, np.sqrt(m) * np.sqrt(total))))
+        if m == last or y * y >= tau[m - 1]:
             break
     # The same level floor as ``waterfill``; the range ends where y = floor^{-1/2}.
     floor = np.finfo(float).tiny * max(1.0, float(np.max((s - w)[active] / a[active])))
-    if not 1.0 / (y * y) >= floor:
+    if not y * y <= 1.0 / floor:
         y_top = floor ** -0.5
         top = big_a * y_top + float(np.sum(np.clip(y_top * y_top - tau, 0.0, None)))
         raise ValueError(f"budget {budget:.6g} is outside the supported range [0, {top:.6g}]: "
@@ -303,7 +307,8 @@ def waterfill_high_snr(sigma_strong: np.ndarray, sigma_weak: np.ndarray, a: np.n
         # differences of tau does not cancel at low SNR: one live subchannel gets budget/a.
         spread = np.sum(tau[:m, None] - a[zero_w] / s[zero_w], axis=0)
         p[zero_w] = np.clip((budget + spread) / (m * a[zero_w]), 0.0, None)
-    return p, 1.0 / (y * y)
+    # Below budgets of about 1e-162, y^2 underflows and the level is inf.
+    return p, 1.0 / (y * y) if y * y > 0.0 else np.inf
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 
 from .avgpower import allocate, diagonalize, make_matrix_constraint, region_sweep
 from .baseline import SearchConfig, search_region
-from .checks import FAULTS, run_battery
+from .checks import run_battery
 from .errors import (
     DimensionMismatchError,
     NonHermitianError,
@@ -171,7 +171,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_check(args) -> int:
-    report = run_battery(args.trials, args.dim, args.seed, args.inject_fault)
+    report = run_battery(args.trials, args.dim, args.seed)
     width = max(len(r.name) for r in report.results)
     for r in report.results:
         status = "ok" if r.ok else "FAIL"
@@ -220,7 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--trials", type=int, default=20, help="random instances per invariant")
     check.add_argument("--dim", type=int, default=4, help="transmit antenna count")
     check.add_argument("--seed", type=int, default=0, help="instance seed")
-    check.add_argument("--inject-fault", choices=FAULTS, help="test hook: corrupt one stage")
 
     return parser
 

@@ -1,8 +1,8 @@
 """Dense Hermitian linear algebra kernels.
 
 Everything downstream (corner points, precoders, power allocation) reduces to
-a handful of primitives on small complex matrices: Hermitian eigendecomposition,
-the range and rank of a PSD matrix, PSD square roots, a definite generalized
+a handful of primitives on small complex matrices: the eigendecomposition,
+range and rank of a Hermitian PSD matrix, PSD square roots, a definite generalized
 eigendecomposition, checked projectors, and log-determinants.
 They are collected here with explicit tolerance contracts.
 
@@ -78,27 +78,6 @@ def _lapack(func: str, a: np.ndarray, name: str, **kwargs) -> tuple:
         raise NoConvergenceError(f"{func} failed on {name}: {exc}") from exc
 
 
-def herm_eig(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Parameters
-    ----------
-    a : ndarray
-        Square finite matrix, Hermitian within ``HERM_TOL`` relative tolerance.
-    name : str
-        How error messages refer to ``a``.
-
-    Returns
-    -------
-    w : ndarray
-        Real eigenvalues sorted in descending order.
-    v : ndarray
-        Unitary matrix whose columns are the matching eigenvectors.
-    """
-    w, v = _lapack("eigh", _check_hermitian(a, name), name)
-    return _descending(w, v)
-
-
 def _descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs from ``eigh`` reordered by descending eigenvalue; ties keep
     the ascending-solver order.  The eigenvectors come back in C order:
@@ -111,14 +90,14 @@ def _descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def psd_range(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray, int]:
     """Eigendecomposition and numerical rank of a Hermitian PSD matrix.
 
-    Returns ``(w, v, rank)``: eigenvalues descending and their eigenvectors,
-    as from ``herm_eig``, and the count of eigenvalues above ``RANK_TOL``
-    times the spectral norm, so ``v[:, :rank]`` is an orthonormal basis of
-    range(A).  An eigenvalue below ``-PSD_TOL`` times the spectral norm
-    raises NotPositiveSemidefiniteError naming ``name``; smaller negatives
-    are rounding noise.
+    Returns ``(w, v, rank)``: eigenvalues descending, a unitary matrix of
+    their eigenvectors, and the count above ``RANK_TOL`` times the spectral
+    norm, so ``v[:, :rank]`` is an orthonormal basis of range(A).  ``a`` must
+    be square, finite and Hermitian within ``HERM_TOL``.  An eigenvalue below
+    ``-PSD_TOL`` times the spectral norm raises NotPositiveSemidefiniteError;
+    smaller negatives are rounding noise.  Errors name ``a`` ``name``.
     """
-    w, v = herm_eig(a, name)
+    w, v = _descending(*_lapack("eigh", _check_hermitian(a, name), name))
     scale = np.abs(w).max(initial=0.0)
     low = w.min(initial=0.0)
     if low < -PSD_TOL * scale:
@@ -170,13 +149,14 @@ def gevd_definite(a: np.ndarray, b: np.ndarray) -> GevdResult:
     L^{-1} A L^{-H} give C = L^{-H} Phi, which satisfies C^H A C = diag(lambda)
     and C^H B C = I.  One Cholesky factorization and one ``eigh``, by the
     stacked core ``_reduced_eigh`` on a stack of one, as for a stacked solve.
+    Where an eigenvalue falls to ``RANK_TOL`` times the largest, that
+    ``eigh`` is replaced by one Cholesky factorization of A and one SVD.
 
     Parameters
     ----------
     a, b : ndarray
         Hermitian positive definite matrices of equal size.  A failed
-        Cholesky factorization of B, or an eigenvalue of A along the pencil
-        at or below ``RANK_TOL`` times the largest, raises
+        Cholesky factorization of B, or of A where it is taken, raises
         NotPositiveDefiniteError.
 
     Returns
@@ -198,22 +178,28 @@ def gevd_definite(a: np.ndarray, b: np.ndarray) -> GevdResult:
 
 def _reduced_eigh(a: np.ndarray, b: np.ndarray) -> tuple:
     """The stacked core of ``gevd_definite``: (L^{-1}, w ascending, Phi, b) of (k, n, n) stacks."""
-    try:
-        chol_inv = np.linalg.inv(np.linalg.cholesky(b))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"pencil component B is not positive definite: {exc}"
-        ) from exc
+    chol_inv = np.linalg.inv(_cholesky(b, "pencil component B"))
     # eigh reads one triangle only, so the product needs no symmetrizing.
     w, phi = _lapack("eigh", chol_inv @ a @ ctrans(chol_inv), "reduced pencil")
-    low = np.min(w, axis=-1, initial=np.inf)
-    bad = low <= RANK_TOL * np.max(w, axis=-1, initial=0.0)
-    if bad.any():
-        raise NotPositiveDefiniteError(
-            f"pencil component A has eigenvalue {low[bad][0]:.3e} along the pencil, "
-            "not positive definite"
-        )
+    # eigh rounds every eigenvalue by about eps lambda_max, which swamps one
+    # at or below RANK_TOL lambda_max.  There the SVD of M = L^{-1} L_A, with
+    # A = L_A L_A^H, gives lambda = sigma^2 to about eps sigma_max / sigma,
+    # and M M^H = L^{-1} A L^{-H} keeps Phi = U.
+    spread = np.min(w, axis=-1, initial=np.inf) <= RANK_TOL * np.max(w, axis=-1, initial=0.0)
+    if spread.any():
+        chol_a = _cholesky(a[spread], "pencil component A")
+        u, sigma, _ = _lapack("svd", chol_inv[spread] @ chol_a, "reduced pencil")
+        w[spread], phi[spread] = sigma[:, ::-1] ** 2, u[..., ::-1]
     return chol_inv, w, phi, np.count_nonzero(w > 1.0 + _split_tie(w[:, -1:]), axis=-1)
+
+
+def _cholesky(a: np.ndarray, name: str) -> np.ndarray:
+    """Cholesky factor of ``a``, or of each matrix of a stack; a failure is
+    NotPositiveDefiniteError naming ``name``."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"{name} is not positive definite: {exc}") from exc
 
 
 def _split_tie(lam_max: np.ndarray | float) -> np.ndarray | float:
@@ -260,10 +246,7 @@ def _chol_logs(a: np.ndarray) -> np.ndarray:
     leading block, so the sum of the first k is the log-determinant of A's
     leading k x k block.
     """
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"Cholesky failed, matrix not PD: {exc}") from exc
+    chol = _cholesky(a, "matrix")
     return 2.0 * np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1)))
 
 

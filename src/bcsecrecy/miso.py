@@ -106,6 +106,14 @@ def _principal(a, x: np.ndarray, b, y: np.ndarray, cross: complex):
     return _fix_phase(vec), mu, gains
 
 
+def _check_range(pt: float, *arrays: np.ndarray) -> None:
+    """Raise ValueError unless every entry of ``arrays`` is finite: at the top
+    of the power range, pt times a channel gain overflows float64."""
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise ValueError(f"power {pt:.6g} is outside the supported range: "
+                         "the closed-form rates overflow float64")
+
+
 def _loss_bits(span, pt: float, alphas: np.ndarray, e1: np.ndarray, e2: np.ndarray,
                noise_g: np.ndarray) -> np.ndarray:
     """Beamforming loss in bits per split from ``_capacity``'s output; zero
@@ -119,13 +127,17 @@ def _loss_bits(span, pt: float, alphas: np.ndarray, e1: np.ndarray, e2: np.ndarr
     full = (first > 0.0) & (rest > 0.0)
     if h.size < 2 or not full.any():
         return np.zeros(full.shape)
-    f1, _, (gain_f, _) = _principal(pt, g, pt, h, -cross)
-    p = np.abs(_det(f1, e2)) ** 2
-    w = p + np.abs(_det(e1, f1)) ** 2 * first / np.where(full, rest, 1.0)
-    # P / W <= 1 and F / W <= R / |det[e1, f1]|^2 stay finite; P = 0 where W = 0.
-    share, extra = (np.divide(v, w, out=np.zeros(np.shape(w)), where=full & (w > 0.0))
-                    for v in (p, first * gain_f * np.abs(_det(e1, e2)) ** 2))
-    return np.log1p(share * (1.0 + extra) / noise_g) / LN2
+    with np.errstate(over="ignore", invalid="ignore"):  # ``_check_range`` reports it
+        f1, _, (gain_f, _) = _principal(pt, g, pt, h, -cross)
+        p = np.abs(_det(f1, e2)) ** 2
+        w = p + np.abs(_det(e1, f1)) ** 2 * first / np.where(full, rest, 1.0)
+        # P / W <= 1 and F / W <= R / |det[e1, f1]|^2 stay finite; P = 0 where
+        # W = 0, and a NaN W, from an overflowed f1, stays NaN.
+        share, extra = (np.divide(v, w, out=np.zeros(np.shape(w)), where=full & (w != 0.0))
+                        for v in (p, first * gain_f * np.abs(_det(e1, e2)) ** 2))
+        loss = np.log1p(share * (1.0 + extra) / noise_g) / LN2
+    _check_range(pt, loss)
+    return loss
 
 
 def _capacity(mc: MisoChannel, pt: float, alphas: np.ndarray):
@@ -138,13 +150,16 @@ def _capacity(mc: MisoChannel, pt: float, alphas: np.ndarray):
     # The coordinates of [h, g] on the span are Sigma V^H for a unitary V, so
     # the two products of det[g, h] never cancel.
     cross = _det(g, h) if h.size == 2 else 0j
-    e1, _, (gain_h, gain_g) = _principal(pt, h, pt, g, cross)
     first, rest = alphas * pt, (1.0 - alphas) * pt
-    # The first user's beam appears as noise at both receivers: gamma1 is the
-    # ratio of those noises, and the second user's pencil shrinks by them.
-    noise_h, noise_g = 1.0 + first * gain_h, 1.0 + first * gain_g
-    e2, mu2, _ = _principal(rest / noise_g, g, rest / noise_h, h, -cross)
-    c1, c2 = clamp_rate(np.log(noise_h / noise_g)) / LN2, np.log1p(clamp_rate(mu2)) / LN2
+    # Past the top of the power range pt |h|^2 overflows; ``_check_range`` reports it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        e1, _, (gain_h, gain_g) = _principal(pt, h, pt, g, cross)
+        # The first user's beam appears as noise at both receivers: gamma1 is
+        # the ratio of those noises, and the second user's pencil shrinks by them.
+        noise_h, noise_g = 1.0 + first * gain_h, 1.0 + first * gain_g
+        e2, mu2, _ = _principal(rest / noise_g, g, rest / noise_h, h, -cross)
+        c1, c2 = clamp_rate(np.log(noise_h / noise_g)) / LN2, np.log1p(clamp_rate(mu2)) / LN2
+    _check_range(pt, c1, c2, e2)  # a non-finite e1 has non-finite gains, so C1
     return (h, g, cross), u_p, c1, c2, e1, e2, noise_g
 
 

@@ -99,6 +99,11 @@ class _CornerGevd(GevdResult):
         self.factor_vecs, self.eigvals, self.b = gevd.eigvecs, gevd.eigvals, gevd.b
         self.factor, self._basis = factor, basis
 
+    def __repr__(self) -> str:
+        # GevdResult's dataclass repr would read eigvecs, and so form it.
+        return (f"{type(self).__name__}(factor_vecs={self.factor_vecs!r}, "
+                f"eigvals={self.eigvals!r}, b={self.b!r}, factor={self.factor!r})")
+
     @cached_property
     def isometry(self) -> np.ndarray:
         """U with F = S^{1/2} U: the range basis V when F = V diag(sqrt(w)),

@@ -619,3 +619,47 @@ class TestPointToPointLimit:
     def test_capacity_rejects_bad_budget(self, pt, gain):
         with pytest.raises(ValueError, match="total power"):
             waterfill_capacity(gain * np.eye(2, dtype=complex), pt)
+
+
+class TestPowerRangeEnds:
+    """Water filling at the ends of the float64 power range: a value or the
+    range error, never a division by zero."""
+
+    def test_scalar_capacity_at_tiny_budgets(self):
+        # The one zero-weak entry is always open; y^2 rounds an ulp below its tau here.
+        for pt in (1e-300, 1e-30, 1e-17):
+            want = np.log1p(0.49 * pt) / LN2
+            assert waterfill_capacity(np.array([[0.7]]), pt) == pytest.approx(want, rel=1e-12)
+
+    def test_worked_capacity_at_tiny_budgets(self):
+        lam = reduce_nullspace(Channel(FIG_H, np.zeros((1, 2))))[2]
+        for pt in (1e-18, 1e-30):
+            p, _ = waterfill(lam, np.zeros(2), np.ones(2), pt)
+            want = float(np.sum(np.log1p(lam * p))) / LN2
+            assert waterfill_capacity(FIG_H, pt) == pytest.approx(want, rel=1e-12)
+
+    def test_random_capacity_at_tiny_budget(self):
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            assert waterfill_capacity(cgauss(rng, (2, 2)), 1e-17) > 0.0
+
+    def test_level_inf_where_its_reciprocal_underflows(self):
+        p, mu = waterfill_high_snr([1.0], [0.5], [1.0], 1e-300)
+        assert p.tolist() == [1e-300] and mu == np.inf
+
+    def test_top_of_range_rejected(self):
+        for h in (np.array([[0.7]]), FIG_H):
+            with pytest.raises(ValueError, match="outside the supported range"):
+                waterfill_capacity(h, 1e308)
+
+    def test_every_decade(self):
+        calls = (lambda pt: waterfill_capacity(np.array([[0.7]]), pt),
+                 lambda pt: waterfill_capacity(FIG_H, pt),
+                 lambda pt: waterfill_high_snr([1.0], [0.5], [1.0], pt),
+                 lambda pt: p2p_limit_check(Channel(FIG_H, FIG_G), pt))
+        for pt in 10.0 ** np.arange(-320, 309):
+            for call in calls:
+                try:
+                    call(pt)
+                except ValueError as exc:
+                    assert "supported range" in str(exc)

@@ -7,13 +7,7 @@ import pytest
 
 import bcsecrecy.checks as checks_mod
 from bcsecrecy import Channel, allocate, diagonalize, run_battery, solve_matrix_constraint
-from bcsecrecy.checks import (
-    FAULTS,
-    TOLERANCES,
-    InvariantResult,
-    _rank_bound_counts,
-    _waterfill_residuals,
-)
+from bcsecrecy.checks import TOLERANCES, InvariantResult, _rank_bound_counts, _waterfill_residuals
 from bcsecrecy.cli import main
 from conftest import SCALED_G, SCALED_H, cgauss, rand_channel, rand_psd
 
@@ -66,22 +60,23 @@ class TestRunBattery:
     def test_scalar_dim(self):
         assert run_battery(trials=3, dim=1, seed=2).ok
 
-    def test_fault_injection_detected(self):
-        report = run_battery(trials=2, dim=3, seed=1, inject_fault="gevd")
-        assert not report.ok
-        failed = {r.name for r in report.results if not r.ok}
-        assert "gevd_diagonalizes" in failed
+    def test_fault_injection_detected(self, monkeypatch, capsys):
+        # A fake solve whose basis is shifted by 1e-3 in every entry must
+        # break C^H A C = diag(lambda), both in the report and at the CLI.
+        def shifted(ch, s):
+            sol = solve_matrix_constraint(ch, s)
+            sol.gevd.eigvecs = sol.gevd.eigvecs + 1e-3
+            return sol
 
-    def test_unknown_fault_rejected(self):
-        with pytest.raises(ValueError):
-            run_battery(trials=1, dim=2, seed=0, inject_fault="nonsense")
+        monkeypatch.setattr(checks_mod, "solve_matrix_constraint", shifted)
+        report = run_battery(trials=2, dim=3, seed=1)
+        assert not {r.name: r.ok for r in report.results}["gevd_diagonalizes"]
+        assert main(["check", "--trials", "2", "--dim", "3", "--seed", "1"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_bad_dim_rejected(self):
         with pytest.raises(ValueError):
             run_battery(trials=1, dim=0, seed=0)
-
-    def test_faults_listed(self):
-        assert "gevd" in FAULTS
 
     def test_projector_on_scaled_eigenvectors(self, monkeypatch):
         # C^H B C = I scales the two leading eigenvectors to norms of about

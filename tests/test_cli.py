@@ -208,11 +208,10 @@ class TestCheck:
         assert report["ok"] is True
         assert len(out) == len(report["invariants"]) + 1
 
-    def test_injected_fault_detected(self, capsys):
-        assert main(["check", "--trials", "2", "--dim", "3", "--seed", "1",
-                     "--inject-fault", "gevd"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
+    def test_fault_option_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--inject-fault", "gevd"])
+        assert exc.value.code == 2
 
     def test_zero_trials(self):
         assert main(["check", "--trials", "0", "--dim", "2", "--seed", "0"]) == 2
@@ -355,7 +354,6 @@ SURFACE = {
         ("--trials",): ("trials", 20, int, None, False, None),
         ("--dim",): ("dim", 4, int, None, False, None),
         ("--seed",): ("seed", 0, int, None, False, None),
-        ("--inject-fault",): ("inject_fault", None, None, ("gevd",), False, None),
     },
 }
 

@@ -1,4 +1,4 @@
-"""Kernel-level tests: eigensolvers, square roots, projectors, log-determinants."""
+"""Kernel-level tests: eigendecompositions, square roots, projectors, log-determinants."""
 
 import re
 
@@ -18,7 +18,6 @@ from bcsecrecy.linalg import (
     clamp_rate,
     gevd_definite,
     herm,
-    herm_eig,
     logdet,
     projector,
     psd_range,
@@ -29,38 +28,49 @@ from conftest import cgauss, rand_psd
 
 
 class TestHermEig:
+    """The Hermitian eigendecomposition, as ``psd_range`` runs it."""
+
     def test_identity(self):
-        w, v = herm_eig(np.eye(3, dtype=complex))
+        w, v, rank = psd_range(np.eye(3, dtype=complex))
         assert np.allclose(w, [1.0, 1.0, 1.0])
         assert np.allclose(v @ v.conj().T, np.eye(3), atol=1e-12)
+        assert rank == 3
 
     def test_diagonal_sorted_descending(self):
-        w, _ = herm_eig(np.diag([2.0, -1.0]).astype(complex))
-        assert np.allclose(w, [2.0, -1.0])
+        # Tied eigenvalues keep the order the ascending solver gives them.
+        a = np.diag([1.0, 3.0, 1.0]).astype(complex)
+        w, v, rank = psd_range(a)
+        w_asc, v_asc = np.linalg.eigh(a)
+        assert w.tolist() == [3.0, 1.0, 1.0] and rank == 3
+        assert np.array_equal(v, v_asc[:, [2, 0, 1]])
 
     def test_random_gram_reconstruction(self):
         rng = np.random.default_rng(0)
         b = cgauss(rng, (6, 6))
         a = herm(b @ b.conj().T)
-        w, v = herm_eig(a)
+        w, v, _ = psd_range(a)
         assert np.all(w >= -1e-10)
         assert np.all(np.diff(w) <= 1e-12)
         scale = np.linalg.norm(a)
         assert np.linalg.norm((v * w) @ v.conj().T - a) <= 1e-10 * scale
 
+    def test_rejects_indefinite_by_name(self):
+        with pytest.raises(NotPositiveSemidefiniteError, match="constraint has eigenvalue -1"):
+            psd_range(np.diag([2.0, -1.0]).astype(complex), "constraint")
+
     def test_rejects_nonhermitian(self):
-        with pytest.raises(NonHermitianError):
-            herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        with pytest.raises(NonHermitianError, match="constraint deviates"):
+            psd_range(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), "constraint")
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(DimensionMismatchError):
-            herm_eig(np.zeros((2, 3), dtype=complex))
+        with pytest.raises(DimensionMismatchError, match="constraint must be a square matrix"):
+            psd_range(np.zeros((2, 3), dtype=complex), "constraint")
 
     def test_rejects_nonfinite_by_name(self):
         a = np.eye(2, dtype=complex)
         a[1, 1] = np.inf
-        with pytest.raises(ValueError, match="pencil component A"):
-            gevd_definite(a, np.eye(2, dtype=complex))
+        with pytest.raises(ValueError, match="constraint has non-finite entries"):
+            psd_range(a, "constraint")
 
 
 class TestPsdSqrt:
@@ -127,22 +137,42 @@ class TestGevd:
         with pytest.raises(DimensionMismatchError, match="differ in shape"):
             gevd_definite(np.eye(2), np.eye(3))
 
+    def test_rejects_nonfinite_by_name(self):
+        a = np.eye(2, dtype=complex)
+        a[1, 1] = np.inf
+        with pytest.raises(ValueError, match="pencil component A"):
+            gevd_definite(a, np.eye(2, dtype=complex))
+
     def test_rejects_semidefinite_component(self):
         good = np.eye(2, dtype=complex)
         with pytest.raises(NotPositiveDefiniteError):
             gevd_definite(good, np.diag([1.0, 0.0]).astype(complex))
         with pytest.raises(NotPositiveDefiniteError):
             gevd_definite(np.diag([1.0, -0.5]).astype(complex), good)
+        with pytest.raises(NotPositiveDefiniteError, match="pencil component A is not"):
+            gevd_definite(np.diag([1.0, 0.0]).astype(complex), good)
+
+    def test_spread_pencil_solved(self):
+        # Eigenvalues 1e6 and 1e-6 along the pencil, a spread past 1 / RANK_TOL
+        # that takes the SVD: each to about eps * 1e6 relative.
+        rng = np.random.default_rng(8)
+        q = np.linalg.qr(cgauss(rng, (2, 2)))[0]
+        a = herm(q @ np.diag([1e6, 1.0]) @ q.conj().T)
+        b = herm(q @ np.diag([1.0, 1e6]) @ q.conj().T)
+        res = gevd_definite(a, b)
+        assert res.eigvals == pytest.approx([1e6, 1e-6], rel=1e-8)
+        assert res.b == 1
+        c = res.eigvecs
+        assert np.allclose(c.conj().T @ b @ c, np.eye(2), atol=1e-12)
 
 
 class TestOneMatrix:
     """The checked kernels take one matrix; a stack is refused by name."""
 
-    @pytest.mark.parametrize("kernel", [herm_eig, psd_range])
-    def test_stack_rejected_by_name(self, kernel):
+    def test_stack_rejected_by_name(self):
         stack = np.stack([np.eye(2, dtype=complex)] * 2)
         with pytest.raises(DimensionMismatchError, match="constraint must be a square matrix"):
-            kernel(stack, "constraint")
+            psd_range(stack, "constraint")
 
     def test_gevd_stack_rejected_by_name(self):
         stack = np.stack([np.eye(2, dtype=complex)] * 2)

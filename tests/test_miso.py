@@ -290,6 +290,47 @@ class TestHighPower:
         assert [p.c2 for p in points] == pytest.approx(c2, abs=1e-12)
 
 
+class TestPowerRange:
+    """At the top of the power range pt |h|^2 overflows in the closed forms:
+    every MISO entry point raises the range error instead of returning NaN."""
+
+    WORKED = MisoChannel([0.3, 2.5], [1.3, 1.2])
+
+    @staticmethod
+    def seeded():
+        rng = np.random.default_rng(2)
+        return [MisoChannel(cgauss(rng, n), cgauss(rng, n)) for n in [*range(1, 9), 2, 4, 6, 8]]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_top_of_range_rejected(self):
+        with pytest.raises(ValueError, match="power 3e.307 is outside the supported range"):
+            miso_region(self.WORKED, 3e307, 3)
+        for mc in self.seeded():
+            with pytest.raises(ValueError, match="outside the supported range"):
+                miso_region(mc, 1e308, 11)
+        with pytest.raises(ValueError, match="outside the supported range"):
+            miso_region(self.seeded()[-1], 1e307, 11)
+        with pytest.raises(ValueError, match="outside the supported range"):
+            miso_capacity_point(self.WORKED, 1e308, 0.5)
+        # C1 and C2 are finite at 3e307 and alpha = 0.3, but the loss is not.
+        point = miso_capacity_point(self.WORKED, 3e307, 0.3)
+        with pytest.raises(ValueError, match="outside the supported range"):
+            miso_linear_point(self.WORKED, point)
+
+    def test_below_the_top_unchanged(self):
+        reg = miso_region(self.WORKED, 1e306, 3)
+        assert reg.c1.tolist() == [0.0, 1016.9259733638269, 1017.925973363827]
+        assert reg.c2.tolist() == [1016.9076531806202, 1016.4008647228252, 0.0]
+        assert reg.r1.tolist() == [0.0, 2.8199720495960037, 1017.925973363827]
+        assert reg.r2.tolist() == [1016.9076531806202, 2.294863408594324, 0.0]
+        point = miso_linear_point(self.WORKED, miso_capacity_point(self.WORKED, 1e306, 0.5))
+        assert (point.r1, point.r2) == (reg.r1[1], reg.r2[1])
+        for mc in self.seeded():
+            reg = miso_region(mc, 1e306, 11)
+            rates = np.array([reg.c1, reg.c2, reg.r1, reg.r2, reg.loss_bits])
+            assert np.isfinite(rates).all() and np.isfinite(reg.s_q).all()
+
+
 # The kernel's inputs as miso._capacity supplies them: reduced channel vectors of
 # length r <= 2.  PENCIL_Y[k] = c x + delta x_perp (c = 0.7 - 0.4j, x_perp =
 # (-conj x1, conj x0)) for the near-collinear cases, rounded once to float64.

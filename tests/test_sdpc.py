@@ -14,7 +14,6 @@ from bcsecrecy import (
 from bcsecrecy.errors import (
     DimensionMismatchError,
     NoConvergenceError,
-    NotPositiveDefiniteError,
     NotPositiveSemidefiniteError,
 )
 from bcsecrecy.checks import TOLERANCES
@@ -229,6 +228,13 @@ class TestSolveMatrixConstraint:
 
 class TestLazyFields:
     @pytest.mark.parametrize("n, rank", LAZY_GRID)
+    def test_repr_forms_nothing(self, n, rank):
+        rng = np.random.default_rng(100 * n + rank)
+        sol = solve_matrix_constraint(rand_channel(rng, n), constraint_of_rank(rng, n, rank))
+        assert "factor_vecs=" in repr(sol)
+        assert not {"isometry", "eigvecs"} & set(vars(sol.gevd))
+
+    @pytest.mark.parametrize("n, rank", LAZY_GRID)
     def test_transmit_fields_formed_once(self, n, rank, monkeypatch):
         rng = np.random.default_rng(100 * n + rank)
         ch = rand_channel(rng, n)
@@ -340,6 +346,9 @@ def constraints_of_every_rank(rng: np.random.Generator, n: int, per_rank: int = 
 # Corner of ``test_wide_spread_corner`` in bits, from 60-digit mpmath.
 SPREAD_R1 = 20.432814122395955
 SPREAD_R2 = 23.076052554923923
+# Corner of ``test_wide_spread_rank_two_corner`` in bits, from 60-digit mpmath.
+SPREAD2_R1 = 18.830092024552402
+SPREAD2_R2 = 14.391479859316085
 
 
 def error_type(call) -> type | None:
@@ -380,38 +389,42 @@ class TestStackedCorners:
         # eigenvalue of about 1e11 |h|^2.  With one receive antenna the other
         # is one, a spread past 1 / RANK_TOL, but it lies on range(S) only
         # when S has full rank: a rank-one S is solved on its range, alone
-        # as on its factor in the stack, and has a 1 x 1 pencil.
+        # as on its factor in the stack, and has a 1 x 1 pencil.  Neither
+        # raises.  With G = 0 the corner is (log2 det(I + H S H^H), 0), and
+        # for these H and S the determinant is 1 + sum_j s_jj ||H e_j||^2.
+        # R2 reads the rounding of the eigenvalue one, about eps sigma_max /
+        # sigma_min = 7e-11 on the SVD of the spread pencil; its eigh would
+        # round it by eps lambda_max = 2e-5.
         ch = Channel(cgauss(np.random.default_rng(31), (m, 2)), np.zeros((2, 2), dtype=complex))
         s = np.diag([1e11, weak]).astype(complex)
-        if weak > 0.0:
-            with pytest.raises(NotPositiveDefiniteError):
-                solve_matrix_constraint(ch, s)
-            with pytest.raises(NotPositiveDefiniteError):
-                _stacked_corners(ch, np.linalg.cholesky(s)[None])
-        else:
-            got, want = factor_corners(ch, s[None])
-            assert np.array_equal(got, want)
+        got, want = factor_corners(ch, s[None])
+        assert np.array_equal(got, want)
+        gain = np.sum(np.abs(ch.H) ** 2, axis=0) @ np.diag(s).real
+        assert want[0, 0] == pytest.approx(np.log1p(gain) / LN2, rel=1e-12)
+        assert 0.0 <= want[0, 1] <= 1e-10
 
     def test_errors_keep_type_and_name(self, fig_channel, monkeypatch):
-        # The pencil of test_raises_like_single_solves is refused by name, and
-        # an eigh failure of the shared core is typed, single or stacked.
+        # An eigh failure of the shared core is typed, single or stacked, and
+        # so is an SVD failure on the spread pencil of
+        # test_raises_like_single_solves, which alone takes the SVD.
         ch = Channel(cgauss(np.random.default_rng(31), (1, 2)), np.zeros((2, 2), dtype=complex))
-        f = np.linalg.cholesky(np.diag([1e11, 100.0]).astype(complex))
-        with pytest.raises(NotPositiveDefiniteError, match="pencil component A"):
-            _stacked_corners(ch, np.stack([np.eye(2), f]))
+        s = np.diag([1e11, 100.0]).astype(complex)
 
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
 
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        assert np.array_equal(*factor_corners(fig_channel, np.eye(2, dtype=complex)[None]))
+        with pytest.raises(NoConvergenceError, match="svd failed on reduced pencil"):
+            _stacked_corners(ch, np.stack([np.eye(2), np.linalg.cholesky(s)]))
+        with pytest.raises(NoConvergenceError, match="svd failed on reduced pencil"):
+            solve_matrix_constraint(ch, s)
         monkeypatch.setattr(np.linalg, "eigh", failing)
         with pytest.raises(NoConvergenceError, match="reduced pencil"):
             _stacked_corners(fig_channel, np.eye(2, dtype=complex)[None])
         with pytest.raises(NoConvergenceError, match="reduced pencil"):
             solve_matrix_constraint(fig_channel, np.eye(2))
 
-    @pytest.mark.xfail(strict=True, raises=NotPositiveDefiniteError,
-                       reason="ROADMAP item 1: the definiteness rejection of library-built "
-                              "pencils at an eigenvalue spread past 1 / RANK_TOL")
     def test_wide_spread_corner(self):
         # A rank-3 S of trace 1240 with channel entries of at most 9 spreads
         # the pencil's eigenvalues over 1e10 (1.4e6 to 1.4e-4).  The corner is
@@ -431,6 +444,21 @@ class TestStackedCorners:
         corner = solve_matrix_constraint(ch, s).corner
         for got in ([corner.R1, corner.R2], _stacked_corners(ch, f[None])[0]):
             assert np.allclose(got, [SPREAD_R1, SPREAD_R2], rtol=0.0, atol=1e-9)
+
+    def test_wide_spread_rank_two_corner(self):
+        # A rank-2 S of trace 884 spreads the pencil's eigenvalues over 1e10
+        # (4.7e5 to 4.7e-5).  Found by test_stacked_matches_single_solves,
+        # which both paths failed with NotPositiveDefiniteError.  The corner
+        # is from 60-digit mpmath on S^{1/2}.
+        h = np.full((4, 4), 7.0)
+        g = np.array([[9.0 + 1.0j, -3.0, -3.0, -3.0]])
+        s = np.full((4, 4), 219.0 + 0.0j)
+        s[0, 0] = 227.0
+        s[0, 1:], s[1:, 0] = 74.0 - 27.0j, 74.0 + 27.0j
+        ch = Channel(h, g)
+        got, want = factor_corners(ch, s[None])
+        assert np.array_equal(got, want)
+        assert np.allclose(want[0], [SPREAD2_R1, SPREAD2_R2], rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("gain, power", [(1.0, 1e307), (1.0, 1.5e308), (1e200, 1e10)])
     def test_overflowing_pencil_raises_like_single_solve(self, gain, power):
@@ -486,8 +514,8 @@ class TestCandidateMask:
     def test_masked_stack_raises_like_single_solves(self, bad):
         # A full-column constraint with eigenvalue -1e-9 ||S|| is refused by
         # the single solve; a pencil whose spread passes 1 / RANK_TOL (see
-        # test_raises_like_single_solves) is refused by both, the stack
-        # given the Cholesky factors of it and of a certifiable constraint.
+        # test_raises_like_single_solves) is solved by both, the stack given
+        # the Cholesky factors of it and of a certifiable constraint.
         rng = np.random.default_rng(70)
         if bad == "indefinite":
             ch = rand_channel(rng, 2)
@@ -496,12 +524,12 @@ class TestCandidateMask:
             ch = Channel(cgauss(rng, (1, 2)), np.zeros((2, 2), dtype=complex))
             s = np.diag([1e11, 100.0]).astype(complex)
         want = error_type(lambda: solve_matrix_constraint(ch, s))
-        assert want is {"indefinite": NotPositiveSemidefiniteError,
-                        "pencil": NotPositiveDefiniteError}[bad]
+        assert want is {"indefinite": NotPositiveSemidefiniteError, "pencil": None}[bad]
         if bad == "pencil":
-            f = np.linalg.cholesky(np.stack([rand_psd(rng, 2, 12.0), s]))
-            assert error_type(lambda: _stacked_corners(ch, f)) is want
-            assert error_type(lambda: _stacked_corners(ch, f[1:])) is want
+            stack = np.stack([rand_psd(rng, 2, 12.0), s])
+            got, want = factor_corners(ch, stack)
+            assert np.array_equal(got, want)
+            assert np.array_equal(_stacked_corners(ch, np.linalg.cholesky(s)[None]), want[1:])
 
 
 class TestOrthogonalityDefect:
