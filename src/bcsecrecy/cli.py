@@ -1,9 +1,10 @@
 """Command-line front end: JSON channels in, CSV or JSON results out.
 
 Exit codes: 0 success, 1 invariant violation (``check``), 2 malformed
-input, 3 numerical failure; failure messages name the subcommand.  Output
-is deterministic for fixed flags and seed, floats are written with
-round-trip precision, and line endings are always LF.
+input or a request too large for memory, 3 numerical failure; failure
+messages name the subcommand.  Output is deterministic for fixed flags and
+seed, floats are written with round-trip precision, and line endings are
+always LF.
 """
 
 import argparse
@@ -33,8 +34,9 @@ class InputFileError(Exception):
     """Channel or constraint file does not match the documented schema."""
 
 
-# Errors the user can fix by correcting flags or files, versus genuine
-# numerical failures inside an otherwise well-posed computation.
+# Errors the user can fix by correcting flags or files (a MemoryError is a
+# request past what memory holds, such as too many --samples), versus
+# genuine numerical failures inside an otherwise well-posed computation.
 INPUT_ERRORS = (
     InputFileError,
     DimensionMismatchError,
@@ -43,6 +45,7 @@ INPUT_ERRORS = (
     ZeroChannelError,
     ValueError,
     OSError,
+    MemoryError,
 )
 
 

@@ -11,7 +11,8 @@ Conventions
 * Eigenvalues are always returned in descending order; ties keep the
   ascending-solver index order, so results are deterministic.
 * Tolerances are relative to the matrix scale unless stated otherwise.
-* Checked kernels take one matrix; only ``_reduced_eigh`` takes (k, n, n) stacks.
+* Checked kernels take one matrix; only ``_reduced_eigh`` (with its
+  ``_tri_inv``) takes (k, n, n) stacks.
 """
 
 from dataclasses import dataclass
@@ -178,7 +179,7 @@ def gevd_definite(a: np.ndarray, b: np.ndarray) -> GevdResult:
 
 def _reduced_eigh(a: np.ndarray, b: np.ndarray) -> tuple:
     """The stacked core of ``gevd_definite``: (L^{-1}, w ascending, Phi, b) of (k, n, n) stacks."""
-    chol_inv = np.linalg.inv(_cholesky(b, "pencil component B"))
+    chol_inv = _tri_inv(_cholesky(b, "pencil component B"))
     # eigh reads one triangle only, so the product needs no symmetrizing.
     w, phi = _lapack("eigh", chol_inv @ a @ ctrans(chol_inv), "reduced pencil")
     # eigh rounds every eigenvalue by about eps lambda_max, which swamps one
@@ -191,6 +192,22 @@ def _reduced_eigh(a: np.ndarray, b: np.ndarray) -> tuple:
         u, sigma, _ = _lapack("svd", chol_inv[spread] @ chol_a, "reduced pencil")
         w[spread], phi[spread] = sigma[:, ::-1] ** 2, u[..., ::-1]
     return chol_inv, w, phi, np.count_nonzero(w > 1.0 + _split_tie(w[:, -1:]), axis=-1)
+
+
+def _tri_inv(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular L, or of each of a stack, by halves: the
+    inverses of L's diagonal blocks, and -L22^{-1} L21 L11^{-1} below them
+    (Du Croz and Higham, IMA J. Numer. Anal., 1992).  Order 16 or less takes
+    ``np.linalg.inv``."""
+    n = low.shape[-1]
+    if n <= 16:
+        return np.linalg.inv(low)
+    h = n // 2
+    inv = np.zeros_like(low)
+    inv[..., :h, :h] = _tri_inv(low[..., :h, :h])
+    inv[..., h:, h:] = _tri_inv(low[..., h:, h:])
+    inv[..., h:, :h] = -(inv[..., h:, h:] @ low[..., h:, :h]) @ inv[..., :h, :h]
+    return inv
 
 
 def _cholesky(a: np.ndarray, name: str) -> np.ndarray:

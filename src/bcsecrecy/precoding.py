@@ -13,7 +13,8 @@ The loss-bounded pair is never formed: forming its covariances and the
 projectors behind them costs several n_t^3 products each, and N and the exact
 rates need only one complete QR basis of the second block.  That block is
 read in the coordinates of the corner's factor F of S, where the layered
-rates and det(I + N^H N) are the same as in the transmit space.
+rates and det(I + N^H N) are the same as in the transmit space; the exact
+rates read that basis against the corner's own pencil.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotOrthogonalError
-from .linalg import LN2, _chol_logs, clamp_rate, ctrans, herm, logdet, rate_logdet
+from .linalg import LN2, _chol_logs, clamp_rate, ctrans, herm, rate_logdet
 from .sdpc import Channel, CornerPoint, SdpcSolution, orthogonality_defect
 
 # Largest block coupling accepted for the exact factorization.
@@ -48,12 +49,6 @@ def _layered(h_total: float, h_k2: float, g_total: float, g_k1: float) -> Corner
     r1 = h_total - h_k2 - g_k1
     r2 = g_total - g_k1 - h_k2
     return CornerPoint(clamp_rate(r1) / LN2, clamp_rate(r2) / LN2, provenance="linear")
-
-
-def _gram_logs(w: np.ndarray) -> np.ndarray:
-    """``_chol_logs`` of I + W^H W: its sum is ln det(I + W W^H), and the
-    sum of its first k entries the same for the first k columns of W."""
-    return _chol_logs(np.eye(w.shape[1]) + ctrans(w) @ w)
 
 
 def rate_evaluate(ch: Channel, pair: LinearPrecoderPair) -> CornerPoint:
@@ -131,27 +126,27 @@ def loss_bounded_precoders(sol: SdpcSolution) -> LossReport:
     * C2^H P2c = 0 makes P2c C1 = C1 + C2 N the residual of the least-squares
       fit N = -(C2^H C2)^{-1} C2^H C1 = -R2^{-1} Q2^H C1, and P1c C1 = 0
       leaves C2^H P1c P2c C1 = C2^H P1c C2 N.
-    * With W = X F Q, ln det(I + X K2 X^H) is the log-determinant of the
-      leading block of I + W^H W and ln det(I + X S X^H) that of the whole,
-      so one Cholesky factor per receiver gives both (Q2c's columns first
-      for G, whose layered term is K1).
+    * The channel is not read: I + (X F Q)^H (X F Q) is Q^H A Q for X = H
+      and Q^H B Q for X = G, with (A, B) the corner's pencil.  So the four
+      layered terms are ln det A, ln det(Q2^H A Q2), ln det B =
+      -2 sum ln |diag L^{-1}| for the solve's B = L L^H, and
+      ln det(Q2c^H B Q2c); every matrix factored has eigenvalues >= 1.
 
     Degenerate splits (b = 0 or b = rank) take the same path: N is empty and
     the pair is the corner's (K*, S - K*).
     """
     gevd = sol.gevd
-    ch = sol.channel
     k = sol.rank - gevd.b
     q, n_mat = _coupling(gevd.factor_vecs, gevd.b)
-    loss_bits = logdet(np.eye(gevd.b) + herm(ctrans(n_mat) @ n_mat)) / LN2
+    loss_bits = float(np.sum(_chol_logs(np.eye(gevd.b) + herm(ctrans(n_mat) @ n_mat)))) / LN2
     guaranteed = CornerPoint(
         clamp_rate(sol.corner.R1 - loss_bits),
         clamp_rate(sol.corner.R2 - loss_bits),
         provenance="linear-guaranteed",
     )
 
-    root = gevd.factor @ q
-    h_logs = _gram_logs(ch.H @ root)
-    g_logs = _gram_logs(np.roll(ch.G @ root, -k, axis=1))
-    exact = _layered(h_logs.sum(), h_logs[:k].sum(), g_logs.sum(), g_logs[: gevd.b].sum())
+    (a, b), q2, q2c = gevd.pencil, q[:, :k], q[:, k:]
+    ln_det_b = -2.0 * np.sum(np.log(np.abs(np.diagonal(gevd.chol_inv))))
+    exact = _layered(np.sum(_chol_logs(a)), np.sum(_chol_logs(ctrans(q2) @ a @ q2)),
+                     ln_det_b, np.sum(_chol_logs(ctrans(q2c) @ b @ q2c)))
     return LossReport(loss_bits, guaranteed, exact, sol)

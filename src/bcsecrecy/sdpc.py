@@ -36,11 +36,11 @@ from .linalg import (
     RANK_TOL,
     GevdResult,
     _check_hermitian,
+    _descending,
     _fix_phase,
     _reduced_eigh,
     clamp_rate,
     ctrans,
-    gevd_definite,
     herm,
     psd_range,
 )
@@ -90,13 +90,15 @@ class CornerPoint:
 
 
 class _CornerGevd(GevdResult):
-    """``GevdResult`` of the pencil of a factor F (``factor``) of the constraint,
-    whose eigenvectors are ``factor_vecs``; ``eigvecs`` = U ``factor_vecs``
+    """``GevdResult`` of the pencil (A, B) (``pencil``) of a factor F
+    (``factor``) of the constraint, whose eigenvectors are ``factor_vecs``,
+    with L^{-1} (``chol_inv``) for B = L L^H; ``eigvecs`` = U ``factor_vecs``
     with pinned phases, formed on first read."""
 
-    def __init__(self, gevd: GevdResult, factor: np.ndarray, basis: np.ndarray | None):
-        self.factor_vecs, self.eigvals, self.b = gevd.eigvecs, gevd.eigvals, gevd.b
-        self.factor, self._basis = factor, basis
+    def __init__(self, factor_vecs: np.ndarray, eigvals: np.ndarray, b: int, factor: np.ndarray,
+                 basis: np.ndarray | None, pencil: tuple, chol_inv: np.ndarray):
+        self.factor_vecs, self.eigvals, self.b = factor_vecs, eigvals, b
+        self.factor, self._basis, self.pencil, self.chol_inv = factor, basis, pencil, chol_inv
 
     def __repr__(self) -> str:
         # GevdResult's dataclass repr would read eigvecs, and so form it.
@@ -124,7 +126,9 @@ class SdpcSolution:
     ``gevd`` holds one eigenpair per dimension of range(S).  Stored when
     solved: the factor F of S (``gevd.factor``, n_t x ``rank``), the
     eigenvectors of F's pencil (``gevd.factor_vecs``), ``gevd.eigvals``,
-    ``gevd.b``, ``corner`` and ``rank``.  Formed on first read, then kept,
+    ``gevd.b``, F's pencil (A, B) (``gevd.pencil``), L^{-1} for B = L L^H
+    (``gevd.chol_inv``), ``corner`` and ``rank``; ``s`` is the checked,
+    exactly Hermitian constraint.  Formed on first read, then kept,
     and the same whichever factor was taken: ``s_sqrt`` = S^{1/2};
     ``kt_star``; and ``gevd.eigvecs``, n_t x ``rank``, whose columns
     diagonalize the pencil of ``s_sqrt``, ``_pencil(s_sqrt, H, G)``, each
@@ -204,7 +208,7 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
     respectively.  A zero constraint gives an empty pencil, rates (0, 0) and
     covariance 0.
     """
-    s = np.asarray(s, dtype=complex)
+    s = np.array(s, dtype=complex)  # a copy: the solution keeps S, never the caller's array
     if s.shape != (ch.n_t, ch.n_t):
         raise DimensionMismatchError(
             f"constraint must be {ch.n_t}x{ch.n_t} to match the channel's transmit antennas, "
@@ -217,9 +221,23 @@ def solve_matrix_constraint(ch: Channel, s: np.ndarray) -> SdpcSolution:
         w, v, rank = psd_range(s, "constraint")
         basis = v[:, :rank]
         f = basis * np.sqrt(w[:rank])
-    gevd = _CornerGevd(gevd_definite(*_pencil(f, ch.H, ch.G)), f, basis)
+    (a, b), (chol_inv, w, phi, split) = _solve_pencils(f[None], ch.H, ch.G)
+    eigvals, phi = _descending(w[0], phi[0])
+    gevd = _CornerGevd(ctrans(chol_inv[0]) @ phi, eigvals, int(split[0]), f, basis,
+                       (a[0], b[0]), chol_inv[0])
     r1, r2 = _rates_bits(gevd.eigvals, gevd.b)
-    return SdpcSolution(ch, herm(s), gevd, CornerPoint(r1, r2, provenance="sdpc"), f.shape[1])
+    return SdpcSolution(ch, s, gevd, CornerPoint(r1, r2, provenance="sdpc"), f.shape[1])
+
+
+def _solve_pencils(f: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple:
+    """``_pencil(f, h, g)`` of a ``(count, n_t, r)`` factor stack, and its
+    ``_reduced_eigh``: both corner paths' solve.  The pencils are Hermitian
+    by construction, so they are only checked to be finite."""
+    pencil = _pencil(f, h, g)
+    for name, x in zip("AB", pencil):
+        if not np.isfinite(x).all():
+            raise ValueError(f"pencil component {name} has non-finite entries")
+    return pencil, _reduced_eigh(*pencil)
 
 
 def _stacked_corners(ch: Channel, f: np.ndarray) -> np.ndarray:
@@ -227,11 +245,10 @@ def _stacked_corners(ch: Channel, f: np.ndarray) -> np.ndarray:
     ``(count, n_t, k)`` stack of factors F of full column rank k.
 
     Each pencil is the one ``solve_matrix_constraint`` builds from its
-    factor, and all are solved as one batch of ``_reduced_eigh``, which
-    ``gevd_definite`` runs on a stack of one; only eigenvalues are read.
-    Given the factors ``solve_matrix_constraint`` takes, the rates equal its
-    rates bit for bit, and the pencils raise as its do.  The pencils are
-    Hermitian by construction, so they are only checked to be finite.
+    factor, and all are solved as one batch of ``_solve_pencils``, which
+    ``solve_matrix_constraint`` runs on a stack of one; only eigenvalues are
+    read.  Given the factors ``solve_matrix_constraint`` takes, the rates
+    equal its rates bit for bit, and the pencils raise as its do.
     """
     # C order: with one receive antenna, H F rounds differently on a column-major F.
     f = np.ascontiguousarray(f, dtype=complex)
@@ -239,11 +256,7 @@ def _stacked_corners(ch: Channel, f: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"factors must form a (count, {ch.n_t}, k) stack, got shape {f.shape}"
         )
-    pencil = _pencil(f, ch.H, ch.G)
-    for name, x in zip("AB", pencil):
-        if not np.isfinite(x).all():
-            raise ValueError(f"pencil component {name} has non-finite entries")
-    _, lam, _, b = _reduced_eigh(*pencil)
+    _, (_, lam, _, b) = _solve_pencils(f, ch.H, ch.G)
     return np.stack(_rates_bits(np.ascontiguousarray(lam[:, ::-1]), b), axis=-1)
 
 

@@ -302,6 +302,21 @@ class TestInputErrors:
         assert "samples must be at most 2**32" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_samples_past_memory(self, fig_file, tmp_path, capsys, monkeypatch):
+        # A count inside the bound whose arrays do not fit in memory: the
+        # search is faked to fail as numpy does, so nothing large is allocated.
+        import bcsecrecy.cli as cli_mod
+
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 64.0 GiB for an array with shape (4294967397, 2)")
+
+        monkeypatch.setattr(cli_mod, "search_region", too_big)
+        out = tmp_path / "huge.csv"
+        args = ["baseline", "--channels", fig_file, "--samples", str(2**32), "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("baseline: Unable to allocate 64.0 GiB")
+        assert not out.exists()
+
 
 class TestNumericalFailure:
     def test_nan_channel_is_input_error(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from bcsecrecy.errors import (
 )
 from bcsecrecy.linalg import (
     COND_LIMIT,
+    _tri_inv,
     clamp_rate,
     gevd_definite,
     herm,
@@ -164,6 +165,29 @@ class TestGevd:
         assert res.b == 1
         c = res.eigvecs
         assert np.allclose(c.conj().T @ b @ c, np.eye(2), atol=1e-12)
+
+
+class TestTriInv:
+    """The inverse by halves of a Cholesky factor, which ``_reduced_eigh`` takes."""
+
+    @pytest.mark.parametrize("n", [1, 16, 17, 33, 128])
+    def test_matches_general_inverse(self, n):
+        rng = np.random.default_rng(70 + n)
+        x = cgauss(rng, (3, n, n))
+        low = np.linalg.cholesky(x @ x.conj().swapaxes(-1, -2) + np.eye(n))
+        stacked = _tri_inv(low)
+        for i in range(len(low)):
+            got, want = _tri_inv(low[i]), np.linalg.inv(low[i])
+            assert np.array_equal(stacked[i], got)
+            if n <= 16:
+                # Small factors take the general inverse itself, bit for bit.
+                assert np.array_equal(got, want)
+                continue
+            # The block above the split is zero; the diagonal blocks are
+            # general inverses, whose upper triangles may hold rounding.
+            assert not got[: n // 2, n // 2:].any()
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.max(np.abs(got @ low[i] - np.eye(n))) <= 1e-13
 
 
 class TestOneMatrix:

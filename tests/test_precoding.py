@@ -1,5 +1,7 @@
 """Linear precoding: exact optimality when orthogonal, certified loss otherwise."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from bcsecrecy import (
 )
 from bcsecrecy.errors import NotOrthogonalError
 from bcsecrecy.linalg import LN2, herm, projector
+from bcsecrecy.sdpc import SdpcSolution
 from conftest import (
     FIG_PT,
     LAZY_GRID,
@@ -252,6 +255,51 @@ def test_factored_loss_matches_explicit_construction():
         assert abs(report.guaranteed.R2 - guaranteed[1]) <= 1e-10
         assert abs(report.exact.R1 - exact.R1) <= 1e-10
         assert abs(report.exact.R2 - exact.R2) <= 1e-10
+
+
+@pytest.mark.parametrize("pt", [1.0, 1e4, 1e8])
+@pytest.mark.parametrize("full", [True, False])
+@pytest.mark.parametrize("n", [2, 4, 17, 33])
+def test_exact_rates_match_explicit_construction(n, full, pt):
+    # Splits b = 0, rank / 2 and rank, on S of full or half rank and trace
+    # pt.  The explicit construction forms covariances of norm about pt, so
+    # it rounds by about eps pt per antenna: the tolerance is 16 times that.
+    rank = n if full else n // 2
+    for b in sorted({0, rank // 2, rank}):
+        rng = np.random.default_rng(1000 * n + 10 * rank + b)
+        u = np.linalg.qr(cgauss(rng, (n, rank)))[0]
+        w = rng.uniform(0.5, 2.0, rank)
+        s = herm((u * (w * pt / w.sum())) @ u.conj().T)
+        h, g = (cgauss(rng, (m, n)) if m else np.zeros((1, n)) for m in (b, rank - b))
+        sol = solve_matrix_constraint(Channel(h, g), s)
+        assert sol.gevd.b == b
+        report = loss_bounded_precoders(sol)
+        exact = _explicit_loss(sol)[3]
+        for got, want in ((report.exact.R1, exact.R1), (report.exact.R2, exact.R2)):
+            tol = 16 * np.finfo(float).eps * (1.0 + pt) * n * (1.0 + abs(want))
+            assert abs(got - want) <= tol
+
+
+class _Blind(SdpcSolution):
+    """A solution whose channel raises when read."""
+
+    @property
+    def channel(self):
+        raise AssertionError("the channel was read")
+
+
+@pytest.mark.parametrize("n, rank", LAZY_GRID)
+def test_loss_step_reads_no_channel(n, rank):
+    # The exact rates come from the corner's own pencil.
+    rng = np.random.default_rng(300 + 10 * n + rank)
+    sol = solve_matrix_constraint(rand_channel(rng, n), constraint_of_rank(rng, n, rank))
+    want = loss_bounded_precoders(sol)
+    blind = copy.copy(sol)
+    blind.__class__ = _Blind
+    with pytest.raises(AssertionError, match="channel was read"):
+        blind.channel
+    got = loss_bounded_precoders(blind)
+    assert (got.loss_bits, got.guaranteed, got.exact) == (want.loss_bits, want.guaranteed, want.exact)
 
 
 @pytest.mark.parametrize("n, rank", LAZY_GRID)

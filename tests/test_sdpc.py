@@ -173,6 +173,13 @@ class TestSolveMatrixConstraint:
         assert (sol.corner.R1, sol.corner.R2) == (0.0, 0.0)
         assert np.allclose(sol.kt_star, 0.0)
 
+    def test_solution_keeps_its_own_constraint(self, fig_channel):
+        # An exactly Hermitian complex S is stored unchanged, but not shared.
+        s = 6.0 * np.eye(2, dtype=complex)
+        sol = solve_matrix_constraint(fig_channel, s)
+        s[:] = 0.0
+        assert np.array_equal(sol.s, 6.0 * np.eye(2))
+
     def test_rejects_indefinite_constraint(self, fig_channel):
         with pytest.raises(NotPositiveSemidefiniteError):
             solve_matrix_constraint(fig_channel, np.diag([1.0, -1.0]).astype(complex))
@@ -373,6 +380,14 @@ class TestStackedCorners:
         stack = constraints_of_every_rank(rng, ch.n_t)
         got, want = factor_corners(ch, stack)
         assert got.shape == (stack.shape[0], 2)
+        assert np.array_equal(got, want)
+
+    def test_matches_single_solves_past_split(self):
+        # From rank 17 on, the Cholesky factor of B is inverted by halves.
+        rng = np.random.default_rng(33)
+        ch = rand_channel(rng, 20)
+        stack = constraints_of_every_rank(rng, ch.n_t, per_rank=1)
+        got, want = factor_corners(ch, stack)
         assert np.array_equal(got, want)
 
     def test_zero_constraint_is_origin(self, fig_channel):
