@@ -3,9 +3,9 @@
 The channel pair is rotated into a basis where both Gram matrices are
 diagonal: with W = (H^H H + G^H G)^{-1/2}, the whitened Grams W H^H H W and
 W G^H G W commute, share eigenvectors Phi, and have eigenvalue profiles
-sigma1, sigma2 with sigma1 + sigma2 = 1; all of them come from SVDs of the
-channels, not from Gram matrices.  Subchannels with sigma1 > sigma2 serve
-user 1, the rest user 2, and S = W Phi diag(p) Phi^H W decouples the problem
+sigma1, sigma2 with sigma1 + sigma2 = 1; all come from SVDs, the first of
+[H; G], whose U holds the whitened channels.  Subchannels with sigma1 > sigma2
+serve user 1, the rest user 2, and S = W Phi diag(p) Phi^H W decouples the problem
 into two scalar water-filling allocations, one per user, tied by a split alpha.
 
 Each split yields one rectangle corner; sweeping alpha and convexifying
@@ -41,30 +41,29 @@ LEVEL_REL_TOL = 1e-13
 LEVEL_MAX_ITER = 200
 
 
-def reduce_nullspace(ch: Channel) -> tuple[Channel, np.ndarray, np.ndarray]:
-    """Restrict the channel to the row space of [H; G] = U S V^H, the range of H^H H + G^H G.
+def reduce_nullspace(ch: Channel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kept factors U_r, sigma_r, V_r of [H; G] = U S V^H, on the range of H^H H + G^H G.
 
     Directions in the common null space can never carry rate, so dropping them
-    loses nothing and makes the whitening well defined.  Returns the reduced
-    channel, the right singular vectors V_r kept, and their sigma^2 (descending,
-    each above ``RANK_TOL`` times the largest), the reduced Gram sum's diagonal.
+    loses nothing and makes the whitening well defined.  sigma_r descends, each
+    sigma_i^2 above ``RANK_TOL`` times the largest.  As [H; G] V_r = U_r diag(sigma_r),
+    U_r's two row blocks are the whitened H and G, X V_r diag(1/sigma_r).
     """
-    _, sv, vh = _lapack("svd", np.vstack([ch.H, ch.G]), "stacked channel", full_matrices=False)
+    u, sv, vh = _lapack("svd", np.vstack([ch.H, ch.G]), "stacked channel", full_matrices=False)
     if not np.all(sv[:1] ** 2 < np.inf):
         raise ValueError(f"the stacked channel's singular value {sv[0]:.6g} squares past float64")
     rank = np.count_nonzero(sv * sv > RANK_TOL * sv[:1] ** 2)
     if rank == 0:
         raise ZeroChannelError("both channel matrices are numerically zero")
-    u_p = vh[:rank].conj().T
-    return Channel(ch.H @ u_p, ch.G @ u_p), u_p, sv[:rank] ** 2
+    return u[:, :rank], sv[:rank], vh[:rank].conj().T
 
 
 @dataclass
 class DiagonalizedChannel:
     """Common eigenbasis of the whitened channel Grams.
 
-    ``basis`` = U_p W Phi (n_t x n) is the range basis of ``reduce_nullspace``,
-    the whitening and the common eigenvectors in one product.
+    ``basis`` = V_r diag(1/sigma_r) Phi (n_t x n) holds the range basis of
+    ``reduce_nullspace``, the whitening and the common eigenvectors in one product.
 
     Entries are ordered so the first ``rho`` subchannels have sigma1 > sigma2
     (by more than the tie tolerance), descending sigma1 within each block.
@@ -83,13 +82,13 @@ class DiagonalizedChannel:
         return self.sigma1.size
 
 
-def _refine_ties(sigma1: np.ndarray, phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _refine_ties(sigma1: np.ndarray, phi: np.ndarray, sv: np.ndarray) -> np.ndarray:
     """Resolve the basis freedom inside near-degenerate sigma1 clusters.
 
     Within a cluster both whitened Grams are scaled identities (sigma2 is
     pinned to 1 - sigma1), so any rotation of its columns preserves the
-    joint diagonalization.  Rotating to the right singular vectors of W Phi_c,
-    the eigenbasis of the restricted power-cost matrix (W Phi_c)^H (W Phi_c),
+    joint diagonalization.  Rotating to the right singular vectors of
+    diag(1/sigma_r) Phi_c, the eigenbasis of the restricted power-cost matrix,
     makes the costs extremal, which is what lets the allocation collapse to
     plain water-filling capacity when one channel vanishes.
     """
@@ -98,7 +97,7 @@ def _refine_ties(sigma1: np.ndarray, phi: np.ndarray, w: np.ndarray) -> np.ndarr
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 2:
             continue
-        vh = _lapack("svd", w @ phi[:, lo:hi], "whitened cluster", full_matrices=False)[2]
+        vh = _lapack("svd", phi[:, lo:hi] / sv[:, None], "whitened cluster", full_matrices=False)[2]
         phi[:, lo:hi] = phi[:, lo:hi] @ vh.conj().T
     return phi
 
@@ -106,26 +105,26 @@ def _refine_ties(sigma1: np.ndarray, phi: np.ndarray, w: np.ndarray) -> np.ndarr
 def diagonalize(ch: Channel) -> DiagonalizedChannel:
     """Whiten and jointly diagonalize a channel pair.
 
-    W = diag(1/sigma) in the basis of ``reduce_nullspace``, Phi holds the right
-    singular vectors of H_r W, and sigma1, sigma2 are squared column norms.
+    Phi holds the right singular vectors of the whitened H, the first row block
+    of ``reduce_nullspace``'s U_r, and sigma1, sigma2 are squared column norms
+    of both blocks times Phi, so sigma1 + sigma2 = 1 to rounding.
     """
-    ch_r, u_p, lam = reduce_nullspace(ch)
-    w = np.diag(1.0 / np.sqrt(lam))
-    phi = _lapack("svd", ch_r.H @ w, "whitened H")[2].conj().T
-    phi = _refine_ties(np.sum(np.abs(ch_r.H @ w @ phi) ** 2, axis=0), phi, w)
-    sigma1, sigma2 = (np.sum(np.abs(x @ w @ phi) ** 2, axis=0) for x in (ch_r.H, ch_r.G))
+    u_r, sv, v_r = reduce_nullspace(ch)
+    u_h, u_g = u_r[:ch.H.shape[0]], u_r[ch.H.shape[0]:]
+    phi = _lapack("svd", u_h, "whitened H")[2].conj().T
+    phi = _refine_ties(np.sum(np.abs(u_h @ phi) ** 2, axis=0), phi, sv)
+    sigma1, sigma2 = (np.sum(np.abs(x @ phi) ** 2, axis=0) for x in (u_h, u_g))
 
     # Stable partition: user-1 subchannels first, original order inside blocks.
     strong1 = (sigma1 - sigma2) > SIGMA_TIE_TOL
     order = np.r_[np.flatnonzero(strong1), np.flatnonzero(~strong1)]
-    sigma1, sigma2, phi = sigma1[order], sigma2[order], phi[:, order]
-    w_phi = w @ phi
+    sigma1, sigma2, w_phi = sigma1[order], sigma2[order], phi[:, order] / sv[:, None]
     a = np.sum(np.abs(w_phi) ** 2, axis=0)
-    return DiagonalizedChannel(u_p @ w_phi, sigma1, sigma2, a, int(strong1.sum()))
+    return DiagonalizedChannel(v_r @ w_phi, sigma1, sigma2, a, int(strong1.sum()))
 
 
 def make_matrix_constraint(dc: DiagonalizedChannel, p: np.ndarray) -> np.ndarray:
-    """Transmit covariance U_p W Phi diag(p) Phi^H W U_p^H, from ``dc.basis``."""
+    """Transmit covariance basis diag(p) basis^H, from ``dc.basis``."""
     p = np.asarray(p, dtype=float)
     if p.shape != (dc.n,):
         raise DimensionMismatchError(f"expected {dc.n} powers, got shape {p.shape}")
@@ -420,7 +419,7 @@ def waterfill_capacity(h: np.ndarray, pt: float) -> float:
     check_split(1.0, pt)
     h = np.atleast_2d(h)
     try:
-        lam = reduce_nullspace(Channel(h, np.zeros((1, h.shape[1]))))[2]
+        lam = reduce_nullspace(Channel(h, np.zeros((1, h.shape[1]))))[1] ** 2
     except ZeroChannelError:
         return 0.0
     p, _ = waterfill_high_snr(lam, np.zeros(lam.size), np.ones(lam.size), pt)

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .avgpower import _blocks, _check_count, allocate, corner_rates, diagonalize, make_matrix_constraint
-from .linalg import RANK_TOL, _split_tie, herm, projector, psd_sqrt, rate_logdet
+from .linalg import _split_tie, herm, projector, psd_sqrt, rate_logdet
 from .precoding import loss_bounded_precoders, optimal_precoders, rate_evaluate
 from .sdpc import Channel, SdpcSolution, _pencil, orthogonality_defect, solve_matrix_constraint
 
@@ -116,16 +116,16 @@ def _gevd_residuals(ch, s_sqrt, res):
     return np.maximum(diag, unit), eig
 
 
-def _rank_bound_counts(ch: Channel, sol: SdpcSolution) -> tuple[int, int, int, int]:
-    """(b, pencil eigenvalues below one, positive and negative eigenvalues w of
-    H^H H - G^H G).  The split b can never exceed the positive count, nor the
-    below-one count the negative one.  Pencil eigenvalues within ``_split_tie``
-    of one, and w within RANK_TOL max|w| of zero, are not counted."""
-    w = np.linalg.eigvalsh(herm(ch.H.conj().T @ ch.H) - herm(ch.G.conj().T @ ch.G))
-    cut = RANK_TOL * np.abs(w).max()
+def _rank_bound_counts(dc, sol: SdpcSolution) -> tuple[int, int, int, int]:
+    """(b, pencil eigenvalues below one, and the live subchannels of each user's
+    block in ``_blocks(dc)``: by Sylvester's law, the positive and negative
+    eigenvalues of H^H H - G^H G on the range).  b can never exceed the third,
+    nor the below-one count the fourth.  Ties, within ``_split_tie`` of one or
+    ``SIGMA_TIE_TOL`` of sigma1 = sigma2, count on neither side."""
     lam = sol.gevd.eigvals
     below = np.count_nonzero(lam < 1.0 - _split_tie(lam.max(initial=0.0)))
-    return sol.gevd.b, int(below), int(np.count_nonzero(w > cut)), int(np.count_nonzero(w < -cut))
+    m_pos, m_neg = (int(np.count_nonzero(live)) for *_, live in _blocks(dc))
+    return sol.gevd.b, int(below), m_pos, m_neg
 
 
 def _waterfill_residuals(dc, alloc, pt):
@@ -192,14 +192,14 @@ def run_battery(trials: int, dim: int, seed: int) -> CheckReport:
         note("swap_symmetry", abs(sol.corner.R1 - swapped.corner.R2))
         note("swap_symmetry", abs(sol.corner.R2 - swapped.corner.R1))
 
-        b, below, m_pos, m_neg = _rank_bound_counts(ch, sol)
+        dc = diagonalize(ch)
+        b, below, m_pos, m_neg = _rank_bound_counts(dc, sol)
         note("rank_bound", 0.0 if b <= m_pos and below <= m_neg else 1.0)
 
         loss = loss_bounded_precoders(sol)
         note("loss_identity", abs(loss.exact.R1 - loss.guaranteed.R1))
         note("loss_identity", abs(loss.exact.R2 - loss.guaranteed.R2))
 
-        dc = diagonalize(ch)
         note("sigma_sum", float(np.max(np.abs(dc.sigma1 + dc.sigma2 - 1.0))))
 
         gh, gg = _pencil(dc.basis, ch.H, ch.G)

@@ -145,10 +145,10 @@ def _capacity(mc: MisoChannel, pt: float, alphas: np.ndarray):
     e1, e2 and the noise 1 + alpha pt |g^H e1|^2 per split of ``alphas``
     (1-D, or 0-d for one split); e1 and e2 are on the span."""
     check_split(alphas, pt)
-    ch_r, u_p, _ = reduce_nullspace(mc.as_channel())
-    h, g = ch_r.H[0].conj(), ch_r.G[0].conj()
-    # The coordinates of [h, g] on the span are Sigma V^H for a unitary V, so
-    # the two products of det[g, h] never cancel.
+    u_r, sv, u_p = reduce_nullspace(mc.as_channel())
+    # The coordinates of [h, g] on the span are Sigma_r U_r^H, U_r unitary
+    # when r = 2, so the two products of det[g, h] never cancel.
+    h, g = (u_r * sv).conj()
     cross = _det(g, h) if h.size == 2 else 0j
     first, rest = alphas * pt, (1.0 - alphas) * pt
     # Past the top of the power range pt |h|^2 overflows; ``_check_range`` reports it.

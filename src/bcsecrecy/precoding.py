@@ -18,7 +18,6 @@ rates read that basis against the corner's own pencil.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -97,19 +96,12 @@ class LossReport:
     Both users give up at most ``loss_bits`` = log2 det(I + N^H N) relative
     to the corner.  ``exact`` holds the actually achieved rates of the
     constructed pair, ``guaranteed`` the lower bound max(0, corner - loss).
-    ``n_mat`` = -(C2^H C2)^{-1} C2^H C1 couples the transmit-space blocks of
-    ``solution``, with their pinned phases; it is formed on first read.
     """
 
     loss_bits: float
     guaranteed: CornerPoint
     exact: CornerPoint
     solution: SdpcSolution = field(repr=False)
-
-    @cached_property
-    def n_mat(self) -> np.ndarray:
-        gevd = self.solution.gevd
-        return _coupling(gevd.eigvecs, gevd.b)[1]
 
 
 def loss_bounded_precoders(sol: SdpcSolution) -> LossReport:

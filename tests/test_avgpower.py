@@ -41,21 +41,21 @@ class TestReduceNullspace:
     def test_full_rank_keeps_dimension(self):
         rng = np.random.default_rng(0)
         ch = rand_channel(rng, 3, m1=3, m2=3)
-        ch_r, u_p, lam = reduce_nullspace(ch)
-        assert u_p.shape == (3, 3)
-        assert ch_r.H.shape == (3, 3)
-        # The reduced Gram sum is diagonal, with the returned eigenvalues.
-        m_r = gram(ch_r.H) + gram(ch_r.G)
-        assert np.linalg.norm(m_r - np.diag(lam)) <= 1e-12 * lam[0]
+        u_r, sv, v_r = reduce_nullspace(ch)
+        assert v_r.shape == (3, 3)
+        assert u_r.shape == (6, 3)
+        # The reduced Gram sum is diagonal, with the returned sigma^2.
+        m_r = gram(ch.H @ v_r) + gram(ch.G @ v_r)
+        assert np.linalg.norm(m_r - np.diag(sv ** 2)) <= 1e-12 * sv[0] ** 2
 
     def test_common_subspace_detected(self):
         rng = np.random.default_rng(1)
         basis = np.linalg.qr(cgauss(rng, (3, 2)))[0]
         ch = Channel(cgauss(rng, (2, 2)) @ basis.conj().T, cgauss(rng, (2, 2)) @ basis.conj().T)
-        ch_r, u_p, lam = reduce_nullspace(ch)
-        assert u_p.shape == (3, 2)
-        assert ch_r.H.shape == (2, 2)
-        assert lam.shape == (2,)
+        u_r, sv, v_r = reduce_nullspace(ch)
+        assert v_r.shape == (3, 2)
+        assert u_r.shape == (4, 2)
+        assert sv.shape == (2,)
 
     def test_zero_channels_rejected(self):
         ch = Channel(np.zeros((2, 3), dtype=complex), np.zeros((2, 3), dtype=complex))
@@ -74,8 +74,8 @@ class TestReduceNullspace:
         # g = [2, 2.00011].  A change of the rank rule has to restate this test.
         h = np.array([1.0, 1.0])
         for g, rank in (([2.0, 2.0001], 1), ([2.0, 2.00011], 2)):
-            _, u_p, lam = reduce_nullspace(MisoChannel(h, np.array(g)).as_channel())
-            assert u_p.shape == (2, rank) and lam.shape == (rank,)
+            _, sv, v_r = reduce_nullspace(MisoChannel(h, np.array(g)).as_channel())
+            assert v_r.shape == (2, rank) and sv.shape == (rank,)
 
 
 class TestDiagonalize:
@@ -103,6 +103,21 @@ class TestDiagonalize:
             dc = diagonalize(rand_channel(rng, int(rng.integers(2, 6))))
             assert np.max(np.abs(dc.sigma1 + dc.sigma2 - 1.0)) <= 1e-9
             assert np.all(dc.a > 0)
+
+    @pytest.mark.parametrize("scale", [1e1, 1e2, 1e3, 1e4, 3e4])
+    def test_sigma_sum_with_one_weak_direction(self, scale):
+        # [H; G] shrunk by 1/scale along one random transmit direction u.
+        # sigma1 + sigma2 are the squared column norms of U_r Phi, which has
+        # orthonormal columns, so they sum to one within a few eps at any
+        # scale.  Whitening H V_r by 1/sigma_r instead amplifies its rounding
+        # by the conditioning of [H; G]: 1.7e2 to 2.0e5 eps worst per scale.
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            h, g, u = cgauss(rng, (3, 4)), cgauss(rng, (3, 4)), cgauss(rng, 4)
+            shrink = np.eye(4) - (1.0 - 1.0 / scale) * np.outer(u, u.conj()) / np.vdot(u, u).real
+            dc = diagonalize(Channel(h @ shrink, g @ shrink))
+            assert np.max(np.abs(dc.sigma1 + dc.sigma2 - 1.0)) <= 16 * eps
 
     def test_whitened_grams_commute(self):
         rng = np.random.default_rng(4)
@@ -620,6 +635,12 @@ class TestPointToPointLimit:
         with pytest.raises(ValueError, match="total power"):
             waterfill_capacity(gain * np.eye(2, dtype=complex), pt)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_capacity_rejects_nonfinite_channel(self, bad):
+        # Checked through Channel, not left to the SVD's LinAlgError.
+        with pytest.raises(ValueError, match="channel matrices have non-finite entries"):
+            waterfill_capacity(np.array([[bad, 1.0]]), 1.0)
+
 
 class TestPowerRangeEnds:
     """Water filling at the ends of the float64 power range: a value or the
@@ -632,7 +653,7 @@ class TestPowerRangeEnds:
             assert waterfill_capacity(np.array([[0.7]]), pt) == pytest.approx(want, rel=1e-12)
 
     def test_worked_capacity_at_tiny_budgets(self):
-        lam = reduce_nullspace(Channel(FIG_H, np.zeros((1, 2))))[2]
+        lam = reduce_nullspace(Channel(FIG_H, np.zeros((1, 2))))[1] ** 2
         for pt in (1e-18, 1e-30):
             p, _ = waterfill(lam, np.zeros(2), np.ones(2), pt)
             want = float(np.sum(np.log1p(lam * p))) / LN2

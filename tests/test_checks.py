@@ -126,7 +126,7 @@ class TestRankBound:
         rng = np.random.default_rng(10)
         h = cgauss(rng, (3, 3))
         ch = Channel(h, np.zeros((1, 3), dtype=complex))
-        counts = _rank_bound_counts(ch, solve_matrix_constraint(ch, rand_psd(rng, 3)))
+        counts = _rank_bound_counts(diagonalize(ch), solve_matrix_constraint(ch, rand_psd(rng, 3)))
         assert counts[2] == 3
         assert bound_holds(counts)
 
@@ -134,7 +134,7 @@ class TestRankBound:
         rng = np.random.default_rng(11)
         h = cgauss(rng, (3, 3))
         ch = Channel(h, h.copy())
-        counts = _rank_bound_counts(ch, solve_matrix_constraint(ch, rand_psd(rng, 3)))
+        counts = _rank_bound_counts(diagonalize(ch), solve_matrix_constraint(ch, rand_psd(rng, 3)))
         b, _, m_pos, _ = counts
         assert m_pos == 0
         assert b == 0
@@ -145,7 +145,7 @@ class TestRankBound:
         for _ in range(100):
             ch = rand_channel(rng, 4)
             sol = solve_matrix_constraint(ch, rand_psd(rng, 4, trace=4.0))
-            assert bound_holds(_rank_bound_counts(ch, sol))
+            assert bound_holds(_rank_bound_counts(diagonalize(ch), sol))
 
     def test_eigenvalue_at_one_is_a_tie(self):
         # With one-row H and G on three antennas, S = I puts one pencil
@@ -156,11 +156,27 @@ class TestRankBound:
         for _ in range(200):
             ch = Channel(cgauss(rng, (1, 3)), cgauss(rng, (1, 3)))
             sol = solve_matrix_constraint(ch, np.eye(3))
-            counts = _rank_bound_counts(ch, sol)
+            counts = _rank_bound_counts(diagonalize(ch), sol)
             assert counts[2:] == (1, 1)
             assert bound_holds(counts)
             untied += np.count_nonzero(sol.gevd.eigvals < 1.0) > counts[3]
         assert untied > 0
+
+    def test_counts_under_a_wide_gram_spread(self, monkeypatch):
+        # Both subchannels favour user 1, so H^H H - G^H G = diag(5e9, 0.19)
+        # has two positive eigenvalues; a cut relative to the largest, 1e-10
+        # of 5e9, would drop 0.19 and count one against b = 2.  The corner
+        # is exact: S = I serves both subchannels.
+        h, g = np.diag([math.sqrt(7.5e9), 1.0]), np.diag([math.sqrt(2.5e9), 0.9])
+        ch = Channel(h, g)
+        sol = solve_matrix_constraint(ch, np.eye(2))
+        want = math.log2((1 + 7.5e9) / (1 + 2.5e9)) + math.log2(2.0 / 1.81)
+        assert sol.corner.R1 == pytest.approx(want, rel=1e-12) and sol.corner.R2 == 0.0
+        assert _rank_bound_counts(diagonalize(ch), sol) == (2, 0, 2, 0)
+        monkeypatch.setattr(checks_mod, "random_channel", lambda rng, dim: ch)
+        monkeypatch.setattr(checks_mod, "random_constraint", lambda rng, dim, trace: np.eye(dim))
+        report = run_battery(trials=1, dim=2, seed=0)
+        assert {r.name: r.max_residual for r in report.results}["rank_bound"] == 0.0
 
 
 class TestInvariantResult:

@@ -105,3 +105,44 @@ def test_library_public_names_are_read_or_exported():
     unread = [f"{module}:{name}" for module, name in unread_names(library_sources())
               if not name.startswith("_") and name not in bcsecrecy.__all__]
     assert unread == []
+
+
+# Class methods and properties that no library code reads, each with its reason.
+UNREAD_MEMBERS = {
+    "GevdResult.lower_vecs": "read by tests/test_acceptance.py",
+    "SdpcSolution.s_reduced": "read by tests/test_acceptance.py",
+    "SdpcSolution.s_sqrt": "read by tests/test_acceptance.py",
+    "Hull.contains": "read by tests/test_acceptance.py",
+    "_ChildSeed.generate_state": "numpy's SeedSequence protocol, called by default_rng",
+}
+
+
+def unread_members(sources: dict[str, str]) -> list[str]:
+    """``Class.name`` of each method or property of a module-level class of
+    ``sources`` that no statement reads as an attribute ``x.name``.  Dunder
+    methods are protocol and are skipped; a bare name does not count as a read,
+    so a local variable cannot hide a member of the same name."""
+    trees = [ast.parse(source) for source in sources.values()]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{cls.name}.{stmt.name}"
+            for tree in trees for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not stmt.name.startswith("__") and stmt.name not in read]
+
+
+def test_finds_unread_members():
+    sources = {
+        "a": "class A:\n    @property\n    def live(self): return 1\n"
+             "    @property\n    def dead(self): return 2\n"
+             "    def __len__(self): return 0\n",
+        "b": "from a import A\ndead = 3\nx = A().live + dead\n",
+    }
+    assert unread_members(sources) == ["A.dead"]
+
+
+def test_library_members_are_read():
+    # A method or property that no library code reads has only tests for
+    # callers, unless it is listed in UNREAD_MEMBERS with its reason.
+    assert sorted(unread_members(library_sources())) == sorted(UNREAD_MEMBERS)

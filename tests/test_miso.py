@@ -468,8 +468,8 @@ class TestPrincipal:
             h, u = cgauss(rng, n), cgauss(rng, n)
             u -= h * (np.vdot(h, u) / np.vdot(h, h))
             g = (0.7 - 0.4j) * h + delta * np.linalg.norm(h) / np.linalg.norm(u) * u
-            ch_r, _, _ = reduce_nullspace(MisoChannel(h, g).as_channel())
-            x, y = ch_r.G[0].conj(), ch_r.H[0].conj()
+            u_r, sv, _ = reduce_nullspace(MisoChannel(h, g).as_channel())
+            y, x = (u_r * sv).conj()
             assert x.size == 2
             want = exact_det(x, y)
             assert abs(_det(x, y) - want) <= 2.0 * np.finfo(float).eps * abs(want)

@@ -121,7 +121,7 @@ def test_miso_region_matches_matrix_solver(case):
         return
     points = miso_region(mc, pt, splits)
     ch = mc.as_channel()
-    two_dim = reduce_nullspace(ch)[1].shape[1] == 2
+    two_dim = reduce_nullspace(ch)[2].shape[1] == 2
     for p in points:
         # Each (C1, C2) is the corner of its own covariance S_Q when h and g
         # span two dimensions.  With one, the corner can dominate the pair.

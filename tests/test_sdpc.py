@@ -26,6 +26,7 @@ from bcsecrecy.linalg import (
     psd_range,
     rate_logdet,
 )
+from bcsecrecy.precoding import _coupling
 from bcsecrecy.sdpc import _certified, _pencil, _stacked_corners
 from conftest import (
     FIG_G,
@@ -161,10 +162,10 @@ class TestSolveMatrixConstraint:
             assert np.all(piv.real > 0.0)
             assert np.all(np.abs(piv.imag) <= 1e-15 * piv.real)
 
-            want = loss_bounded_precoders(sol).n_mat
+            want = _coupling(sol.gevd.eigvecs, sol.gevd.b)[1]
             sol.gevd.eigvecs = _fix_phase(c * np.exp(2j * np.pi * rng.uniform(size=rank)), axis=-2)
             assert np.max(np.abs(sol.gevd.eigvecs - c)) <= 1e-14
-            got = loss_bounded_precoders(sol).n_mat
+            got = _coupling(sol.gevd.eigvecs, sol.gevd.b)[1]
             scale = 1.0 + np.abs(want).max(initial=0.0)
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
 
@@ -214,7 +215,8 @@ class TestSolveMatrixConstraint:
         report = loss_bounded_precoders(sol)
         assert sol.rank == 2 and np.isfinite(report.loss_bits)
         # Its range basis is the isometry the transmit-space fields need.
-        for lazy in (sol.s_sqrt, sol.gevd.eigvecs, sol.kt_star, report.n_mat):
+        n_mat = _coupling(sol.gevd.eigvecs, sol.gevd.b)[1]
+        for lazy in (sol.s_sqrt, sol.gevd.eigvecs, sol.kt_star, n_mat):
             assert np.all(np.isfinite(lazy))
         assert eigh.count(True) == 1 and svd == []
 
