@@ -7,8 +7,9 @@ power split alpha, user 1 beams along e1, the principal vector of
 (1 + alpha Pt |g^H e1|^2); C2 and e2 are the principal pair of the swapped
 pencil, each term shrunk by the noise e1 leaves at its receiver; and
 S_Q = alpha Pt e1 e1^H + (1 - alpha) Pt e2 e2^H attains the pair when r = 2.
-Beams read off S_Q lose ln(1 + |N|^2) from both rates, also in closed form.
-No LAPACK call follows the reduction.
+Beams read off S_Q lose ln(1 + |N|^2) from both rates, in closed form from
+f1 = e2 at alpha = 0, one more split of the same batch: a region takes two
+kernel calls, and no LAPACK call follows the reduction.
 """
 
 import math
@@ -18,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .avgpower import check_split, reduce_nullspace, split_grid
-from .linalg import LN2, _fix_phase, clamp_rate
+from .linalg import LN2, clamp_rate
 from .sdpc import Channel
 
 
@@ -64,6 +65,13 @@ def _det(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
 
 
+def _pin(w0, w1) -> np.ndarray:
+    """The vectors [w0, w1] over a ``...`` axis, each turned so that its larger
+    entry, the first on a tie, is real positive: ``linalg._fix_phase``, bit for bit."""
+    piv = np.where(np.abs(w0) >= np.abs(w1), w0, w1)
+    return (np.array((w0, w1)) * (piv.conjugate() / np.abs(piv))).T
+
+
 def _principal(a, x: np.ndarray, b, y: np.ndarray, cross: complex):
     """Principal pair of the pencil (I + a x x^H, I + b y y^H), a and b over a
     ``...`` axis, x and y of length r <= 2 (independent when r = 2, ``cross``
@@ -80,7 +88,8 @@ def _principal(a, x: np.ndarray, b, y: np.ndarray, cross: complex):
     if x.size == 1:  # one dimension: a ratio of scalars
         gx, gy = abs(x[0]) ** 2, abs(y[0]) ** 2
         mu = (a * gx - b * gy) / (1.0 + b * gy)
-        return np.ones(np.shape(mu) + (1,), dtype=complex), mu, (gx, gy)
+        shape = np.shape(mu)
+        return np.ones(shape + (1,), dtype=complex), mu, (np.full(shape, gx), np.full(shape, gy))
     (x0, x1), (y0, y1) = map(complex, x), map(complex, y)
     rho = math.hypot(abs(y0), abs(y1))
     u0, u1, xp = y0 / rho, y1 / rho, cross / rho
@@ -100,10 +109,9 @@ def _principal(a, x: np.ndarray, b, y: np.ndarray, cross: complex):
     v2 = np.where(ident, -u1, xp)
     norm = np.hypot(abs(v1), abs(v2))
     v1, v2 = v1 / norm, v2 / norm
-    vec = np.multiply.outer(v1, [u0, u1]) + np.multiply.outer(v2, [-u1.conjugate(), u0.conjugate()])
     # For the eigenvector x^H v is a sum of non-negative terms and y^H v = |y| v1.
     gains = abs(xu.conjugate() * v1 + xp.conjugate() * v2) ** 2, rho ** 2 * abs(v1) ** 2
-    return _fix_phase(vec), mu, gains
+    return _pin(v1 * u0 - v2 * u1.conjugate(), v1 * u1 + v2 * u0.conjugate()), mu, gains
 
 
 def _check_range(pt: float, *arrays: np.ndarray) -> None:
@@ -114,36 +122,32 @@ def _check_range(pt: float, *arrays: np.ndarray) -> None:
                          "the closed-form rates overflow float64")
 
 
-def _loss_bits(span, pt: float, alphas: np.ndarray, e1: np.ndarray, e2: np.ndarray,
-               noise_g: np.ndarray) -> np.ndarray:
-    """Beamforming loss in bits per split from ``_capacity``'s output; zero
-    where S_Q has rank below two.  With S_Q = E diag(F, R) E^H, E = [e1, e2],
-    F = alpha pt, R = (1 - alpha) pt and f1 the principal vector of
-    (I + pt g g^H, I + pt h h^H), the coupling |c2^H c1|^2 / |c2|^4 is
+def _loss_bits(pt: float, alphas: np.ndarray, e1: np.ndarray, e2: np.ndarray,
+               noise_g: np.ndarray, f1: np.ndarray, gain_f: float) -> np.ndarray:
+    """Beamforming loss in bits per split from ``_capacity``'s output and f1,
+    the principal vector of (I + pt g g^H, I + pt h h^H), with |g^H f1|^2;
+    zero where S_Q has rank below two.  With S_Q = E diag(F, R) E^H, E = [e1, e2],
+    F = alpha pt and R = (1 - alpha) pt, the coupling |c2^H c1|^2 / |c2|^4 is
     (P / W) (1 + F |g^H f1|^2 |det E|^2 / W) / noise_g, with P = |det[f1, e2]|^2
-    and W = P + |det[e1, f1]|^2 F / R."""
-    h, g, cross = span
+    and W = P + |det[e1, f1]|^2 F / R; the range unchecked."""
+    if e1.size < 2:
+        return np.zeros(alphas.shape)
     first, rest = alphas * pt, (1.0 - alphas) * pt
-    full = (first > 0.0) & (rest > 0.0)
-    if h.size < 2 or not full.any():
-        return np.zeros(full.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # ``_check_range`` reports it
-        f1, _, (gain_f, _) = _principal(pt, g, pt, h, -cross)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         p = np.abs(_det(f1, e2)) ** 2
-        w = p + np.abs(_det(e1, f1)) ** 2 * first / np.where(full, rest, 1.0)
-        # P / W <= 1 and F / W <= R / |det[e1, f1]|^2 stay finite; P = 0 where
-        # W = 0, and a NaN W, from an overflowed f1, stays NaN.
-        share, extra = (np.divide(v, w, out=np.zeros(np.shape(w)), where=full & (w != 0.0))
-                        for v in (p, first * gain_f * np.abs(_det(e1, e2)) ** 2))
-        loss = np.log1p(share * (1.0 + extra) / noise_g) / LN2
-    _check_range(pt, loss)
-    return loss
+        w = p + np.abs(_det(e1, f1)) ** 2 * first / rest
+        # Where S_Q has rank two, P / W <= 1 and F / W <= R / |det[e1, f1]|^2
+        # stay finite, and a NaN W, from an overflowed f1, stays NaN.
+        extra = first * gain_f * np.abs(_det(e1, e2)) ** 2 / w
+        loss = np.log1p(p / w * (1.0 + extra) / noise_g) / LN2
+    return np.where((first > 0.0) & (rest > 0.0) & (w != 0.0), loss, 0.0)
 
 
 def _capacity(mc: MisoChannel, pt: float, alphas: np.ndarray):
-    """The reduced span (h, g, det[g, h]) and basis u_p, (C1, C2) in bits,
-    e1, e2 and the noise 1 + alpha pt |g^H e1|^2 per split of ``alphas``
-    (1-D, or 0-d for one split); e1 and e2 are on the span."""
+    """The basis u_p, (C1, C2) in bits, e1, e2, |g^H e2|^2 and the noise
+    1 + alpha pt |g^H e1|^2 per split of ``alphas`` (1-D, or 0-d for one
+    split), e1 and e2 on the span, the range unchecked.  At alpha = 0 both
+    noises are 1, so e2 is f1, the principal vector of the swapped pencil."""
     check_split(alphas, pt)
     u_r, sv, u_p = reduce_nullspace(mc.as_channel())
     # The coordinates of [h, g] on the span are Sigma_r U_r^H, U_r unitary
@@ -157,10 +161,9 @@ def _capacity(mc: MisoChannel, pt: float, alphas: np.ndarray):
         # The first user's beam appears as noise at both receivers: gamma1 is
         # the ratio of those noises, and the second user's pencil shrinks by them.
         noise_h, noise_g = 1.0 + first * gain_h, 1.0 + first * gain_g
-        e2, mu2, _ = _principal(rest / noise_g, g, rest / noise_h, h, -cross)
+        e2, mu2, (gain_2, _) = _principal(rest / noise_g, g, rest / noise_h, h, -cross)
         c1, c2 = clamp_rate(np.log(noise_h / noise_g)) / LN2, np.log1p(clamp_rate(mu2)) / LN2
-    _check_range(pt, c1, c2, e2)  # a non-finite e1 has non-finite gains, so C1
-    return (h, g, cross), u_p, c1, c2, e1, e2, noise_g
+    return u_p, c1, c2, e1, e2, gain_2, noise_g
 
 
 def _s_q(pt: float, alphas: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -216,7 +219,8 @@ def miso_capacity_point(mc: MisoChannel, pt: float, alpha: float) -> MisoRegionP
     The region's hull is unaffected.
     """
     alphas = np.asarray(alpha, dtype=float)
-    _, u_p, c1, c2, e1, e2, _ = _capacity(mc, pt, alphas)
+    u_p, c1, c2, e1, e2, _, _ = _capacity(mc, pt, alphas)
+    _check_range(pt, c1, c2, e2)  # a non-finite e1 has non-finite gains, so C1
     e1, e2 = u_p @ e1, e2 @ u_p.T
     return MisoRegionPoint(alpha, pt, float(c1), float(c2), e1, e2, _s_q(pt, alphas, e1, e2))
 
@@ -227,21 +231,22 @@ def miso_linear_point(mc: MisoChannel, point: MisoRegionPoint) -> MisoRegionPoin
     The beams c1 along S_Q^{-1/2} e1 and c2 along S_Q^{-1/2} f1 (f1 with the
     receiver roles swapped) both lose exactly ln(1 + |N|^2), clamped at zero;
     nothing when S_Q has rank one (alpha at 0 or 1, or collinear channels).
-    Of ``point`` only alpha, pt, c1 and c2 are read: e1, e2 and S_Q are solved
-    again from ``mc``, so the point must be ``mc``'s, unedited.
+    Of ``point`` only alpha, pt, c1 and c2 are read: the loss is that of the
+    one-split region of ``mc``, so the point must be ``mc``'s, unedited.
     """
-    alpha = np.asarray(point.alpha, dtype=float)
-    span, _, _, _, e1, e2, noise_g = _capacity(mc, point.pt, alpha)
-    loss = float(_loss_bits(span, point.pt, alpha, e1, e2, noise_g))
+    loss = float(miso_region(mc, point.pt, np.array([point.alpha], dtype=float)).loss_bits[0])
     return replace(point, r1=clamp_rate(point.c1 - loss), r2=clamp_rate(point.c2 - loss),
                    loss_bits=loss)
 
 
 def miso_region(mc: MisoChannel, pt: float, alpha_grid: int | np.ndarray = 101) -> MisoRegion:
     """Capacity and beamforming pairs over a sweep of power splits (see
-    ``split_grid``), all splits solved in one batch on the reduced span."""
+    ``split_grid``), all splits solved in one batch on the reduced span, and
+    alpha = 0 with them for the loss's f1: two kernel calls in all."""
     alphas = split_grid(alpha_grid)
-    span, u_p, c1, c2, e1, e2, noise_g = _capacity(mc, pt, alphas)
-    loss = _loss_bits(span, pt, alphas, e1, e2, noise_g)
+    u_p, c1, c2, e1, e2, gain_2, noise_g = _capacity(mc, pt, np.append(alphas, 0.0))
+    c1, c2, e2, f1 = c1[:-1], c2[:-1], e2[:-1], e2[-1]
+    loss = _loss_bits(pt, alphas, e1, e2, noise_g[:-1], f1, gain_2[-1])
+    _check_range(pt, c1, c2, e2, loss)
     return MisoRegion(pt, alphas, c1, c2, clamp_rate(c1 - loss), clamp_rate(c2 - loss), loss,
                       u_p @ e1, e2 @ u_p.T)

@@ -17,7 +17,7 @@ rates and det(I + N^H N) are the same as in the transmit space; the exact
 rates read that basis against the corner's own pencil.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,7 +101,6 @@ class LossReport:
     loss_bits: float
     guaranteed: CornerPoint
     exact: CornerPoint
-    solution: SdpcSolution = field(repr=False)
 
 
 def loss_bounded_precoders(sol: SdpcSolution) -> LossReport:
@@ -141,4 +140,4 @@ def loss_bounded_precoders(sol: SdpcSolution) -> LossReport:
     ln_det_b = -2.0 * np.sum(np.log(np.abs(np.diagonal(gevd.chol_inv))))
     exact = _layered(np.sum(_chol_logs(a)), np.sum(_chol_logs(ctrans(q2) @ a @ q2)),
                      ln_det_b, np.sum(_chol_logs(ctrans(q2c) @ b @ q2c)))
-    return LossReport(loss_bits, guaranteed, exact, sol)
+    return LossReport(loss_bits, guaranteed, exact)

@@ -9,6 +9,7 @@ import scipy.linalg
 from bcsecrecy import (
     MisoChannel,
     loss_bounded_precoders,
+    miso,
     miso_capacity_point,
     miso_linear_point,
     miso_region,
@@ -18,7 +19,7 @@ from bcsecrecy import (
 from bcsecrecy.avgpower import reduce_nullspace
 from bcsecrecy.errors import ZeroChannelError
 from bcsecrecy.linalg import LN2, _fix_phase
-from bcsecrecy.miso import _det, _principal
+from bcsecrecy.miso import _det, _pin, _principal
 from conftest import cgauss, count_decompositions
 
 
@@ -209,6 +210,69 @@ class TestRegion:
             counts.append({name: len(shapes) for name, shapes in calls.items()})
             monkeypatch.undo()
         assert counts[0] == counts[1]
+
+
+def spy(monkeypatch, name: str) -> list:
+    """Record the arguments of every call of ``miso.<name>``, which still runs."""
+    calls = []
+
+    def recording(*args, _f=getattr(miso, name)):
+        calls.append(args)
+        return _f(*args)
+
+    monkeypatch.setattr(miso, name, recording)
+    return calls
+
+
+def near_collinear_miso(rng, n, delta):
+    """g = c h + delta |h| u_perp, u_perp orthogonal to h."""
+    h, u = cgauss(rng, n), cgauss(rng, n)
+    u -= h * (np.vdot(h, u) / np.vdot(h, h))
+    return MisoChannel(h, (0.7 - 0.4j) * h + delta * np.linalg.norm(h) / np.linalg.norm(u) * u)
+
+
+class TestKernelBatch:
+    """f1, the principal vector of (I + pt g g^H, I + pt h h^H), is e2 at
+    alpha = 0: a batch of splits carries that row, and e1's pencil is the
+    only other kernel call."""
+
+    CHANNELS = {
+        "generic": lambda rng: rand_miso(rng, 3),
+        "orthogonal": lambda rng: orthogonal_miso(rng, 3),
+        "collinear": lambda rng: MisoChannel(h := cgauss(rng, 3), (0.5 - 2j) * h),
+        # Below the reduction's rank cut: the span is one-dimensional.
+        "near-collinear-1e-8": lambda rng: near_collinear_miso(rng, 3, 1e-8),
+        # Just above it: two coordinates, nearly parallel.
+        "near-collinear-1e-4": lambda rng: near_collinear_miso(rng, 3, 1e-4),
+    }
+
+    @pytest.mark.parametrize("call", ["region-21", "region-101", "region-grid", "linear", "capacity"])
+    def test_two_kernel_calls(self, monkeypatch, call):
+        mc = rand_miso(np.random.default_rng(12), n=4)
+        point = miso_capacity_point(mc, 10.0, 0.37)
+        calls = spy(monkeypatch, "_principal")
+        {"region-21": lambda: miso_region(mc, 10.0, 21),
+         "region-101": lambda: miso_region(mc, 10.0, 101),
+         "region-grid": lambda: miso_region(mc, 10.0, np.array([1.0, 0.0, 0.37, 0.999])),
+         "linear": lambda: miso_linear_point(mc, point),
+         "capacity": lambda: miso_capacity_point(mc, 10.0, 0.37)}[call]()
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("pt", [1e-2, 10.0, 1e12])
+    @pytest.mark.parametrize("kind", sorted(CHANNELS))
+    def test_loss_reads_f1_from_the_batch(self, monkeypatch, kind, pt):
+        mc = self.CHANNELS[kind](np.random.default_rng(50))
+        seen = spy(monkeypatch, "_loss_bits")
+        miso_region(mc, pt, 21)
+        miso_linear_point(mc, miso_capacity_point(mc, pt, 0.37))
+        u_r, sv, _ = reduce_nullspace(mc.as_channel())
+        h, g = (u_r * sv).conj()
+        f1, _, (gain_f, _) = _principal(pt, g, pt, h, -_det(g, h) if h.size == 2 else 0j)
+        assert len(seen) == 2
+        for *_, got_f1, got_gain in seen:
+            assert got_f1.shape == f1.shape
+            assert np.max(np.abs(got_f1 - f1)) <= 1e-15 * np.linalg.norm(f1)
+            assert abs(got_gain - gain_f) <= 1e-15 * gain_f
 
 
 class TestSplitGrid:
@@ -448,6 +512,28 @@ class TestPrincipal:
                                 exact_det(PENCIL_Y["generic"], PENCIL_X))
         assert np.max(np.abs(vec[0] - [1.0, 0.0])) <= 1e-15 and mu.tolist() == [0.0, 0.0]
         assert abs(np.vdot(PENCIL_Y["generic"], vec[1])) <= 1e-15
+
+    @pytest.mark.parametrize("kind", sorted(PENCIL_Y))
+    def test_phase_pinned_as_fix_phase(self, monkeypatch, kind):
+        # On one split and on a batch, the vectors are linalg._fix_phase of
+        # the same two entries, bit for bit.
+        entries = spy(monkeypatch, "_pin")
+        for pt in (10.0, np.logspace(-2, 12, 15)):
+            vec, _, _ = principal(pt, PENCIL_X, PENCIL_Y[kind])
+            assert np.array_equal(vec, _fix_phase(np.stack(entries.pop(), axis=-1)))
+
+    def test_phase_pin_tie_takes_the_first_entry(self):
+        # |a + bi| = |b + ai|: on a tie the first entry is the pivot, as
+        # _fix_phase's first maximum.
+        w0 = np.array([0.3 - 0.4j, -0.6 + 0.8j, -2.0 - 1.0j])
+        w1 = w0.imag + 1j * w0.real
+        assert np.array_equal(np.abs(w0), np.abs(w1))
+        for a, b in ((w0, w1), (w0[0], w1[0])):
+            vec = _pin(a, b)
+            assert np.array_equal(vec, _fix_phase(np.stack((a, b), axis=-1)))
+            first = vec[..., 0]
+            assert np.all(first.real > 0.0) and np.all(np.abs(first.imag) <= 1e-16)
+            assert np.all(np.abs(vec[..., 1] - b * a.conj() / np.abs(a)) <= 1e-15)
 
     def test_exact_det(self):
         # det[x, y] = delta |x|^2 plus the rounding of y, from 60-digit mpmath and
