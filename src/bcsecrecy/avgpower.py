@@ -92,8 +92,10 @@ def _refine_ties(sigma1: np.ndarray, phi: np.ndarray, sv: np.ndarray) -> np.ndar
     makes the costs extremal, which is what lets the allocation collapse to
     plain water-filling capacity when one channel vanishes.
     """
-    gaps = -np.diff(sigma1)
-    cuts = np.r_[0, np.flatnonzero(gaps > CLUSTER_TOL) + 1, sigma1.size]
+    apart = sigma1[:-1] - sigma1[1:] > CLUSTER_TOL
+    if apart.all():
+        return phi
+    cuts = np.concatenate(([0], np.flatnonzero(apart) + 1, [sigma1.size]))
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 2:
             continue
@@ -112,14 +114,14 @@ def diagonalize(ch: Channel) -> DiagonalizedChannel:
     u_r, sv, v_r = reduce_nullspace(ch)
     u_h, u_g = u_r[:ch.H.shape[0]], u_r[ch.H.shape[0]:]
     phi = _lapack("svd", u_h, "whitened H")[2].conj().T
-    phi = _refine_ties(np.sum(np.abs(u_h @ phi) ** 2, axis=0), phi, sv)
-    sigma1, sigma2 = (np.sum(np.abs(x @ phi) ** 2, axis=0) for x in (u_h, u_g))
+    phi = _refine_ties((np.abs(u_h @ phi) ** 2).sum(axis=0), phi, sv)
+    sigma1, sigma2 = ((np.abs(x @ phi) ** 2).sum(axis=0) for x in (u_h, u_g))
 
     # Stable partition: user-1 subchannels first, original order inside blocks.
     strong1 = (sigma1 - sigma2) > SIGMA_TIE_TOL
-    order = np.r_[np.flatnonzero(strong1), np.flatnonzero(~strong1)]
+    order = np.argsort(~strong1, kind="stable")
     sigma1, sigma2, w_phi = sigma1[order], sigma2[order], phi[:, order] / sv[:, None]
-    a = np.sum(np.abs(w_phi) ** 2, axis=0)
+    a = (np.abs(w_phi) ** 2).sum(axis=0)
     return DiagonalizedChannel(v_r @ w_phi, sigma1, sigma2, a, int(strong1.sum()))
 
 
@@ -140,11 +142,11 @@ def _check_fill(sigma_strong, sigma_weak, a, budget):
         raise DimensionMismatchError("sigma and cost vectors must be 1-D and share a shape")
     if not (np.isfinite(s).all() and np.isfinite(w).all() and np.isfinite(a).all()):
         raise ValueError("sigmas and costs must be finite")
-    if np.any(w < 0) or np.any(a <= 0):
+    if (w < 0).any() or (a <= 0).any():
         raise ValueError("sigma_weak must be >= 0 and costs positive")
     if not 0.0 <= budget < np.inf:
         raise ValueError(f"budget must be finite and non-negative, got {budget}")
-    if budget > 0 and not np.any(s > w):
+    if budget > 0 and not (s > w).any():
         raise NoStrongChannelsError("positive budget but every subchannel has "
                                     "sigma_strong <= sigma_weak")
     return s, w, a, float(budget), s > w
@@ -156,71 +158,75 @@ def _fill(strong: np.ndarray, weak: np.ndarray, a: np.ndarray, budgets: np.ndarr
     strong > weak) and levels (inf when nothing is live).
 
     At mu = mu_max exp(t), t <= 0, and c = d/(mu a) the optimum is
-    p = 2 (c - 1) / (ssum + sqrt(d^2 + 4 sprod c)), with c - 1 from expm1(-t).
-    The spent power T is convex and decreasing in t, and
-    dT/dt = -sum a c / (ssum + 2 sprod p) over open subchannels.  Subchannel i
-    alone spends b at t_i = ln(d_i / (a_i mu_max)) - ln((1 + s_i b/a_i)(1 + w_i b/a_i)),
-    and each p_i falls as t rises, so T(max_i t_i) is b to (live count) b.
+    p = 2 (c - 1) / (ssum + disc), disc = sqrt(d^2 + 4 sprod c) = ssum + 2 sprod p,
+    with c - 1 from expm1(-t).  The spent power T is convex and decreasing in t,
+    and dT/dt = -sum a c / disc over open subchannels.  Subchannel i alone spends
+    b at t_i = ln(d_i / (a_i mu_max)) - log1p(s_i b/a_i) - log1p(w_i b/a_i): -inf
+    where s_i b/a_i overflows, and then truly below -709.8, under the floor (at
+    most -708.4).  Each p_i falls as t rises, so T(max_i t_i) is b to (live count) b.
     Every row starts there, exact when one subchannel is live, and takes a
     Newton step on log T against log(-t) (exact for T a power of -t) or bisects,
-    whichever stays in the bracket, until T meets the budget to ``LEVEL_REL_TOL``
-    or the bracket cannot be split; then a mix of its ends' powers spends b.
+    whichever stays in its bracket (updated in place), until T meets the budget
+    to ``LEVEL_REL_TOL`` or the bracket cannot be split; then a mix of its ends'
+    powers spends b.
     """
     p = np.zeros((budgets.size, a.size))
-    if not np.any(live):
+    if not live.any():
         return p, np.full(budgets.size, np.inf)
     s, w, a = strong[live], weak[live], a[live]
     d, ssum, sprod = s - w, s + w, s * w
-    mu_max = np.max(d / a)
+    mu_max = (d / a).max()
     ratio = d / a / mu_max
     closed, root_sprod = 1.0 - ratio, 2.0 * np.sqrt(sprod)
     spend = budgets > 0
     b = np.where(spend, budgets, 1.0)
+    tol = LEVEL_REL_TOL * b
 
     def spent(t):
         x = ratio * np.expm1(-t)[:, None] - closed
         c = x + 1.0
-        q = 2.0 * np.maximum(x, 0.0) / (ssum + np.hypot(d, root_sprod * np.sqrt(c)))
-        return q, q @ a, -(np.where(x > 0, c / (ssum + 2.0 * sprod * q), 0.0) @ a)
+        disc = np.hypot(d, root_sprod * np.sqrt(c))
+        q = 2.0 * np.maximum(x, 0.0) / (ssum + disc)
+        return q, q @ a, -(np.where(x > 0, c / disc, 0.0) @ a)
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # Below floor, mu < tiny * max(1, mu_max) or c > 1/tiny overflows
-        # float64.  t_i comes from logs, so b/a cannot overflow.  The start
-        # may spend a rounding error under the budget, so the bracket starts
-        # at the floor, and only the floor can be short.
+        # float64.  The start may spend a rounding error under the budget, so
+        # the bracket starts at the floor, and only the floor can be short.
         floor = np.log(np.finfo(float).tiny) + max(0.0, -np.log(mu_max))
-        alone = np.log(ratio) - np.logaddexp(0.0, np.log(b)[:, None, None]
-                                             + np.log([s / a, w / a])).sum(axis=1)
+        alone = np.log(ratio) - np.log1p(b[:, None] * (s / a)) - np.log1p(b[:, None] * (w / a))
         t, lo, hi = np.maximum(floor, alone.max(axis=1)), np.full(b.size, floor), np.zeros(b.size)
         q, total, slope = spent(t)
         short = spend & ~(total >= b) & (t <= lo)
-        if np.any(short):
+        if short.any():
             raise ValueError(f"budget {b[short].max():.6g} is outside the supported range [0, "
                              f"{total[short][0]:.6g}]: its water level is below the float64 range")
         # Where -t is subnormal, T has too few bits to meet the budget.
         sub = spend & (t > -np.finfo(float).tiny)
-        if np.any(sub):
+        if sub.any():
             raise ValueError(f"budget {b[sub].min():.6g} is outside the supported range: its water "
                              f"level is within a subnormal factor of mu_max = {mu_max:.6g}")
         todo = spend.copy()
         for _ in range(LEVEL_MAX_ITER):
-            todo &= ~(np.abs(total - b) <= LEVEL_REL_TOL * b)
-            if not np.any(todo):
+            todo &= ~(np.abs(total - b) <= tol)
+            if not todo.any():
                 break
-            over = ~(total < b)
-            lo, hi = np.where(over, t, lo), np.where(over, hi, t)
+            under = total < b
+            np.copyto(lo, t, where=~under)
+            np.copyto(hi, t, where=under)
             mid = 0.5 * (lo + hi)
             newton = t * (b / total) ** (total / (t * slope))
             todo &= (lo < mid) & (mid < hi)
-            t = np.where(todo, np.where((lo < newton) & (newton < hi), newton, mid), t)
+            np.copyto(t, mid, where=todo)
+            np.copyto(t, newton, where=todo & (lo < newton) & (newton < hi))
             q, total, slope = spent(t)
-        off = spend & ~(np.abs(total - b) <= LEVEL_REL_TOL * b)
-        if np.any(off):
+        off = spend & ~(np.abs(total - b) <= tol)
+        if off.any():
             (q_lo, total_lo, _), (q_hi, total_hi, _) = spent(lo[off]), spent(hi[off])
             theta = np.clip((b[off] - total_hi) / (total_lo - total_hi), 0.0, 1.0)[:, None]
             q[off] = theta * q_lo + (1.0 - theta) * q_hi
-            off &= todo | ~(np.abs(q @ a - b) <= LEVEL_REL_TOL * b)
-            if np.any(off):
+            off &= todo | ~(np.abs(q @ a - b) <= tol)
+            if off.any():
                 raise NoConvergenceError(f"no water level in t = [{lo[off][0]}, {hi[off][0]}]")
     p[:, live] = np.where(spend[:, None], q, 0.0)
     return p, np.where(spend, mu_max * np.exp(t), mu_max)
@@ -367,28 +373,28 @@ def _blocks(dc: DiagonalizedChannel):
             (s2[rho:], s1[rho:], a[rho:], (s2 - s1)[rho:] > SIGMA_TIE_TOL))
 
 
-def _split_fills(dc: DiagonalizedChannel, alphas: np.ndarray, pt: float):
-    """(powers, levels) of user 1 and of user 2, one row per split."""
+def _split_fills(blocks, alphas: np.ndarray, pt: float):
+    """(powers, levels) of user 1 and of user 2 (``_blocks``), one row per split."""
     budgets = (alphas * pt, (1 - alphas) * pt)
-    return tuple(_fill(s, w, a, b, live) for (s, w, a, live), b in zip(_blocks(dc), budgets))
+    return tuple(_fill(s, w, a, b, live) for (s, w, a, live), b in zip(blocks, budgets))
 
 
-def _rates(dc: DiagonalizedChannel, p1: np.ndarray, p2: np.ndarray):
-    """Both users' rates in bits, for powers with or without a leading batch axis."""
-    return tuple(clamp_rate(np.sum(np.log1p(s * p) - np.log1p(w * p), axis=-1)) / LN2
-                 for (s, w, _, _), p in zip(_blocks(dc), (p1, p2)))
+def _rates(blocks, p1: np.ndarray, p2: np.ndarray):
+    """Both users' rates (``_blocks``) in bits, for powers with or without a leading batch axis."""
+    return tuple(clamp_rate((np.log1p(s * p) - np.log1p(w * p)).sum(axis=-1)) / LN2
+                 for (s, w, _, _), p in zip(blocks, (p1, p2)))
 
 
 def allocate(dc: DiagonalizedChannel, alpha: float, pt: float) -> PowerAllocation:
     """Split the budget and water-fill each user's block independently."""
     check_split(alpha, pt)
-    (p1, mu1), (p2, mu2) = _split_fills(dc, np.array([alpha], dtype=float), pt)
+    (p1, mu1), (p2, mu2) = _split_fills(_blocks(dc), np.array([alpha], dtype=float), pt)
     return PowerAllocation(alpha, p1[0], p2[0], float(mu1[0]), float(mu2[0]))
 
 
 def corner_rates(dc: DiagonalizedChannel, alloc: PowerAllocation) -> CornerPoint:
     """Rate pair of an allocation, in bits."""
-    r1, r2 = _rates(dc, alloc.p1, alloc.p2)
+    r1, r2 = _rates(_blocks(dc), alloc.p1, alloc.p2)
     return CornerPoint(r1, r2, alpha=alloc.alpha, provenance="avgpower")
 
 
@@ -400,8 +406,9 @@ def sweep_rates(dc: DiagonalizedChannel, pt: float,
     regions from these arrays."""
     alphas = split_grid(alpha_grid)
     check_split(alphas, pt)
-    (p1, _), (p2, _) = _split_fills(dc, alphas, pt)
-    return alphas, np.stack(_rates(dc, p1, p2), axis=-1)
+    blocks = _blocks(dc)
+    (p1, _), (p2, _) = _split_fills(blocks, alphas, pt)
+    return alphas, np.column_stack(_rates(blocks, p1, p2))
 
 
 def region_sweep(ch: Channel, pt: float, alpha_grid: int | np.ndarray = 101) -> RegionEstimate:

@@ -132,15 +132,15 @@ def _waterfill_residuals(dc, alloc, pt):
     kkt = budget = 0.0
     fills = ((alloc.p1, alloc.mu1, alloc.alpha * pt), (alloc.p2, alloc.mu2, (1.0 - alloc.alpha) * pt))
     for (strong, weak, cost, live), (p, mu, share) in zip(_blocks(dc), fills):
-        if not np.any(live) or share <= 0 or np.isinf(mu):
+        if not live.any() or share <= 0 or np.isinf(mu):
             continue
         budget = np.maximum(budget, abs(float(p @ cost) - share) / share)
         on = live & (p > 0)
-        if np.any(on):
+        if on.any():
             slope = (strong - weak)[on] / ((1.0 + strong[on] * p[on]) * (1.0 + weak[on] * p[on]))
             kkt = np.maximum(kkt, np.max(np.abs(slope - mu * cost[on]) / (mu * cost[on])))
         off = live & (p == 0)
-        if np.any(off):
+        if off.any():
             kkt = np.maximum(kkt, np.max((strong - weak)[off] - mu * cost[off]))
     return kkt, budget
 

@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .linalg import clamp_rate
 from .sdpc import CornerPoint
 
 
@@ -71,22 +72,24 @@ def pareto_hull(rates: np.ndarray) -> Hull:
         raise DimensionMismatchError(f"rate points must form an (n, 2) array, got {xy.shape}")
     if not np.isfinite(xy).all():
         raise ValueError("rate points must be finite")
-    xy = np.clip(xy, 0.0, None)
+    xy = clamp_rate(xy)
     if xy.size == 0:
         return Hull(np.zeros((1, 2)), 0.0)
 
     x_max = xy[:, 0].max()
     y_max = xy[:, 1].max()
-    pts = np.vstack([xy, [0.0, y_max], [x_max, 0.0]])
+    pts = np.concatenate((xy, [[0.0, y_max], [x_max, 0.0]]))
     del xy  # a large cloud is held once, not twice, through the sort below
 
     # Keep only the highest point at each abscissa, sorted left to right.
     pts = pts[np.lexsort((-pts[:, 1], pts[:, 0]))]
-    pts = pts[np.r_[True, np.diff(pts[:, 0]) > 0]]
+    pts = pts[np.concatenate(([True], pts[1:, 0] > pts[:-1, 0]))]
     # Pareto staircase: any other point no higher than one to its right is
     # under the chord from (0, y_max) to that one, so never a strict vertex.
     right = np.maximum.accumulate(pts[::-1, 1])[::-1]
-    pts = pts[np.r_[True, pts[1:, 1] > np.r_[right[2:], -np.inf]]]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:-1] = pts[1:-1, 1] > right[2:]
+    pts = pts[keep]
 
     # Monotone chain: pop while the turn is not strictly clockwise.  A
     # staircase whose turns all are, as a sweep's are (R2 is concave in R1),
@@ -109,6 +112,7 @@ def pareto_hull(rates: np.ndarray) -> Hull:
             chain.append(p)
         verts = np.array(chain)
 
-    area = float(np.trapezoid(verts[:, 1], verts[:, 0])) if len(verts) > 1 else 0.0
-    return Hull(verts, area)
+    # np.trapezoid's own formula, without its per-call glue; 0 for one vertex.
+    x, y = verts[:, 0], verts[:, 1]
+    return Hull(verts, float(((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0).sum()))
 

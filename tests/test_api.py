@@ -47,7 +47,8 @@ def test_every_name_resolves():
 
 
 def test_numpy_floor_runs_the_library():
-    # hull.pareto_hull calls np.trapezoid, which numpy has from 2.0 on.
+    # hull.pareto_hull's area is np.trapezoid's formula, and the tests compare
+    # it with np.trapezoid, which numpy has from 2.0 on.
     # Read as text: tomllib is missing on Python 3.10.
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     floor = re.search(r'"numpy>=([0-9]+)\.([0-9]+)', pyproject)

@@ -350,6 +350,38 @@ class TestWaterfill:
             p, _ = avgpower._fill(strong, weak, a, budgets, strong > weak)
             assert np.all(np.abs(p @ a - budgets) <= LEVEL_REL_TOL * budgets)
 
+    def test_one_live_start_is_the_level(self, monkeypatch):
+        # With one live subchannel the start is the level, so no step may be
+        # needed: every row meets its budget with no step allowed.  Dead
+        # subchannels (strong <= weak, some with weak = 0) ride along.
+        monkeypatch.setattr(avgpower, "LEVEL_MAX_ITER", 0)
+        budgets = np.logspace(-12.0, 12.0, 97)
+        rng = np.random.default_rng(33)
+        for _ in range(60):
+            k = int(rng.integers(1, 5))
+            weak = rng.uniform(0.0, 1.0, k) * (rng.random(k) >= 0.2)
+            strong = weak * rng.uniform(0.2, 1.0, k)
+            j = int(rng.integers(k))
+            strong[j] = weak[j] + 10.0 ** rng.uniform(-3.0, 0.0)
+            a = 10.0 ** rng.uniform(-3.0, 3.0, k)
+            p, _ = avgpower._fill(strong, weak, a, budgets, strong > weak)
+            assert np.all(np.abs(p @ a - budgets) <= LEVEL_REL_TOL * budgets)
+
+    @pytest.mark.parametrize("args, top", [
+        (([0.9], [0.2], [1e-10]), "1.58013e+144"),
+        (([0.9], [0.0], [1e-10]), "4.99359e+297"),
+        (([0.9, 0.5], [0.2, 0.1], [1e-10, 1.0]), "2.26635e+149"),
+    ])
+    def test_start_overflow_lands_on_the_floor(self, args, top):
+        # s b/a overflows float64, so log1p gives an infinite start; the true
+        # start lies below the floor anyway, so the search starts at the
+        # floor and reports what the floor spends, the same text as when the
+        # start was taken from logs.
+        with pytest.raises(ValueError) as err:
+            waterfill(*(np.array(v) for v in args), 1e300)
+        assert str(err.value) == (f"budget 1e+300 is outside the supported range [0, {top}]: "
+                                  "its water level is below the float64 range")
+
     def test_level_search_out_of_steps_raises(self, monkeypatch):
         # Two live subchannels: the start is not the level, and one step does
         # not reach it.
@@ -557,6 +589,19 @@ def test_sweep_matches_single_splits(name):
             single = corner_rates(dc, allocate(dc, alpha, FIG_PT))
             assert abs(r1 - single.R1) <= 1e-12
             assert abs(r2 - single.R2) <= 1e-12
+
+
+def test_sweep_fills_take_few_steps(monkeypatch):
+    # On these fills the search took at most 5 Newton steps when its slope was
+    # still formed from the powers; it may take one more, so a slope form that
+    # slows Newton down fails here with NoConvergenceError.
+    monkeypatch.setattr(avgpower, "LEVEL_MAX_ITER", 6)
+    for n in (2, 4, 8):
+        for seed in range(4):
+            dc = diagonalize(rand_channel(np.random.default_rng(1000 * n + seed), n))
+            for pt in (1.0, 12.0, 100.0):
+                alphas, rates = sweep_rates(dc, pt, 101)
+                assert np.isfinite(rates).all()
 
 
 class TestRegionSweep:

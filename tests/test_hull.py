@@ -157,6 +157,52 @@ class TestStaircase:
         assert np.array_equal(hull.vertices, [[0.0, 0.0], [2.0, 0.0]])
 
 
+# Small clouds and the hulls pareto_hull gave for them when its area was
+# still np.trapezoid's and its masks np.r_'s: one vertex where every point has
+# R1 = 0, two for one point, dominated points and duplicate abscissae dropped.
+PINNED_HULLS = [
+    ([[1.5, 0.25]], [[0.0, 0.25], [1.5, 0.25]], 0.375),
+    ([[0.0, 2.0]], [[0.0, 2.0]], 0.0),
+    ([[3.0, 0.0]], [[0.0, 0.0], [3.0, 0.0]], 0.0),
+    ([[0.0, 0.0]], [[0.0, 0.0]], 0.0),
+    ([[1.0, 3.0], [2.0, 1.0]], [[0.0, 3.0], [1.0, 3.0], [2.0, 1.0]], 5.0),
+    ([[1.0, 1.0], [2.0, 3.0]], [[0.0, 3.0], [2.0, 3.0]], 6.0),
+    ([[0.5, 2.0], [0.5, 1.0]], [[0.0, 2.0], [0.5, 2.0]], 1.0),
+    ([[2.0, 1.0], [2.0, 1.0]], [[0.0, 1.0], [2.0, 1.0]], 2.0),
+    ([[1.0, 3.0], [2.0, 2.5], [3.0, 0.5]], [[0.0, 3.0], [1.0, 3.0], [2.0, 2.5], [3.0, 0.5]], 7.25),
+    ([[1.0, 3.0], [2.0, 1.0], [3.0, 0.5]], [[0.0, 3.0], [1.0, 3.0], [3.0, 0.5]], 6.5),
+    ([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]], [[0.0, 3.0], [1.0, 3.0]], 3.0),
+    ([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]], [[0.0, 1.0], [2.0, 1.0]], 2.0),
+    ([[1.0, 1.0], [1.0, 3.0], [2.0, 2.0], [2.0, 0.5], [3.0, 1.0], [3.0, 1.0], [0.0, 2.5]],
+     [[0.0, 3.0], [1.0, 3.0], [3.0, 1.0]], 7.0),
+    ([[0.25, 4.0], [0.25, 4.0], [1.5, 3.5], [1.5, 3.75], [2.5, 0.0], [2.5, 1.0], [0.0, 0.0]],
+     [[0.0, 4.0], [0.25, 4.0], [1.5, 3.75], [2.5, 1.0]], 8.21875),
+]
+
+
+class TestPinned:
+    @pytest.mark.parametrize("cloud, vertices, area", PINNED_HULLS)
+    def test_small_clouds(self, cloud, vertices, area):
+        hull = pareto_hull(np.array(cloud))
+        assert np.array_equal(hull.vertices, vertices)
+        assert hull.area == area
+
+    def test_area_is_trapezoid_to_the_bit(self):
+        # The area is np.trapezoid's formula written out: the same bits on
+        # staircases kept whole, on clouds that run the chain, on sweeps, and
+        # on one- and two-vertex hulls.
+        clouds = list(staircase_clouds()) + [cloud for cloud, _, _ in PINNED_HULLS]
+        clouds += [region_sweep(rand_channel(np.random.default_rng(70 + n), n), 12.0, 101).rates
+                   for n in (2, 4, 8)]
+        lengths = set()
+        for cloud in clouds:
+            hull = pareto_hull(np.array(cloud))
+            lengths.add(min(len(hull.vertices), 3))
+            want = float(np.trapezoid(hull.vertices[:, 1], hull.vertices[:, 0]))
+            assert hull.area == want
+        assert lengths == {1, 2, 3}
+
+
 class TestContainment:
     def test_inside_outside(self):
         hull = pareto_hull(np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
